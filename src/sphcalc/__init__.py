@@ -21,18 +21,13 @@ from .algebra import (
 )
 from .bounds import (
     PointFunctional,
-    batched_bound_scan,
-    bound_cos,
-    bound_dtheta,
-    bound_Kplus,
-    bound_L,
     bound_point_functional,
+    claim_margins,
     continuity_criterion_check,
     functional_constant,
     random_expansion,
     substream,
     trial_expansion,
-    unit_mode_bound_sweep,
     weak_eigen_cos,
 )
 from .expansions import (
@@ -60,6 +55,7 @@ from .legendre import (
 )
 from .report import BoundReport
 from .structural import (
+    OPERATORS,
     clebsch_gordan,
     cos_theta_op,
     dphi_op,

@@ -77,7 +77,12 @@ class Operator:
 
 
 class CoefficientOperator(Operator):
-    """Banded operator from shift rules with boundary-vanishing amplitudes."""
+    """Banded operator from shift rules with boundary-vanishing amplitudes.
+
+    ``precondition(coeffs, lmax)``, when given, vets every ``(batch, K)`` table
+    the operator receives, so ``apply``, ``matrix`` and the batched bound scans
+    share one domain check.
+    """
 
     def __init__(self, name: str, rules: tuple[ShiftRule, ...], precondition=None):
         self.name = name
@@ -85,12 +90,9 @@ class CoefficientOperator(Operator):
         self.precondition = precondition
         self.band_growth = max([r.dl for r in self.rules] + [0])
 
-    def apply(self, f: HarmonicExpansion) -> HarmonicExpansion:
-        if self.precondition is not None:
-            self.precondition(f)
-        return super().apply(f)
-
     def _apply_table(self, coeffs: np.ndarray, lmax: int):
+        if self.precondition is not None:
+            self.precondition(coeffs, lmax)
         out_lmax = lmax + self.band_growth
         out = np.zeros((coeffs.shape[0], (out_lmax + 1) ** 2), dtype=np.complex128)
         ls, ms = degree_order_arrays(lmax)
@@ -117,9 +119,6 @@ class ComposedOperator(Operator):
         self.inner = inner
         self.band_growth = outer.band_growth + inner.band_growth
 
-    def apply(self, f: HarmonicExpansion) -> HarmonicExpansion:
-        return self.outer.apply(self.inner.apply(f))
-
     def _apply_table(self, coeffs, lmax):
         mid, lmid = self.inner._apply_table(coeffs, lmax)
         return self.outer._apply_table(mid, lmid)
@@ -138,13 +137,10 @@ class SumOperator(Operator):
         ta, la = self.a._apply_table(coeffs, lmax)
         tb, lb = self.b._apply_table(coeffs, lmax)
         lout = max(la, lb)
-        out = np.zeros((coeffs.shape[0], (lout + 1) ** 2), dtype=np.complex128)
-        out[:, : ta.shape[1]] += ta
-        out[:, : tb.shape[1]] += tb
-        return out, lout
-
-    def apply(self, f: HarmonicExpansion) -> HarmonicExpansion:
-        return self.a.apply(f) + self.b.apply(f)
+        # zero-pad both terms before adding, as HarmonicExpansion addition does
+        width = (lout + 1) ** 2
+        ta, tb = (np.pad(t, ((0, 0), (0, width - t.shape[1]))) for t in (ta, tb))
+        return ta + tb, lout
 
     def __repr__(self):
         return f"({self.a!r} + {self.b!r})"
@@ -159,9 +155,6 @@ class ScaledOperator(Operator):
     def _apply_table(self, coeffs, lmax):
         table, lout = self.op._apply_table(coeffs, lmax)
         return self.scalar * table, lout
-
-    def apply(self, f: HarmonicExpansion) -> HarmonicExpansion:
-        return self.scalar * self.op.apply(f)
 
     def __repr__(self):
         return f"({self.scalar} * {self.op!r})"

@@ -8,6 +8,7 @@ operator-expression errors), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -63,27 +64,6 @@ class ExpressionError(ValueError):
     """Unparseable operator expression."""
 
 
-OPERATOR_FACTORIES = {
-    "L": lambda: generator("L"),
-    "M": lambda: generator("M"),
-    "J+": lambda: generator("J+"),
-    "J-": lambda: generator("J-"),
-    "K+": lambda: generator("K+"),
-    "K-": lambda: generator("K-"),
-    "R+": lambda: generator("R+"),
-    "R-": lambda: generator("R-"),
-    "S+": lambda: generator("S+"),
-    "S-": lambda: generator("S-"),
-    "cosTheta": st.cos_theta_op,
-    "sinExp+": lambda: st.sin_exp_op(+1),
-    "sinExp-": lambda: st.sin_exp_op(-1),
-    "invSinLit": st.inv_sin_op_literal,
-    "dThetaLit": st.dtheta_op_literal,
-    "dPhi": st.dphi_op,
-    "expIPhi": st.exp_iphi_composite,
-}
-
-
 def _tokenize(text: str) -> list[str]:
     tokens = []
     i = 0
@@ -98,7 +78,7 @@ def _tokenize(text: str) -> list[str]:
                 j += 1
             word = text[i:j]
             # trailing +/- belongs to the name when the signed form is known
-            if j < len(text) and text[j] in "+-" and (word + text[j]) in OPERATOR_FACTORIES:
+            if j < len(text) and text[j] in "+-" and (word + text[j]) in st.OPERATORS:
                 word += text[j]
                 j += 1
             tokens.append(word)
@@ -173,8 +153,8 @@ class _Parser:
             self.take("]")
             return (1.0, commutator(a, b))
         tok = self.take()
-        if tok in OPERATOR_FACTORIES:
-            return (1.0, OPERATOR_FACTORIES[tok]())
+        if tok in st.OPERATORS:
+            return (1.0, st.OPERATORS[tok]())
         try:
             return (float(tok), None)
         except ValueError:
@@ -215,15 +195,10 @@ def parse_operator(text: str) -> Operator:
 # verification suites
 
 def _override(reports: list[BoundReport], overrides: dict) -> list[BoundReport]:
-    if not overrides:
-        return reports
-    out = []
-    for r in reports:
-        if r.check in overrides:
-            r = BoundReport(r.check, r.anchor, r.lhs, float(overrides[r.check]), r.tol,
-                            r.seed, r.lmax, r.n, r.informational, r.details)
-        out.append(r)
-    return out
+    return [
+        dataclasses.replace(r, rhs=float(overrides[r.check])) if r.check in overrides else r
+        for r in reports
+    ]
 
 
 def suite_transforms(lmax: int, trials: int, seed: int) -> list[BoundReport]:

@@ -12,10 +12,20 @@ pointwise multiplications; the gap is measured, not hidden.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .algebra import CoefficientOperator, ComposedOperator, DomainError, Operator, ShiftRule, _sq
+from .algebra import (
+    GENERATOR_NAMES,
+    CoefficientOperator,
+    ComposedOperator,
+    DomainError,
+    Operator,
+    ShiftRule,
+    _sq,
+    generator,
+)
 from .expansions import HarmonicExpansion, as_index, degree_order_arrays, flat_index
 from .legendre import sh_eval
 from .transform import SampledField, analyze, make_grid, synthesize
@@ -53,9 +63,9 @@ def sin_exp_op(sign: int) -> CoefficientOperator:
     raise ValueError("sign must be +1 or -1")
 
 
-def _require_no_axisymmetric_part(f: HarmonicExpansion) -> None:
-    ls, ms = degree_order_arrays(f.lmax)
-    bad = (ms == 0) & (np.abs(f.coeffs) > 0.0)
+def _require_no_axisymmetric_part(coeffs: np.ndarray, lmax: int) -> None:
+    ls, ms = degree_order_arrays(lmax)
+    bad = (ms == 0) & (np.abs(coeffs) > 0.0).any(axis=0)
     if bad.any():
         l = int(ls[np.nonzero(bad)[0][0]])
         raise DomainError(
@@ -123,6 +133,19 @@ def exp_iphi_composite() -> Operator:
     ``m = 0`` domain condition falls on inputs with an ``m = -1`` component.
     """
     return ComposedOperator(inv_sin_op_literal(), sin_exp_op(+1))
+
+
+# Every operator name the expression parser and the bound claims accept.
+OPERATORS = {
+    **{name: partial(generator, name) for name in GENERATOR_NAMES},
+    "cosTheta": cos_theta_op,
+    "sinExp+": partial(sin_exp_op, +1),
+    "sinExp-": partial(sin_exp_op, -1),
+    "invSinLit": inv_sin_op_literal,
+    "dThetaLit": dtheta_op_literal,
+    "dPhi": dphi_op,
+    "expIPhi": exp_iphi_composite,
+}
 
 
 # ---------------------------------------------------------------------------

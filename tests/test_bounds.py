@@ -5,64 +5,62 @@ import pytest
 from scipy.special import zeta
 
 from sphcalc import (
+    OPERATORS,
     HarmonicExpansion,
     PointFunctional,
     SpherePoint,
-    bound_cos,
-    bound_dtheta,
-    bound_Kplus,
-    bound_L,
     bound_point_functional,
+    claim_margins,
     continuity_criterion_check,
     functional_constant,
     graded_norm,
     point_eval,
     weak_eigen_cos,
 )
-from sphcalc.bounds import (
-    BoundClaim,
-    batched_bound_scan,
-    random_expansion,
-    trial_expansion,
-    unit_mode_bound_sweep,
-)
+from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, trial_expansion
+
+
+def margins_at(op_name, f, n):
+    """``(lhs, rhs)`` of the registered claim for one expansion at order ``n``."""
+    lhs, rhs = claim_margins(op_name, f.coeffs[None, :], f.lmax)
+    return lhs[0, n], rhs[0, n]
+
+
+def block(seed, trials, lmax):
+    return np.array([trial_expansion(seed, t, lmax).coeffs for t in range(trials)])
 
 
 def test_bound_kplus_single_mode():
-    f = HarmonicExpansion.unit(0, 0)
-    r = bound_Kplus(f, 0)
-    assert r.lhs == pytest.approx(math.sqrt(1 / 3), rel=1e-14)
-    assert r.rhs == pytest.approx(1.0)
-    assert r.margin == pytest.approx(1.0 - math.sqrt(1 / 3), rel=1e-12)
-    assert r.passed
+    lhs, rhs = margins_at("K+", HarmonicExpansion.unit(0, 0), 0)
+    assert lhs == pytest.approx(math.sqrt(1 / 3), rel=1e-14)
+    assert rhs == pytest.approx(1.0)
+    assert rhs - lhs == pytest.approx(1.0 - math.sqrt(1 / 3), rel=1e-12)
+    assert rhs - lhs >= 0
 
 
 def test_bound_kplus_random_scan():
-    for t in range(60):
-        f = trial_expansion(1000, t, 10)
-        for n in range(5):
-            assert bound_Kplus(f, n).passed
+    lhs, rhs = claim_margins("K+", block(1000, 60, 10), 10)
+    assert lhs.shape == (60, 5)
+    assert np.all(rhs - lhs >= 0)
 
 
 def test_bound_kplus_zero_input():
-    r = bound_Kplus(HarmonicExpansion.zeros(3), 2)
-    assert r.lhs == 0.0 and r.rhs == 0.0 and r.passed
+    lhs, rhs = margins_at("K+", HarmonicExpansion.zeros(3), 2)
+    assert lhs == 0.0 and rhs == 0.0
 
 
 def test_bound_L_single_mode():
-    f = HarmonicExpansion.unit(2, 1)
-    r = bound_L(f, 1)
-    assert r.lhs == pytest.approx(8.0)   # 2 * 4
-    assert r.rhs == pytest.approx(16.0)  # 4^2
-    assert r.passed
+    lhs, rhs = margins_at("L", HarmonicExpansion.unit(2, 1), 1)
+    assert lhs == pytest.approx(8.0)   # 2 * 4
+    assert rhs == pytest.approx(16.0)  # 4^2
+    assert rhs - lhs >= 0
 
 
 def test_bound_cos_single_mode():
-    f = HarmonicExpansion.unit(0, 0)
-    r = bound_cos(f, 0)
-    assert r.lhs == pytest.approx(math.sqrt(1 / 3), rel=1e-14)
-    assert r.rhs == pytest.approx(2.0)
-    assert r.passed
+    lhs, rhs = margins_at("cosTheta", HarmonicExpansion.unit(0, 0), 0)
+    assert lhs == pytest.approx(math.sqrt(1 / 3), rel=1e-14)
+    assert rhs == pytest.approx(2.0)
+    assert rhs - lhs >= 0
 
 
 def test_cos_bound_needs_order_dependent_constant():
@@ -80,30 +78,32 @@ def test_cos_bound_needs_order_dependent_constant():
 
 
 def test_bound_dtheta_single_mode():
-    f = HarmonicExpansion.unit(1, 0)
-    r = bound_dtheta(f, 1)
+    lhs, rhs = margins_at("dThetaLit", HarmonicExpansion.unit(1, 0), 1)
     # image is -+ sqrt(2)/2 at (1, -+1), each with weight 3
-    assert r.lhs == pytest.approx(3.0, rel=1e-14)
-    assert r.rhs == pytest.approx(0.5 * (4.0 + 16.0))
-    assert r.passed
+    assert lhs == pytest.approx(3.0, rel=1e-14)
+    assert rhs == pytest.approx(0.5 * (4.0 + 16.0))
+    assert rhs - lhs >= 0
 
 
-@pytest.mark.parametrize("maker,n_top", [(bound_L, 4), (bound_cos, 4), (bound_dtheta, 2)])
-def test_bound_random_scans(maker, n_top):
-    for t in range(40):
-        f = trial_expansion(1100, t, 9)
-        for n in range(n_top + 1):
-            assert maker(f, n).passed
+@pytest.mark.parametrize(
+    "op_name,n_top",
+    [("L", 4), ("cosTheta", 4), ("dThetaLit", 2)],
+    ids=["bound_L-4", "bound_cos-4", "bound_dtheta-2"],
+)
+def test_bound_random_scans(op_name, n_top):
+    lhs, rhs = claim_margins(op_name, block(1100, 40, 9), 9)
+    assert lhs.shape == (40, n_top + 1)
+    assert np.all(rhs - lhs >= 0)
 
 
 def test_margins_scale_invariant():
-    f = trial_expansion(7, 0, 8)
-    for maker in (bound_Kplus, bound_L, bound_cos, bound_dtheta):
-        base = maker(f, 1)
-        scaled = maker(137.0 * f, 1)
-        assert scaled.lhs == pytest.approx(137.0 * base.lhs, rel=1e-12)
-        assert scaled.rhs == pytest.approx(137.0 * base.rhs, rel=1e-12)
-        assert (scaled.margin >= 0) == (base.margin >= 0)
+    rows = trial_expansion(7, 0, 8).coeffs[None, :]
+    for name in ("K+", "L", "cosTheta", "dThetaLit"):
+        base_lhs, base_rhs = (side[0, 1] for side in claim_margins(name, rows, 8))
+        lhs, rhs = (side[0, 1] for side in claim_margins(name, 137.0 * rows, 8))
+        assert lhs == pytest.approx(137.0 * base_lhs, rel=1e-12)
+        assert rhs == pytest.approx(137.0 * base_rhs, rel=1e-12)
+        assert (rhs - lhs >= 0) == (base_rhs - base_lhs >= 0)
 
 
 def test_functional_constant_values():
@@ -178,27 +178,48 @@ def test_falsifier_rejects_false_claim():
 
 
 def test_unit_mode_sweeps_hold_and_pin_tightest_case():
+    identity = np.eye(25 * 25, dtype=np.complex128)
     for name in ("K+", "L", "M", "cosTheta", "dThetaLit"):
-        r = unit_mode_bound_sweep(name, 24)
-        assert r.passed, name
+        lhs, rhs = claim_margins(name, identity, 24)
+        assert np.all(rhs - lhs >= 0), name
     # tightest case for the degree-raiser is the constant mode at n = 0
-    r = unit_mode_bound_sweep("K+", 24)
-    assert r.details["worst_mode"] == [0, 0]
-    assert r.margin == pytest.approx(1.0 - math.sqrt(1 / 3), rel=1e-12)
+    lhs, rhs = claim_margins("K+", identity, 24)
+    mode, n = np.unravel_index(np.argmin(rhs - lhs), lhs.shape)
+    assert (mode, n) == (0, 0)
+    assert rhs[mode, n] - lhs[mode, n] == pytest.approx(1.0 - math.sqrt(1 / 3), rel=1e-12)
+
+
+def reference_falsifier(name, trials, seed, lmax, claim):
+    """Per-trial loop: ``op.apply`` and ``graded_norm`` on each seeded input."""
+    op = OPERATORS[name]()
+    worst = None
+    for t in range(trials):
+        if t % 8 == 7:
+            rng = np.random.default_rng((seed, t))
+            l = int(rng.integers(lmax, 4 * lmax + 8))
+            f = HarmonicExpansion.unit(l, int(rng.integers(-l, l + 1)))
+        else:
+            f = trial_expansion(seed, t, lmax)
+        g = op.apply(f)
+        for n in range(claim.max_n + 1):
+            lhs = graded_norm(g, n)
+            rhs = claim.constant(n) * sum(graded_norm(f, q) for q in claim.indices(n))
+            if worst is None or rhs - lhs < worst[1] - worst[0]:
+                worst = (lhs, rhs, n, t)
+    return worst
 
 
 def test_batched_scan_matches_per_trial():
-    r = batched_bound_scan("K+", trials=200, seed=5, lmax=8)
-    assert r.passed
-    # worst margin must agree with a direct per-trial evaluation
-    worst = None
-    for t in range(200):
-        f = trial_expansion(5, t, 8)
-        for n in range(5):
-            rep = bound_Kplus(f, n)
-            if worst is None or rep.margin < worst:
-                worst = rep.margin
-    assert r.margin == pytest.approx(worst, rel=1e-9)
+    cases = [(name, 200, 5, 8, claim) for name, claim in _CLAIMS.items()]
+    cases += [
+        ("K+", 64, 11, 10, BoundClaim(lambda n: 1.0, lambda n: (n,), 1)),
+        ("cosTheta", 64, 13, 8, BoundClaim(lambda n: 2.0, lambda n: (n + 1,), 4)),
+    ]
+    for name, trials, seed, lmax, claim in cases:
+        r = continuity_criterion_check(name, trials=trials, seed=seed, lmax=lmax, claim=claim)
+        expected = reference_falsifier(name, trials, seed, lmax, claim)
+        assert (r.lhs, r.rhs, r.n, r.details["worst_trial"]) == expected, name
+        assert r.passed == (claim is _CLAIMS.get(name)), name
 
 
 def test_random_expansion_reproducible():

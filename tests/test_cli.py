@@ -1,10 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sphcalc import HarmonicExpansion, load_expansion, save_expansion
+from sphcalc import OPERATORS, HarmonicExpansion, load_expansion, save_expansion
+from sphcalc.bounds import _CLAIMS
 from sphcalc.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -48,6 +51,15 @@ def test_parse_scalars_sums_signs():
     assert parse_operator("(L+M)*K+").apply(HarmonicExpansion.unit(0, 0))[(1, 0)] == pytest.approx(
         math.sqrt(1 / 3)
     )
+
+
+def test_one_operator_registry():
+    assert set(_CLAIMS) <= set(OPERATORS)
+    for name in OPERATORS:
+        assert repr(parse_operator(name)) == repr(OPERATORS[name]()), name
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"combine the names `([^`]*)`", readme).group(1).split()
+    assert listed == list(OPERATORS)
 
 
 def test_parse_errors():

@@ -222,6 +222,13 @@ def test_exp_iphi_domain_propagates():
     op.apply(ok)
 
 
+def test_matrix_enforces_the_apply_domain():
+    # the identity columns include m = 0 (and, for the composite, m = -1) modes
+    for op in (inv_sin_op_literal(), exp_iphi_composite()):
+        with pytest.raises(DomainError):
+            op.matrix(4)
+
+
 def test_exp_iphi_is_not_pointwise_phase():
     # the formal composite keeps the result band-limited, the true phase
     # multiplication does not: the coefficient gap must be visibly nonzero
