@@ -50,6 +50,7 @@ from .legendre import (
     assoc_legendre,
     orthonormal_legendre_table,
     orthonormal_sh_eval,
+    orthonormal_sh_values,
     sh_eval,
     uniform_bound_check,
 )

@@ -10,6 +10,7 @@ application is exact on truncated expansions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -201,7 +202,8 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
 
     Returns ``(constants, max_residual)`` where ``constants[(a, b)]`` maps
     basis-element names to the fitted coefficient of ``[a, b]``.  Commutators
-    are evaluated on basis elements of degree <= ``lmax`` inside a space
+    are formed by ``commutator`` composition, the same path ``apply`` takes,
+    and evaluated on basis elements of degree <= ``lmax`` inside a space
     padded by two degrees, so no truncation error enters.
 
     The opposite-ladder pairs produce diagonal commutators such as
@@ -213,24 +215,15 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
     if lmax < 4:
         raise ValueError("closure check needs lmax >= 4")
     lpad = lmax + 2
-    K_in = (lmax + 1) ** 2
-    mats = {name: generator(name).matrix(lpad, lpad) for name in GENERATOR_NAMES}
-    basis_names = list(GENERATOR_NAMES)
+    gens = {name: generator(name) for name in GENERATOR_NAMES}
+    columns = {name: op.matrix(lmax, lpad) for name, op in gens.items()}
     if include_identity:
-        basis_names.append("1")
-        mats["1"] = np.eye((lpad + 1) ** 2, dtype=np.complex128)
-    design = np.stack([mats[name][:, :K_in].ravel() for name in basis_names], axis=1)
-    pairs = [
-        (GENERATOR_NAMES[i], GENERATOR_NAMES[j])
-        for i in range(len(GENERATOR_NAMES))
-        for j in range(i + 1, len(GENERATOR_NAMES))
-    ]
+        columns["1"] = np.eye((lpad + 1) ** 2, (lmax + 1) ** 2, dtype=np.complex128)
+    basis_names = list(columns)
+    design = np.stack([columns[name].ravel() for name in basis_names], axis=1)
+    pairs = list(combinations(GENERATOR_NAMES, 2))
     rhs = np.stack(
-        [
-            ((mats[a] @ mats[b] - mats[b] @ mats[a])[:, :K_in]).ravel()
-            for a, b in pairs
-        ],
-        axis=1,
+        [commutator(gens[a], gens[b]).matrix(lmax, lpad).ravel() for a, b in pairs], axis=1
     )
     sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = np.abs(design @ sol - rhs)

@@ -6,6 +6,11 @@ Conventions: Condon-Shortley phase inside ``P_l^m`` (``P_1^1(x) =
 orthonormal family for the measure ``d(cos(theta)) dphi``.  Negative orders
 use ``P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m``, equivalently ``Y_l^{-m} =
 (-1)^m conj(Y_l^m)``.
+
+Every harmonic value comes from one fully-normalised recurrence,
+``orthonormal_legendre_table``: point values (``orthonormal_sh_values``,
+``sh_eval``), the transforms' basis tables and the sup-bound scan.
+``assoc_legendre`` is the plain ``P_l^m`` reference it is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 
 import numpy as np
 
-from .expansions import as_index, as_point
+from .expansions import as_index, as_point, degree_order_arrays, flat_index
 from .report import BoundReport
 
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
@@ -25,7 +30,10 @@ def assoc_legendre(l: int, m: int, x):
 
     Ascending-degree three-term recurrence seeded with ``P_m^m(x) =
     (-1)^m (2m-1)!! (1-x^2)^(m/2)``.  Accepts scalar or array ``x`` with
-    ``|x| <= 1``; returns 0 when ``m > l``.
+    ``|x| <= 1``; returns 0 when ``m > l``.  Unnormalised values leave the
+    double range near ``l + m = 340``; there it raises ``OverflowError``
+    (``orthonormal_legendre_table`` stays finite).  Kept as the plain
+    reference the normalised table is tested against.
     """
     if m < 0:
         raise ValueError("assoc_legendre requires m >= 0")
@@ -37,48 +45,18 @@ def assoc_legendre(l: int, m: int, x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if m > l:
-        out = np.zeros_like(x)
-        return float(out[0]) if scalar else out
-
-    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    pmm = np.ones_like(x)
-    for k in range(1, m + 1):
-        pmm *= -(2 * k - 1) * s
-    if l == m:
-        return float(pmm[0]) if scalar else pmm
-    pm1 = x * (2 * m + 1) * pmm
-    if l == m + 1:
-        return float(pm1[0]) if scalar else pm1
-    for deg in range(m + 2, l + 1):
-        pmm, pm1 = pm1, (x * (2 * deg - 1) * pm1 - (deg + m - 1) * pmm) / (deg - m)
-    return float(pm1[0]) if scalar else pm1
-
-
-def _amplitude(l: int, m: int) -> float:
-    # sqrt((l-m)!/(2*pi*(l+m)!)) via log-gamma, stable to high degree
-    return math.exp(
-        0.5 * (math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
-        - 0.5 * math.log(2.0 * math.pi)
-    )
-
-
-def sh_eval(idx, p) -> complex:
-    """Spherical harmonic ``Y_l^m`` at a point."""
-    idx = as_index(idx)
-    p = as_point(p)
-    l, m = idx.l, idx.m
-    mu = abs(m)
-    x = min(1.0, max(-1.0, math.cos(p.theta)))
-    val = _amplitude(l, mu) * assoc_legendre(l, mu, x)
-    if m < 0:
-        val *= (-1) ** mu
-    return val * complex(math.cos(m * p.phi), math.sin(m * p.phi))
-
-
-def orthonormal_sh_eval(idx, p) -> complex:
-    """Orthonormal basis function ``sqrt(l+1/2) * Y_l^m`` at a point."""
-    idx = as_index(idx)
-    return math.sqrt(idx.l + 0.5) * sh_eval(idx, p)
+        p = np.zeros_like(x)
+    else:
+        s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, m + 1):
+                p *= -(2 * k - 1) * s
+            for deg in range(m + 1, l + 1):
+                p_prev, p = p, (x * (2 * deg - 1) * p - (deg + m - 1) * p_prev) / (deg - m)
+        if not np.all(np.isfinite(p)):
+            raise OverflowError(f"P_{l}^{m}(x) overflows double precision")
+    return float(p[0]) if scalar else p
 
 
 def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
@@ -87,25 +65,55 @@ def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
     ``N[i, l, m] * exp(i*m*phi)`` equals ``sqrt(l+1/2) * Y_l^m(theta, phi)``
     at ``x_i = cos(theta)``; for negative orders multiply by ``(-1)^m``.
     Fully-normalised recurrence, stable for degrees well beyond the plain
-    ``P_l^m`` overflow point.
+    ``P_l^m`` overflow point.  Each degree is one step over all of its
+    orders: two-term for ``m <= l-2``, then the sub-diagonal and diagonal
+    seeds.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument out of range: |x| > 1")
-    n = x.size
-    N = np.zeros((n, lmax + 1, lmax + 1))
+    N = np.zeros((x.size, lmax + 1, lmax + 1))
     s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     N[:, 0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, lmax + 1):
-        N[:, m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * N[:, m - 1, m - 1]
-    for m in range(lmax + 1):
-        if m + 1 <= lmax:
-            N[:, m + 1, m] = math.sqrt(2 * m + 3.0) * x * N[:, m, m]
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            N[:, l, m] = a * (x * N[:, l - 1, m] - b * N[:, l - 2, m])
+    for l in range(1, lmax + 1):
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        N[:, l, : l - 1] = a * (x[:, None] * N[:, l - 1, : l - 1] - b * N[:, l - 2, : l - 1])
+        N[:, l, l - 1] = math.sqrt(2 * l + 1.0) * x * N[:, l - 1, l - 1]
+        N[:, l, l] = -math.sqrt((2 * l + 1) / (2.0 * l)) * s * N[:, l - 1, l - 1]
     return N
+
+
+def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
+    """Flat values ``E[i, k] = sqrt(l+1/2) * Y_l^m`` at ``(x_i, phi_i)``.
+
+    Points are given by ``x = cos(theta)``, a 1-D array or a scalar, and
+    ``phi``, a scalar or an array of the same length; columns follow the flat
+    triangular order of
+    ``degree_order_arrays(lmax)``.  At ``phi = 0`` the values are real: the
+    theta factor alone.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    phi = np.asarray(phi, dtype=np.float64)[..., None]
+    N = orthonormal_legendre_table(lmax, x)
+    ls, ms = degree_order_arrays(lmax)
+    mags = N[:, ls, np.abs(ms)] * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
+    return mags * np.exp(1j * ms * phi)
+
+
+def orthonormal_sh_eval(idx, p) -> complex:
+    """Orthonormal basis function ``sqrt(l+1/2) * Y_l^m`` at a point."""
+    idx = as_index(idx)
+    p = as_point(p)
+    values = orthonormal_sh_values(idx.l, math.cos(p.theta), p.phi)
+    return complex(values[0, flat_index(idx.l, idx.m)])
+
+
+def sh_eval(idx, p) -> complex:
+    """Spherical harmonic ``Y_l^m`` at a point."""
+    idx = as_index(idx)
+    return orthonormal_sh_eval(idx, p) / math.sqrt(idx.l + 0.5)
 
 
 def uniform_bound_check(lmax: int, grid_density: int = 2048) -> BoundReport:

@@ -17,7 +17,7 @@ from .expansions import (
     as_point,
     degree_order_arrays,
 )
-from .legendre import orthonormal_legendre_table
+from .legendre import orthonormal_legendre_table, orthonormal_sh_values
 from .report import BoundReport
 
 
@@ -27,6 +27,15 @@ class GridTooCoarseError(ValueError):
 
 class FieldFileError(ValueError):
     """Malformed sampled-field document."""
+
+
+def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(x)`` and ``P_n'(x)`` by the three-term recurrence (``n >= 1``)."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for deg in range(2, n + 1):
+        p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -40,24 +49,12 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n + 1, dtype=np.float64)
     x = np.cos(math.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for deg in range(2, n + 1):
-            p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
-        if n == 1:
-            p, p_prev = x.copy(), np.ones_like(x)
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        p, dp = _legendre_and_slope(n, x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for deg in range(2, n + 1):
-        p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
-    if n == 1:
-        p_prev = np.ones_like(x)
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    _, dp = _legendre_and_slope(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     return x[order], w[order]
@@ -100,12 +97,16 @@ class SphereGrid:
         return f"SphereGrid(lmax={self.lmax}, n_theta={self.n_theta}, n_phi={self.n_phi})"
 
 
+def _grid_shape(lmax: int) -> tuple[int, int]:
+    return lmax + 1, 2 * lmax + 2
+
+
 def make_grid(lmax: int) -> SphereGrid:
     """Minimal exact grid for degree ``lmax``: ``lmax+1`` x ``2*lmax+2`` nodes."""
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    x, w = gauss_legendre(lmax + 1)
-    n_phi = 2 * lmax + 2
+    n_theta, n_phi = _grid_shape(lmax)
+    x, w = gauss_legendre(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     return SphereGrid(lmax, x, w, phi)
 
@@ -180,10 +181,7 @@ def analyze(field: SampledField, lmax: int) -> HarmonicExpansion:
 def basis_point_values(lmax: int, p) -> np.ndarray:
     """Flat array of the orthonormal basis functions at one point."""
     p = as_point(p)
-    N = orthonormal_legendre_table(lmax, np.array([math.cos(p.theta)]))[0]
-    ls, ms = degree_order_arrays(lmax)
-    mags = N[ls, np.abs(ms)] * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
-    return mags * np.exp(1j * ms * p.phi)
+    return orthonormal_sh_values(lmax, math.cos(p.theta), p.phi)[0]
 
 
 def point_eval(f: HarmonicExpansion, p) -> complex:
@@ -222,11 +220,10 @@ def orthonormality_check(lmax: int) -> BoundReport:
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
     grid = make_grid(lmax)
-    N = grid.basis_table(lmax)
     ls, ms = degree_order_arrays(lmax)
     K = ls.size
-    # T[i, k] = magnitude part of basis function k at theta node i
-    T = N[:, ls, np.abs(ms)] * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)[None, :]
+    # T[i, k] = basis function k at theta node i and phi = 0: its real theta factor
+    T = orthonormal_sh_values(lmax, grid.x, 0.0).real
     theta_gram = T.T @ (grid.w[:, None] * T)
     scale = 2.0 * math.pi / grid.n_phi
     mvals = np.arange(-lmax, lmax + 1)
@@ -286,16 +283,21 @@ def load_field(path) -> SampledField:
             if len(parts) != 4:
                 raise FieldFileError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                rows.append(tuple(float(t) for t in parts))
+                row = tuple(float(t) for t in parts)
             except ValueError as exc:
                 raise FieldFileError(f"{path}:{lineno}: bad number: {line!r}") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise FieldFileError(f"{path}:{lineno}: non-finite value: {line!r}")
+            rows.append(row)
     if lmax is None:
         raise FieldFileError(f"{path}: missing grid metadata header")
+    if lmax < 0:
+        raise FieldFileError(f"{path}: grid lmax must be >= 0, got {lmax}")
+    # make_grid costs O(lmax^2), so the header must first agree with the rows
+    n_theta, n_phi = _grid_shape(lmax)
+    if len(rows) != n_theta * n_phi:
+        raise FieldFileError(f"{path}: expected {n_theta * n_phi} rows, got {len(rows)}")
     grid = make_grid(lmax)
-    if len(rows) != grid.n_theta * grid.n_phi:
-        raise FieldFileError(
-            f"{path}: expected {grid.n_theta * grid.n_phi} rows, got {len(rows)}"
-        )
     samples = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
     for k, (theta, phi, re, im) in enumerate(rows):
         i, j = divmod(k, grid.n_phi)

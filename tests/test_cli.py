@@ -124,6 +124,17 @@ def test_transform_malformed_row(tmp_path, capsys):
     assert ":2" in capsys.readouterr().err
 
 
+def test_transform_oversized_header_is_usage_error(tmp_path, capsys):
+    # header lmax=200000 with one row: rejected from the row count, no grid built
+    bad = tmp_path / "huge.csv"
+    bad.write_text("# grid lmax=200000\n0.5,0.5,0.0,0.0\n")
+    out = tmp_path / "o.json"
+    code = main(["transform", "analyze", "--in", str(bad), "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(bad) in err and "expected 80000800002 rows, got 1" in err
+
+
 def test_missing_file_is_io_error(tmp_path):
     out = tmp_path / "o.json"
     code = main(["apply", "--op", "L", "--in", str(tmp_path / "absent.json"), "--out", str(out)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ def test_derivative_identity_by_central_differences():
         assert errs[1] <= max(0.3 * errs[0], 1e-11 * scale)  # ~O(h^2) shrink
 
 
+def test_assoc_legendre_raises_instead_of_overflowing():
+    # the unnormalised values leave the double range; no inf, nan or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for l, m, x in [(170, 170, 0.5), (400, 300, 0.45), (400, 300, [0.1, 0.45])]:
+            with pytest.raises(OverflowError):
+                assoc_legendre(l, m, x)
+        assert np.isfinite(assoc_legendre(150, 150, 0.5))
+
+
 def test_sh_eval_pinned_values():
     inv_sqrt_2pi = 1.0 / math.sqrt(2 * math.pi)
     assert sh_eval((0, 0), (1.234, 2.345)) == pytest.approx(inv_sqrt_2pi)
@@ -184,9 +195,9 @@ def test_pole_values():
 
 
 def test_high_degree_no_overflow():
-    # log-space prefactors keep the product finite where the bare factorial
-    # ratio would overflow (l + m well past 170)
-    for l, m in [(120, 60), (150, 149), (200, 100)]:
+    # the normalised recurrence stays finite where the bare factorial ratio
+    # and the plain P_l^m overflow (l + m well past 170)
+    for l, m in [(120, 60), (150, 149), (200, 100), (170, 170), (200, 150), (400, 300)]:
         theta, phi = 1.1, 0.6
         ours = sh_eval((l, m), (theta, phi))
         assert np.isfinite(ours.real) and np.isfinite(ours.imag)
@@ -201,3 +212,27 @@ def test_near_pole_graceful():
         assert np.isfinite(v.real) and np.isfinite(v.imag)
         assert abs(v) < 1e-20
         assert abs(sh_eval((6, 0), (theta, 1.0))) == pytest.approx(SH_SUP_BOUND, rel=1e-8)
+
+
+def _table_per_order(lmax, x):
+    # the order-by-order loop the per-degree table replaced, kept as reference
+    N = np.zeros((x.size, lmax + 1, lmax + 1))
+    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    N[:, 0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, lmax + 1):
+        N[:, m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * N[:, m - 1, m - 1]
+    for m in range(lmax + 1):
+        if m + 1 <= lmax:
+            N[:, m + 1, m] = math.sqrt(2 * m + 3.0) * x * N[:, m, m]
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            N[:, l, m] = a * (x * N[:, l - 1, m] - b * N[:, l - 2, m])
+    return N
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 2, 16, 64])
+def test_table_equals_per_order_recurrence(lmax):
+    # same arithmetic per entry, so the tables agree bit for bit
+    x = np.concatenate([np.random.default_rng(lmax).uniform(-1, 1, 9), [-1.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(orthonormal_legendre_table(lmax, x), _table_per_order(lmax, x))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,4 +238,36 @@ def test_field_file_errors(tmp_path):
         load_field(path)
     path.write_text("0.1,0.2,0.3,0.4\n")
     with pytest.raises(FieldFileError, match="metadata"):
+        load_field(path)
+
+
+@pytest.mark.parametrize(
+    "header, n_rows",
+    [("lmax=200000", 1), ("lmax=-3", 8)],
+    ids=["huge", "negative"],
+)
+def test_field_file_header_checked_before_grid(tmp_path, monkeypatch, header, n_rows):
+    # the grid for a header's lmax is only built once the rows agree with it
+    def no_grid(lmax):
+        raise AssertionError(f"make_grid({lmax}) called for a malformed file")
+
+    monkeypatch.setattr("sphcalc.transform.make_grid", no_grid)
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# grid {header}\n" + "0.5,0.5,0.0,0.0\n" * n_rows)
+    with pytest.raises(FieldFileError, match=re.escape(str(path))):
+        load_field(path)
+
+
+@pytest.mark.parametrize("column, value", [(2, "nan"), (3, "-inf"), (0, "nan"), (1, "inf")])
+def test_field_file_rejects_non_finite_values(tmp_path, column, value):
+    # a NaN node would also slip through the node-distance check
+    field = synthesize(random_expansion(6, 1, decay=1.0), make_grid(1))
+    path = tmp_path / "field.csv"
+    save_field(field, path)
+    lines = path.read_text().splitlines()
+    row = lines[4].split(",")
+    row[column] = value
+    lines[4] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFileError, match=re.escape(f"{path}:5: non-finite")):
         load_field(path)
