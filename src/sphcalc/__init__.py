@@ -7,11 +7,9 @@ verification of the continuity bounds tying them together.
 """
 
 from .algebra import (
-    CoefficientOperator,
     DomainError,
     GENERATOR_NAMES,
     Operator,
-    apply,
     boundary_vanishing_check,
     closure_check,
     commutator,

@@ -1,10 +1,20 @@
 """Banded coefficient-space operators and the ten-generator ladder algebra.
 
+Every operator is one :class:`Operator`: a name and a tuple of shift rules
+``(l, m) -> (l+dl, m+dm)``.  Products, sums and scalar multiples fold into
+rules (``a * b`` composes every pair, ``a + b`` joins the tuples, a scalar
+scales the amplitudes), so one stencil serves ``apply``, ``matrix`` and the
+batched tables.
+
 Shift amplitudes are stated on the plain-``Y`` basis; application to stored
 coefficients (orthonormal basis) multiplies each transferred term by
-``sqrt((2l+1)/(2l'+1))`` where ``l' = l + dl``.  Raising operators grow the
-stored ``lmax`` by their band width instead of dropping boundary terms, so
-application is exact on truncated expansions.
+``sqrt((2l+1)/(2l'+1))`` where ``l' = l + dl`` is the rule's net shift.  The
+output ``lmax`` grows by the net band width (the largest ``dl``) instead of
+dropping boundary terms, so application is exact on truncated expansions.
+
+The domain comes from the amplitudes: a non-finite amplitude marks its source
+mode as outside the domain, and any input carrying that mode (any source, for
+``matrix``) raises :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -36,134 +46,109 @@ class ShiftRule:
 
 
 class Operator:
-    """Linear map on expansions; supports ``*`` (compose/scale), ``+``, ``-``."""
+    """Banded linear map on expansions: a name and a tuple of shift rules."""
 
-    band_growth: int = 0
+    def __init__(self, name: str, rules: tuple[ShiftRule, ...]):
+        self.name = name
+        self.rules = tuple(rules)
+        self.band_growth = max([r.dl for r in self.rules] + [0])
 
     def apply(self, f: HarmonicExpansion) -> HarmonicExpansion:
         table, lmax = self._apply_table(f.coeffs[None, :], f.lmax)
         return HarmonicExpansion(lmax, table[0])
 
-    def _apply_table(self, coeffs: np.ndarray, lmax: int):
-        raise NotImplementedError
+    def _stencil(self, lmax: int, support: np.ndarray):
+        """Yield ``(src, tgt, coef)`` per rule on the flat layout at ``lmax``.
 
-    def matrix(self, lmax_in: int, lmax_out: int | None = None) -> np.ndarray:
-        """Dense matrix on flat triangular layouts, columns = inputs."""
-        K_in = (lmax_in + 1) ** 2
-        table, lmax_nat = self._apply_table(np.eye(K_in, dtype=np.complex128), lmax_in)
-        if lmax_out is None:
-            lmax_out = lmax_nat
-        K_out = (lmax_out + 1) ** 2
-        out = np.zeros((K_out, K_in), dtype=np.complex128)
-        keep = min(K_out, table.shape[1])
-        out[:keep, :] = table[:, :keep].T
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, Operator):
-            return ComposedOperator(self, other)
-        return ScaledOperator(complex(other), self)
-
-    def __rmul__(self, scalar):
-        return ScaledOperator(complex(scalar), self)
-
-    def __add__(self, other):
-        return SumOperator(self, other)
-
-    def __sub__(self, other):
-        return SumOperator(self, ScaledOperator(-1.0, other))
-
-    def __neg__(self):
-        return ScaledOperator(-1.0, self)
-
-
-class CoefficientOperator(Operator):
-    """Banded operator from shift rules with boundary-vanishing amplitudes.
-
-    ``precondition(coeffs, lmax)``, when given, vets every ``(batch, K)`` table
-    the operator receives, so ``apply``, ``matrix`` and the batched bound scans
-    share one domain check.
-    """
-
-    def __init__(self, name: str, rules: tuple[ShiftRule, ...], precondition=None):
-        self.name = name
-        self.rules = tuple(rules)
-        self.precondition = precondition
-        self.band_growth = max([r.dl for r in self.rules] + [0])
-
-    def _apply_table(self, coeffs: np.ndarray, lmax: int):
-        if self.precondition is not None:
-            self.precondition(coeffs, lmax)
-        out_lmax = lmax + self.band_growth
-        out = np.zeros((coeffs.shape[0], (out_lmax + 1) ** 2), dtype=np.complex128)
+        ``coef`` carries the basis ratio of the rule's net shift.  A non-finite
+        amplitude at a source flagged in ``support`` raises ``DomainError``;
+        at an unflagged source it contributes nothing.
+        """
         ls, ms = degree_order_arrays(lmax)
         for rule in self.rules:
             lt = ls + rule.dl
             mt = ms + rule.dm
-            valid = (lt >= 0) & (np.abs(mt) <= lt)
-            if not valid.any():
+            src = np.nonzero((lt >= 0) & (np.abs(mt) <= lt))[0]
+            if src.size == 0:
                 continue
-            src = np.nonzero(valid)[0]
-            amp = np.asarray(rule.amplitude(ls[src], ms[src]), dtype=np.complex128)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                amp = np.asarray(rule.amplitude(ls[src], ms[src]), dtype=np.complex128)
+            singular = ~np.isfinite(amp)
+            if singular.any():
+                hit = src[singular & support[src]]
+                if hit.size:
+                    l, m = int(ls[hit[0]]), int(ms[hit[0]])
+                    raise DomainError(f"{self.name} is undefined on the ({l},{m}) mode")
+                amp[singular] = 0.0
             ratio = np.sqrt((2.0 * ls[src] + 1.0) / (2.0 * lt[src] + 1.0))
-            tgt = flat_index(lt[src], mt[src])
-            out[:, tgt] += (amp * ratio)[None, :] * coeffs[:, src]
+            yield src, flat_index(lt[src], mt[src]), amp * ratio
+
+    def _apply_table(self, coeffs: np.ndarray, lmax: int):
+        out_lmax = lmax + self.band_growth
+        out = np.zeros((coeffs.shape[0], (out_lmax + 1) ** 2), dtype=np.complex128)
+        for src, tgt, coef in self._stencil(lmax, (coeffs != 0).any(axis=0)):
+            out[:, tgt] += coef[None, :] * coeffs[:, src]
         return out, out_lmax
 
-    def __repr__(self):
-        return f"CoefficientOperator({self.name!r})"
+    def matrix(self, lmax_in: int, lmax_out: int | None = None) -> np.ndarray:
+        """Dense matrix on flat triangular layouts, columns = inputs."""
+        if lmax_out is None:
+            lmax_out = lmax_in + self.band_growth
+        K_in = (lmax_in + 1) ** 2
+        K_out = (lmax_out + 1) ** 2
+        out = np.zeros((K_out, K_in), dtype=np.complex128)
+        for src, tgt, coef in self._stencil(lmax_in, np.ones(K_in, dtype=bool)):
+            keep = tgt < K_out
+            out[tgt[keep], src[keep]] += coef[keep]
+        return out
 
+    def __mul__(self, other):
+        if isinstance(other, Operator):
+            rules = tuple(_compose(a, b) for a in self.rules for b in other.rules)
+            return Operator(f"({self.name} * {other.name})", rules)
+        return self._scaled(complex(other))
 
-class ComposedOperator(Operator):
-    def __init__(self, outer: Operator, inner: Operator):
-        self.outer = outer
-        self.inner = inner
-        self.band_growth = outer.band_growth + inner.band_growth
+    __rmul__ = __mul__  # only scalars reach it, and they commute
 
-    def _apply_table(self, coeffs, lmax):
-        mid, lmid = self.inner._apply_table(coeffs, lmax)
-        return self.outer._apply_table(mid, lmid)
+    def _scaled(self, scalar: complex) -> Operator:
+        rules = tuple(
+            ShiftRule(r.dl, r.dm, lambda l, m, a=r.amplitude: scalar * np.asarray(a(l, m)))
+            for r in self.rules
+        )
+        return Operator(f"({scalar} * {self.name})", rules)
 
-    def __repr__(self):
-        return f"({self.outer!r} * {self.inner!r})"
+    def __add__(self, other):
+        return Operator(f"({self.name} + {other.name})", self.rules + other.rules)
 
+    def __sub__(self, other):
+        return self + (-other)
 
-class SumOperator(Operator):
-    def __init__(self, a: Operator, b: Operator):
-        self.a = a
-        self.b = b
-        self.band_growth = max(a.band_growth, b.band_growth)
-
-    def _apply_table(self, coeffs, lmax):
-        ta, la = self.a._apply_table(coeffs, lmax)
-        tb, lb = self.b._apply_table(coeffs, lmax)
-        lout = max(la, lb)
-        # zero-pad both terms before adding, as HarmonicExpansion addition does
-        width = (lout + 1) ** 2
-        ta, tb = (np.pad(t, ((0, 0), (0, width - t.shape[1]))) for t in (ta, tb))
-        return ta + tb, lout
-
-    def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
-
-
-class ScaledOperator(Operator):
-    def __init__(self, scalar: complex, op: Operator):
-        self.scalar = scalar
-        self.op = op
-        self.band_growth = op.band_growth
-
-    def _apply_table(self, coeffs, lmax):
-        table, lout = self.op._apply_table(coeffs, lmax)
-        return self.scalar * table, lout
+    def __neg__(self):
+        return self._scaled(-1.0)
 
     def __repr__(self):
-        return f"({self.scalar} * {self.op!r})"
+        return f"Operator({self.name!r})"
+
+
+def _compose(outer: ShiftRule, inner: ShiftRule) -> ShiftRule:
+    # plain-Y amplitudes multiply (the basis ratio telescopes to the net shift);
+    # the pair contributes nothing where the intermediate target leaves the
+    # triangle or the inner amplitude is zero
+    def amplitude(l, m):
+        a = np.asarray(inner.amplitude(l, m), dtype=np.complex128)
+        li = l + inner.dl
+        mi = m + inner.dm
+        live = (li >= 0) & (np.abs(mi) <= li) & (a != 0)
+        out = np.zeros(l.shape, dtype=np.complex128)
+        out[live] = a[live] * outer.amplitude(li[live], mi[live])
+        return out
+
+    return ShiftRule(inner.dl + outer.dl, inner.dm + outer.dm, amplitude)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
     """Expression for ``a*b - b*a``."""
-    return SumOperator(ComposedOperator(a, b), ScaledOperator(-1.0, ComposedOperator(b, a)))
+    return a * b - b * a
 
 
 def _sq(expr) -> np.ndarray:
@@ -186,15 +171,11 @@ _GENERATOR_RULES = {
 }
 
 
-def generator(name: str) -> CoefficientOperator:
+def generator(name: str) -> Operator:
     """One of the ten ladder/Cartan generators acting on coefficients."""
     if name not in _GENERATOR_RULES:
         raise KeyError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
-    return CoefficientOperator(name, _GENERATOR_RULES[name])
-
-
-def apply(op: Operator, f: HarmonicExpansion) -> HarmonicExpansion:
-    return op.apply(f)
+    return Operator(name, _GENERATOR_RULES[name])
 
 
 def derive_structure_constants(lmax: int, include_identity: bool = True):
@@ -225,6 +206,10 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
     rhs = np.stack(
         [commutator(gens[a], gens[b]).matrix(lmax, lpad).ravel() for a, b in pairs], axis=1
     )
+    # rows where every column and every commutator vanish change neither the
+    # fit nor the residual; at lmax 16 only 3% of the rows hold data
+    held = (design != 0).any(axis=1) | (rhs != 0).any(axis=1)
+    design, rhs = design[held], rhs[held]
     sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = np.abs(design @ sol - rhs)
     constants = {}

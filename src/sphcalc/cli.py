@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error (bad flags, malformed documents, out-of-range arguments,
-operator-expression errors), 3 I/O error.
+operator-expression errors, memory exhaustion), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -118,28 +118,27 @@ class _Parser:
         self.pos += 1
         return tok
 
-    # value = (scalar, operator-or-None)
+    # a value is a float or an Operator
     def expr(self):
         value = self.term()
         while self.peek() in ("+", "-"):
-            sign = 1.0 if self.take() == "+" else -1.0
-            other = self.term()
-            value = _add(value, (sign * other[0], other[1]))
+            sign = self.take()
+            other = _require_op(self.term())
+            value = _require_op(value) + (other if sign == "+" else -other)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
             self.take("*")
-            value = _mul(value, self.factor())
+            value = value * self.factor()
         return value
 
     def factor(self):
         tok = self.peek()
         if tok == "-":
             self.take()
-            scalar, op = self.factor()
-            return (-scalar, op)
+            return -self.factor()
         if tok == "(":
             self.take("(")
             value = self.expr()
@@ -151,36 +150,20 @@ class _Parser:
             self.take(",")
             b = _require_op(self.expr())
             self.take("]")
-            return (1.0, commutator(a, b))
+            return commutator(a, b)
         tok = self.take()
         if tok in st.OPERATORS:
-            return (1.0, st.OPERATORS[tok]())
+            return st.OPERATORS[tok]()
         try:
-            return (float(tok), None)
+            return float(tok)
         except ValueError:
             raise ExpressionError(f"unknown operator {tok!r}") from None
 
 
-def _mul(a, b):
-    scalar = a[0] * b[0]
-    if a[1] is None:
-        return (scalar, b[1])
-    if b[1] is None:
-        return (scalar, a[1])
-    return (scalar, a[1] * b[1])
-
-
-def _add(a, b):
-    op_a = _require_op(a)
-    op_b = _require_op(b)
-    return (1.0, op_a + op_b)
-
-
 def _require_op(value) -> Operator:
-    scalar, op = value
-    if op is None:
+    if not isinstance(value, Operator):
         raise ExpressionError("scalar where an operator was expected")
-    return op if scalar == 1.0 else scalar * op
+    return value
 
 
 def parse_operator(text: str) -> Operator:
@@ -642,6 +625,9 @@ def main(argv=None) -> int:
     except (ExpressionError, CoefficientFileError, FieldFileError, GridTooCoarseError,
             DomainError, ValueError, OverflowError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; lower lmax or the document size", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

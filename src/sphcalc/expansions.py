@@ -299,9 +299,16 @@ def load_expansion(path) -> HarmonicExpansion:
     if lmax < 0:
         raise CoefficientFileError(f"{path}: lmax must be >= 0")
     size = (lmax + 1) ** 2
+    records = doc["coefficients"]
+    # checked before allocating: a short document may declare a huge lmax
+    if len(records) != size:
+        raise CoefficientFileError(
+            f"{path}: {len(records)} records for lmax={lmax}, expected {size}:"
+            " entries missing or surplus"
+        )
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = np.zeros(size, dtype=bool)
-    for k, rec in enumerate(doc["coefficients"]):
+    for k, rec in enumerate(records):
         try:
             l, m = int(rec["l"]), int(rec["m"])
             value = float(rec["re"]) + 1j * float(rec["im"])
@@ -314,10 +321,5 @@ def load_expansion(path) -> HarmonicExpansion:
             raise CoefficientFileError(f"{path}: duplicate entry for ({l},{m})")
         seen[pos] = True
         coeffs[pos] = value
-    if not seen.all():
-        ls, ms = degree_order_arrays(lmax)
-        missing = int(np.argmin(seen))
-        raise CoefficientFileError(
-            f"{path}: missing entry for ({ls[missing]},{ms[missing]})"
-        )
+    # size distinct in-range records leave no (l, m) missing
     return HarmonicExpansion(lmax, coeffs)

@@ -18,22 +18,19 @@ import numpy as np
 
 from .algebra import (
     GENERATOR_NAMES,
-    CoefficientOperator,
-    ComposedOperator,
-    DomainError,
     Operator,
     ShiftRule,
     _sq,
     generator,
 )
-from .expansions import HarmonicExpansion, as_index, degree_order_arrays, flat_index
+from .expansions import HarmonicExpansion, as_index, flat_index
 from .legendre import orthonormal_sh_values
 from .transform import SampledField, analyze, make_grid, synthesize
 
 
-def cos_theta_op() -> CoefficientOperator:
+def cos_theta_op() -> Operator:
     """Multiplication by ``cos(theta)`` as a banded map (dl = +-1, dm = 0)."""
-    return CoefficientOperator(
+    return Operator(
         "cosTheta",
         (
             ShiftRule(+1, 0, lambda l, m: _sq((l + m + 1) * (l - m + 1)) / (2 * l + 1)),
@@ -42,7 +39,7 @@ def cos_theta_op() -> CoefficientOperator:
     )
 
 
-def sin_exp_op(sign: int) -> CoefficientOperator:
+def sin_exp_op(sign: int) -> Operator:
     """Multiplication by ``sin(theta)*exp(sign*i*phi)`` (dl = +-1, dm = sign).
 
     Amplitudes follow from the degree recurrences of ``sqrt(1-x^2) P_l^m``
@@ -53,62 +50,42 @@ def sin_exp_op(sign: int) -> CoefficientOperator:
             ShiftRule(+1, +1, lambda l, m: -_sq((l + m + 1) * (l + m + 2)) / (2 * l + 1)),
             ShiftRule(-1, +1, lambda l, m: _sq((l - m) * (l - m - 1)) / (2 * l + 1)),
         )
-        return CoefficientOperator("sinExp+", rules)
+        return Operator("sinExp+", rules)
     if sign == -1:
         rules = (
             ShiftRule(+1, -1, lambda l, m: _sq((l - m + 1) * (l - m + 2)) / (2 * l + 1)),
             ShiftRule(-1, -1, lambda l, m: -_sq((l + m) * (l + m - 1)) / (2 * l + 1)),
         )
-        return CoefficientOperator("sinExp-", rules)
+        return Operator("sinExp-", rules)
     raise ValueError("sign must be +1 or -1")
 
 
-def _require_no_axisymmetric_part(coeffs: np.ndarray, lmax: int) -> None:
-    ls, ms = degree_order_arrays(lmax)
-    bad = (ms == 0) & (np.abs(coeffs) > 0.0).any(axis=0)
-    if bad.any():
-        l = int(ls[np.nonzero(bad)[0][0]])
-        raise DomainError(
-            f"1/sin(theta) map undefined on m=0 modes; found nonzero ({l},0)"
-        )
-
-
-def inv_sin_op_literal() -> CoefficientOperator:
+def inv_sin_op_literal() -> Operator:
     """Formal ``1/sin(theta)`` map (dl = +1, dm = +-1), amplitude ``-1/(2m)``.
 
-    Defined only on expansions with no ``m = 0`` component (the termwise
-    amplitude is singular there, and ``Y_l^0 / sin(theta)`` is not square
-    integrable).  This is a coefficient recurrence, not a pointwise
-    multiplication: the two branches drop opposite ``exp(-+i*phi)`` phases.
+    Defined only on expansions with no ``m = 0`` component: the termwise
+    amplitude is infinite there (and ``Y_l^0 / sin(theta)`` is not square
+    integrable), which the stencil reports as a ``DomainError``.  This is a
+    coefficient recurrence, not a pointwise multiplication: the two branches
+    drop opposite ``exp(-+i*phi)`` phases.
     """
-
-    def up_plus(l, m):
-        a = np.zeros(l.shape, dtype=np.float64)
-        nz = m != 0
-        a[nz] = -_sq((l[nz] + m[nz] + 1) * (l[nz] + m[nz] + 2)) / (2.0 * m[nz])
-        return a
-
-    def up_minus(l, m):
-        a = np.zeros(l.shape, dtype=np.float64)
-        nz = m != 0
-        a[nz] = -_sq((l[nz] - m[nz] + 1) * (l[nz] - m[nz] + 2)) / (2.0 * m[nz])
-        return a
-
-    return CoefficientOperator(
+    return Operator(
         "invSinLit",
-        (ShiftRule(+1, +1, up_plus), ShiftRule(+1, -1, up_minus)),
-        precondition=_require_no_axisymmetric_part,
+        (
+            ShiftRule(+1, +1, lambda l, m: -_sq((l + m + 1) * (l + m + 2)) / (2.0 * m)),
+            ShiftRule(+1, -1, lambda l, m: -_sq((l - m + 1) * (l - m + 2)) / (2.0 * m)),
+        ),
     )
 
 
-def dtheta_op_literal() -> CoefficientOperator:
+def dtheta_op_literal() -> Operator:
     """Formal ``d/dtheta`` map (dl = 0, dm = +-1).
 
     Amplitudes ``-(1/2) sqrt((l+m)(l-m+1))`` toward ``m-1`` and
     ``+(1/2) sqrt((l-m)(l+m+1))`` toward ``m+1``; the pointwise derivative
     carries extra ``exp(+-i*phi)`` phases on the shifted terms.
     """
-    return CoefficientOperator(
+    return Operator(
         "dThetaLit",
         (
             ShiftRule(0, -1, lambda l, m: -0.5 * _sq((l + m) * (l - m + 1))),
@@ -117,9 +94,9 @@ def dtheta_op_literal() -> CoefficientOperator:
     )
 
 
-def dphi_op() -> CoefficientOperator:
+def dphi_op() -> Operator:
     """``d/dphi``: diagonal multiplication by ``i*m``."""
-    return CoefficientOperator(
+    return Operator(
         "dPhi",
         (ShiftRule(0, 0, lambda l, m: 1j * np.asarray(m, dtype=np.float64)),),
     )
@@ -132,7 +109,7 @@ def exp_iphi_composite() -> Operator:
     multiplication; the inner factor shifts every order up by one, so the
     ``m = 0`` domain condition falls on inputs with an ``m = -1`` component.
     """
-    return ComposedOperator(inv_sin_op_literal(), sin_exp_op(+1))
+    return inv_sin_op_literal() * sin_exp_op(+1)
 
 
 # Every operator name the expression parser and the bound claims accept.

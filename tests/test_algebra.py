@@ -1,12 +1,18 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from sphcalc import (
     GENERATOR_NAMES,
+    OPERATORS,
+    DomainError,
     HarmonicExpansion,
-    apply,
+    Operator,
     boundary_vanishing_check,
     closure_check,
     commutator,
@@ -15,6 +21,7 @@ from sphcalc import (
     graded_norm,
     so3_casimir_check,
 )
+from sphcalc.algebra import ShiftRule
 from sphcalc.expansions import degree_order_arrays
 
 
@@ -38,28 +45,28 @@ def test_generator_amplitudes_on_plain_basis():
 
 def test_apply_diagonal():
     f = HarmonicExpansion.unit(2, 1)
-    g = apply(generator("L"), f)
+    g = generator("L").apply(f)
     assert g[(2, 1)] == 2.0
     assert g.lmax == 2
 
-    m_only = apply(generator("M"), HarmonicExpansion.from_dict(3, {(1, 0): 1.0, (3, 0): 2.0}))
+    m_only = generator("M").apply(HarmonicExpansion.from_dict(3, {(1, 0): 1.0, (3, 0): 2.0}))
     assert np.max(np.abs(m_only.coeffs)) == 0.0
 
 
 def test_apply_includes_basis_ratio():
     # raising by one degree carries sqrt((2l+1)/(2l+3))
-    g = apply(generator("K+"), HarmonicExpansion.unit(0, 0))
+    g = generator("K+").apply(HarmonicExpansion.unit(0, 0))
     assert g.lmax == 1
     assert g[(1, 0)] == pytest.approx(math.sqrt(1 / 3), rel=1e-15)
-    h = apply(generator("K-"), HarmonicExpansion.unit(1, 0))
+    h = generator("K-").apply(HarmonicExpansion.unit(1, 0))
     assert h.lmax == 1  # lowering does not grow the table
     assert h[(0, 0)] == pytest.approx(math.sqrt(3), rel=1e-15)
 
 
 def test_boundary_indices_produce_nothing():
-    top = apply(generator("J+"), HarmonicExpansion.unit(3, 3))
+    top = generator("J+").apply(HarmonicExpansion.unit(3, 3))
     assert np.max(np.abs(top.coeffs)) == 0.0
-    bottom = apply(generator("K-"), HarmonicExpansion.unit(2, 2))
+    bottom = generator("K-").apply(HarmonicExpansion.unit(2, 2))
     assert np.max(np.abs(bottom.coeffs)) == 0.0
     r = boundary_vanishing_check(12)
     assert r.lhs == 0.0 and r.passed
@@ -151,3 +158,76 @@ def test_kplus_norm_bound_on_random_modes():
         f = HarmonicExpansion(lmax, coeffs)
         for n in range(5):
             assert graded_norm(kplus.apply(f), n) <= 2**n * graded_norm(f, n + 1) * (1 + 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# operator arithmetic folds into shift rules: every expression must match the
+# staged application of its parts
+
+def assert_same_expansion(a: HarmonicExpansion, b: HarmonicExpansion, *terms):
+    # within 1e-12 of the largest coefficient of a, b or the staged terms
+    # (a commutator such as [J+, L] is zero up to the roundoff of its terms)
+    lmax = max(a.lmax, b.lmax)
+    x, y = a.with_lmax(lmax).coeffs, b.with_lmax(lmax).coeffs
+    scale = max(float(np.max(np.abs(e.coeffs))) for e in (a, b, *terms))
+    assert np.max(np.abs(x - y)) <= 1e-12 * scale
+
+
+def seeded_expansion(lmax: int, seed: int) -> HarmonicExpansion:
+    re_part, im_part = np.random.default_rng(seed).standard_normal((2, (lmax + 1) ** 2))
+    return HarmonicExpansion(lmax, re_part + 1j * im_part)
+
+
+# invSinLit and expIPhi have a domain that random expansions leave
+operator_names = hs.sampled_from(sorted(set(OPERATORS) - {"invSinLit", "expIPhi"}))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    operator_names,
+    operator_names,
+    hs.floats(-4.0, 4.0, allow_nan=False),
+    hs.builds(seeded_expansion, hs.integers(0, 7), hs.integers(0, 2**32 - 1)),
+)
+def test_operator_arithmetic_matches_staged_application(a, b, s, f):
+    A, B = OPERATORS[a](), OPERATORS[b]()
+    af, bf = A.apply(f), B.apply(f)
+    ab, ba = A.apply(bf), B.apply(af)
+    assert_same_expansion((A * B).apply(f), ab)
+    assert_same_expansion((A + B).apply(f), af + bf)
+    assert_same_expansion((s * A).apply(f), af * s)
+    assert_same_expansion(commutator(A, B).apply(f), ab - ba, ab, ba)
+    assert_same_expansion(HarmonicExpansion(af.lmax, A.matrix(f.lmax) @ f.coeffs), af)
+
+
+def test_product_drops_intermediates_outside_the_triangle():
+    # unit amplitudes do not vanish at the boundary: (l, l) -> (l-1, l) must
+    # be dropped inside the product exactly as staged application drops it
+    def flat(dl):
+        return Operator(f"flat{dl:+d}", (ShiftRule(dl, 0, lambda l, m: np.ones(l.shape)),))
+
+    up, down = flat(+1), flat(-1)
+    f = seeded_expansion(4, 11)
+    assert_same_expansion((up * down).apply(f), up.apply(down.apply(f)))
+
+
+def test_product_domain_is_the_net_domain():
+    inv_sin, M = OPERATORS["invSinLit"](), generator("M")
+    f = HarmonicExpansion.from_dict(3, {(2, 0): 1.0, (3, 1): 0.5, (1, -1): 2.0})
+    with pytest.raises(DomainError):
+        inv_sin.apply(f)
+    # M kills the m = 0 part before 1/sin sees it
+    assert_same_expansion((inv_sin * M).apply(f), inv_sin.apply(M.apply(f)))
+
+    with pytest.raises(DomainError, match=re.escape("(1,-1)")):
+        OPERATORS["expIPhi"]().apply(HarmonicExpansion.unit(1, -1, 3))
+
+
+def test_singular_amplitude_raises_no_warning():
+    inv_sin = OPERATORS["invSinLit"]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = inv_sin.apply(HarmonicExpansion.unit(2, 1, 4))
+        assert np.all(np.isfinite(g.coeffs))
+        with pytest.raises(DomainError):
+            inv_sin.matrix(4)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sphcalc import OPERATORS, HarmonicExpansion, load_expansion, save_expansion
+from sphcalc import cli
 from sphcalc.bounds import _CLAIMS
 from sphcalc.cli import (
     EXIT_IO,
@@ -133,6 +134,31 @@ def test_transform_oversized_header_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(bad) in err and "expected 80000800002 rows, got 1" in err
+
+
+def test_oversized_coefficient_document_is_usage_error(tmp_path, capsys):
+    # one record declaring lmax=10^7: rejected from the record count, nothing allocated
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({
+        "lmax": 10_000_000,
+        "basis": "sqrt(l+1/2)Y",
+        "coefficients": [{"l": 0, "m": 0, "re": 1.0, "im": 0.0}],
+    }))
+    out = tmp_path / "o.json"
+    code = main(["apply", "--op", "L", "--in", str(bad), "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(bad) in err and "missing" in err
+
+
+def test_memory_exhaustion_is_usage_error(monkeypatch, capsys):
+    def exhausted(lmax, trials, seed):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.SUITES, "algebra", exhausted)
+    assert main(["verify", "--suite", "algebra"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_missing_file_is_io_error(tmp_path):
