@@ -38,6 +38,7 @@ from .expansions import (
     SpherePoint,
     estimate_decay,
     graded_norm,
+    graded_norms,
     hilbert_norm,
     load_expansion,
     norm_profile,

@@ -220,12 +220,12 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
     return constants, float(resid.max())
 
 
-def closure_check(lmax: int, residual_bound: float = 1e-10) -> BoundReport:
+def closure_check(lmax: int) -> BoundReport:
     """Verify the ten generators close under commutation (modulo the center).
 
-    Structure constants are derived outputs; the report carries the non-zero
-    ones (rounded) in its details, including the central identity
-    coefficients of the opposite-ladder pairs.
+    The fit residual must stay below 1e-10.  Structure constants are derived
+    outputs; the report carries the non-zero ones (rounded) in its details,
+    including the central identity coefficients of the opposite-ladder pairs.
     """
     constants, worst = derive_structure_constants(lmax)
     table = {}
@@ -239,14 +239,14 @@ def closure_check(lmax: int, residual_bound: float = 1e-10) -> BoundReport:
         check="ladder_algebra_closure",
         anchor="commutators of the ten generators stay in their span plus the central unit",
         lhs=worst,
-        rhs=residual_bound,
+        rhs=1e-10,
         lmax=lmax,
         details={"structure_constants": table},
     )
 
 
-def so3_casimir_check(lmax: int, residual_bound: float = 1e-12) -> BoundReport:
-    """``(J+J- + J-J+)/2 + M^2`` must act as ``l(l+1)`` on every basis element."""
+def so3_casimir_check(lmax: int) -> BoundReport:
+    """``(J+J- + J-J+)/2 + M^2`` must act as ``l(l+1)``, to 1e-12, on every basis element."""
     jp, jm, M = generator("J+"), generator("J-"), generator("M")
     cas = 0.5 * (jp * jm + jm * jp) + M * M
     mat = cas.matrix(lmax, lmax)
@@ -257,7 +257,7 @@ def so3_casimir_check(lmax: int, residual_bound: float = 1e-12) -> BoundReport:
         check="so3_sub_casimir",
         anchor="(J+J- + J-J+)/2 + M^2 = l(l+1) on basis elements",
         lhs=dev,
-        rhs=residual_bound,
+        rhs=1e-12,
         lmax=lmax,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .expansions import (
     HarmonicExpansion,
     SpherePoint,
     as_point,
-    degree_order_arrays,
+    degree_weights,
     flat_index,
     graded_norm,
+    graded_norms,
 )
 from .report import BoundReport
 from .structural import OPERATORS, cos_theta_op
@@ -47,12 +48,12 @@ def substream(*seed) -> np.random.Generator:
 
 def _random_rows(seeds, lmax: int, decay: float = DEFAULT_DECAY) -> np.ndarray:
     # row i of the (len(seeds), K) block is drawn from seed path seeds[i]
-    ls, ms = degree_order_arrays(lmax)
-    scale = (ls + np.abs(ms) + 1.0) ** (-decay)
-    rows = np.empty((len(seeds), ls.size), dtype=np.complex128)
+    scale = degree_weights(lmax) ** (-decay)
+    K = scale.size
+    rows = np.empty((len(seeds), K), dtype=np.complex128)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(_seed_entropy(seed))
-        rows[i] = scale * (rng.standard_normal(ls.size) + 1j * rng.standard_normal(ls.size))
+        rows[i] = scale * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
     return rows
 
 
@@ -68,14 +69,16 @@ def trial_expansion(seed: int, trial: int, lmax: int, decay: float = DEFAULT_DEC
 # ---------------------------------------------------------------------------
 # point functionals
 
-def functional_constant(p: int, lmax_tail: int = 4000) -> float:
+def functional_constant(p: int) -> float:
     """Upper bound on the evaluation-functional constant of order ``p``.
 
-    ``C_p^2 <= sum_l (2l+1)^2 / (4*pi*(l+1)^(2p))``, summed to ``lmax_tail``
-    plus an integral tail bound.  Diverges for ``p < 2``; rejected.
+    ``C_p^2 <= sum_l (2l+1)^2 / (4*pi*(l+1)^(2p))``, summed to degree 4000
+    plus an integral bound on the tail beyond it.  Diverges for ``p < 2``;
+    rejected.
     """
     if p < 2:
         raise ValueError("functional constant needs order p >= 2")
+    lmax_tail = 4000
     degs = np.arange(lmax_tail + 1, dtype=np.float64)
     partial = float(np.sum((2 * degs + 1) ** 2 / (4 * math.pi * (degs + 1) ** (2 * p))))
     # (2l+1)^2 <= 4 (l+1)^2 for the tail, then integral comparison
@@ -89,19 +92,17 @@ class PointFunctional:
 
     point: SpherePoint
     order: int
-    constant: float = field(default=0.0)
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("point functional order must be >= 2")
-        if self.constant == 0.0:
-            object.__setattr__(self, "constant", functional_constant(self.order))
 
-    def evaluate(self, f: HarmonicExpansion) -> complex:
-        return point_eval(f, self.point)
+    @property
+    def constant(self) -> float:
+        return functional_constant(self.order)
 
     def bound(self, f: HarmonicExpansion, seed=None) -> BoundReport:
-        lhs = abs(self.evaluate(f))
+        lhs = abs(point_eval(f, self.point))
         rhs = self.constant * graded_norm(f, self.order)
         return BoundReport(
             check="point_functional",
@@ -118,12 +119,12 @@ def bound_point_functional(f: HarmonicExpansion, p, order: int, seed=None) -> Bo
     return PointFunctional(as_point(p), order).bound(f, seed=seed)
 
 
-def weak_eigen_cos(f: HarmonicExpansion, p, rel_tol: float = 1e-10, seed=None) -> BoundReport:
+def weak_eigen_cos(f: HarmonicExpansion, p, seed=None) -> BoundReport:
     """Weak eigenrelation of ``cos(theta)`` against one test function.
 
     Compares ``(cos(Theta) f)(p)`` with ``cos(theta_p) * f(p)``; equality up
-    to roundoff is the assertable form of the generalized eigenvalue
-    statement for the evaluation functionals.
+    to roundoff (relative 1e-10) is the assertable form of the generalized
+    eigenvalue statement for the evaluation functionals.
     """
     p = as_point(p)
     lhs_val = point_eval(cos_theta_op().apply(f), p)
@@ -133,7 +134,7 @@ def weak_eigen_cos(f: HarmonicExpansion, p, rel_tol: float = 1e-10, seed=None) -
         check="weak_eigen_cos",
         anchor="(cos(Theta) f)(theta,phi) = cos(theta) f(theta,phi)",
         lhs=abs(lhs_val - rhs_val),
-        rhs=rel_tol * scale,
+        rhs=1e-10 * scale,
         seed=seed,
         lmax=f.lmax,
     )
@@ -163,15 +164,6 @@ _CLAIMS = {
 }
 
 
-def _norm_columns(table: np.ndarray, lmax: int, orders) -> dict:
-    # one row-wise sum per order, shaped exactly like graded_norm's, so each
-    # entry equals graded_norm of that row bit for bit
-    ls, ms = degree_order_arrays(lmax)
-    w = (ls + np.abs(ms) + 1).astype(np.float64)
-    mag2 = table.real**2 + table.imag**2
-    return {n: np.sqrt(np.sum(w ** (2 * n) * mag2, axis=1)) for n in orders}
-
-
 def claim_margins(op_name: str, rows: np.ndarray, lmax: int, claim: BoundClaim | None = None):
     """Both sides of a claimed bound for every row of a ``(trials, K)`` block.
 
@@ -183,9 +175,9 @@ def claim_margins(op_name: str, rows: np.ndarray, lmax: int, claim: BoundClaim |
         claim = _CLAIMS[op_name]
     out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
     ns = range(claim.max_n + 1)
-    image = _norm_columns(out, out_lmax, ns)
-    source = _norm_columns(rows, lmax, {q for n in ns for q in claim.indices(n)})
-    lhs = np.column_stack([image[n] for n in ns])
+    orders = {q for n in ns for q in claim.indices(n)}
+    source = {q: graded_norms(rows, lmax, q) for q in orders}
+    lhs = np.column_stack([graded_norms(out, out_lmax, n) for n in ns])
     rhs = np.column_stack(
         [claim.constant(n) * sum(source[q] for q in claim.indices(n)) for n in ns]
     )

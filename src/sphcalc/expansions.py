@@ -172,12 +172,6 @@ class HarmonicExpansion:
 
     __rmul__ = __mul__
 
-    def allclose(self, other: "HarmonicExpansion", atol=1e-12, rtol=0.0) -> bool:
-        lmax = max(self.lmax, other.lmax)
-        return np.allclose(
-            self.with_lmax(lmax).coeffs, other.with_lmax(lmax).coeffs, atol=atol, rtol=rtol
-        )
-
     def __repr__(self):
         nrm = float(np.linalg.norm(self.coeffs))
         return f"HarmonicExpansion(lmax={self.lmax}, |f|={nrm:.6g})"
@@ -208,22 +202,30 @@ SLOW_DECAY = "slow-decay"
 INCONCLUSIVE = "inconclusive"
 
 
-def _check_norm_order(f: HarmonicExpansion, n: int) -> None:
+def degree_weights(lmax: int) -> np.ndarray:
+    """Graded-norm weights ``l + |m| + 1`` in flat order, as floats."""
+    ls, ms = degree_order_arrays(lmax)
+    return (ls + np.abs(ms) + 1).astype(np.float64)
+
+
+def graded_norms(table: np.ndarray, lmax: int, n: int) -> np.ndarray:
+    """Order-``n`` graded norm of every row of a ``(..., K)`` coefficient table.
+
+    Row ``r`` gives sqrt of sum of ``(l+|m|+1)^(2n) |table[r, k]|^2``.  Orders
+    whose largest weight ``(2*lmax+1)^(2n)`` leaves the double range raise
+    ``OverflowError``.
+    """
     if n < 0:
         raise ValueError(f"norm order must be >= 0, got n={n}")
-    # largest weight present is (2*lmax + 1); reject orders whose weights overflow
-    wmax = 2 * f.lmax + 1
-    if 2 * n * math.log(wmax) > _FLOAT_MAX_LOG:
-        raise OverflowError(f"norm order n={n} overflows at lmax={f.lmax}")
+    if 2 * n * math.log(2 * lmax + 1) > _FLOAT_MAX_LOG:
+        raise OverflowError(f"norm order n={n} overflows at lmax={lmax}")
+    mag2 = table.real**2 + table.imag**2
+    return np.sqrt(np.sum(degree_weights(lmax) ** (2 * n) * mag2, axis=-1))
 
 
 def graded_norm(f: HarmonicExpansion, n: int) -> float:
-    """Norm of order ``n``: sqrt of sum of ``(l+|m|+1)^(2n) |c_{l,m}|^2``."""
-    _check_norm_order(f, n)
-    ls, ms = degree_order_arrays(f.lmax)
-    w = (ls + np.abs(ms) + 1).astype(np.float64)
-    mag2 = f.coeffs.real**2 + f.coeffs.imag**2
-    return float(np.sqrt(np.sum(w ** (2 * n) * mag2)))
+    """Norm of order ``n``: ``graded_norms`` of the one-row table ``f.coeffs``."""
+    return float(graded_norms(f.coeffs, f.lmax, n))
 
 
 def hilbert_norm(f: HarmonicExpansion) -> float:
@@ -237,18 +239,14 @@ def norm_profile(f: HarmonicExpansion, N: int) -> NormProfile:
     return NormProfile(tuple(graded_norm(f, n) for n in range(N + 1)))
 
 
-def estimate_decay(
-    f: HarmonicExpansion,
-    rapid_exponent: float = 4.0,
-    residual_threshold: float = 1.0,
-) -> DecayEstimate:
+def estimate_decay(f: HarmonicExpansion) -> DecayEstimate:
     """Fit ``log max_m |c_{l,m}| ~ -s * log(l+1)`` and classify the decay.
 
-    Verdict is ``rapid-decay`` when the fitted exponent reaches
-    ``rapid_exponent`` with an acceptable fit, ``slow-decay`` when the fit is
-    acceptable but the exponent is below the threshold, and ``inconclusive``
-    for degenerate inputs (coefficients vanishing beyond l=0, too few usable
-    degrees) or a residual above ``residual_threshold``.
+    Verdict is ``rapid-decay`` when the fitted exponent reaches 4 with an
+    acceptable fit (root-mean-square log residual at most 1), ``slow-decay``
+    when the fit is acceptable but the exponent is below 4, and
+    ``inconclusive`` for degenerate inputs (coefficients vanishing beyond
+    l=0, too few usable degrees) or a residual above 1.
     """
     if f.lmax < 4:
         raise ValueError("decay fit needs lmax >= 4")
@@ -263,9 +261,9 @@ def estimate_decay(
     slope, intercept = np.polyfit(logw, logp, 1)
     resid = float(np.sqrt(np.mean((logp - (slope * logw + intercept)) ** 2)))
     s = -float(slope)
-    if resid > residual_threshold:
+    if resid > 1.0:
         return DecayEstimate(s, resid, INCONCLUSIVE)
-    verdict = RAPID_DECAY if s >= rapid_exponent else SLOW_DECAY
+    verdict = RAPID_DECAY if s >= 4.0 else SLOW_DECAY
     return DecayEstimate(s, resid, verdict)
 
 
@@ -282,12 +280,19 @@ def save_expansion(f: HarmonicExpansion, path) -> None:
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    # JSON integers only: int() would truncate 1.7 and read true as 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_expansion(path) -> HarmonicExpansion:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CoefficientFileError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CoefficientFileError(f"{path}: top level must be an object, not {type(doc).__name__}")
     for key in ("lmax", "basis", "coefficients"):
         if key not in doc:
             raise CoefficientFileError(f"{path}: missing field {key!r}")
@@ -295,11 +300,13 @@ def load_expansion(path) -> HarmonicExpansion:
         raise CoefficientFileError(
             f"{path}: basis {doc['basis']!r} does not match {BASIS_TAG!r}"
         )
-    lmax = int(doc["lmax"])
-    if lmax < 0:
-        raise CoefficientFileError(f"{path}: lmax must be >= 0")
+    lmax = doc["lmax"]
+    if not _is_int(lmax) or lmax < 0:
+        raise CoefficientFileError(f"{path}: lmax must be an integer >= 0, got {lmax!r}")
     size = (lmax + 1) ** 2
     records = doc["coefficients"]
+    if not isinstance(records, list):
+        raise CoefficientFileError(f"{path}: coefficients must be a list of records")
     # checked before allocating: a short document may declare a huge lmax
     if len(records) != size:
         raise CoefficientFileError(
@@ -310,12 +317,12 @@ def load_expansion(path) -> HarmonicExpansion:
     seen = np.zeros(size, dtype=bool)
     for k, rec in enumerate(records):
         try:
-            l, m = int(rec["l"]), int(rec["m"])
+            l, m = rec["l"], rec["m"]
             value = float(rec["re"]) + 1j * float(rec["im"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CoefficientFileError(f"{path}: bad record #{k}: {rec!r}") from exc
-        if l < 0 or l > lmax or abs(m) > l:
-            raise CoefficientFileError(f"{path}: record #{k} index ({l},{m}) out of range")
+        if not (_is_int(l) and _is_int(m)) or l < 0 or l > lmax or abs(m) > l:
+            raise CoefficientFileError(f"{path}: record #{k} index ({l!r},{m!r}) out of range")
         pos = flat_index(l, m)
         if seen[pos]:
             raise CoefficientFileError(f"{path}: duplicate entry for ({l},{m})")

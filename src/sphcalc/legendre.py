@@ -23,6 +23,7 @@ from .expansions import as_index, as_point, degree_order_arrays, flat_index
 from .report import BoundReport
 
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
+_SUP_SCAN_NODES = 2048
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -116,15 +117,15 @@ def sh_eval(idx, p) -> complex:
     return orthonormal_sh_eval(idx, p) / math.sqrt(idx.l + 0.5)
 
 
-def uniform_bound_check(lmax: int, grid_density: int = 2048) -> BoundReport:
-    """Scan ``max |Y_l^m|`` over a dense theta grid against ``1/sqrt(2*pi)``.
+def uniform_bound_check(lmax: int) -> BoundReport:
+    """Scan ``max |Y_l^m|`` against ``1/sqrt(2*pi)`` on 2048 equispaced thetas.
 
     The supremum is attained (``m = 0`` at the poles), so the margin is zero
     up to roundoff; the report tolerance absorbs that.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    theta = np.linspace(0.0, math.pi, grid_density)
+    theta = np.linspace(0.0, math.pi, _SUP_SCAN_NODES)
     N = orthonormal_legendre_table(lmax, np.cos(theta))
     degs = np.arange(lmax + 1, dtype=np.float64)
     # |Y_l^m| = N[l, m] / sqrt(l + 1/2); phase factors drop out of the modulus
@@ -137,5 +138,5 @@ def uniform_bound_check(lmax: int, grid_density: int = 2048) -> BoundReport:
         rhs=SH_SUP_BOUND,
         tol=1e-12,
         lmax=lmax,
-        details={"grid_density": int(grid_density)},
+        details={"grid_density": _SUP_SCAN_NODES},
     )

@@ -226,8 +226,7 @@ def orthonormality_check(lmax: int) -> BoundReport:
     T = orthonormal_sh_values(lmax, grid.x, 0.0).real
     theta_gram = T.T @ (grid.w[:, None] * T)
     scale = 2.0 * math.pi / grid.n_phi
-    mvals = np.arange(-lmax, lmax + 1)
-    phases = np.exp(1j * np.outer(mvals, grid.phi))
+    phases = _phase_matrix(grid, lmax)
     phi_gram = scale * (phases.conj() @ phases.T)  # [m + lmax, m' + lmax]
     gram = theta_gram * phi_gram[np.ix_(ms + lmax, ms + lmax)]
     dev = float(np.max(np.abs(gram - np.eye(K))))
@@ -277,7 +276,10 @@ def load_field(path) -> SampledField:
             if line.startswith("#"):
                 for token in line[1:].split():
                     if token.startswith("lmax="):
-                        lmax = int(token[5:])
+                        try:
+                            lmax = int(token[5:])
+                        except ValueError:
+                            raise FieldFileError(f"{path}:{lineno}: non-integer {token!r}") from None
                 continue
             parts = line.split(",")
             if len(parts) != 4:

@@ -85,7 +85,7 @@ def test_criterion_03_parseval():
 
 
 def test_criterion_04_uniform_bound():
-    report = uniform_bound_check(64, 2048)
+    report = uniform_bound_check(64)
     ok = report.lhs <= 1 / math.sqrt(2 * math.pi) + 1e-12
     verdict(4, ok, f"sup |Y_l^m| = {report.lhs:.12f} <= 1/sqrt(2*pi) + 1e-12, l <= 64")
 

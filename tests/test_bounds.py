@@ -30,6 +30,15 @@ def block(seed, trials, lmax):
     return np.array([trial_expansion(seed, t, lmax).coeffs for t in range(trials)])
 
 
+def test_oversized_claim_order_raises_instead_of_inf_or_nan():
+    # the weights (l+|m|+1)^800 leave the double range at lmax 8
+    claim = BoundClaim(lambda n: 1.0, lambda n: (400,), 0)
+    with pytest.raises(OverflowError):
+        claim_margins("L", block(3, 4, 8), 8, claim)
+    with pytest.raises(OverflowError):
+        continuity_criterion_check("L", trials=16, seed=3, lmax=8, claim=claim)
+
+
 def test_bound_kplus_single_mode():
     lhs, rhs = margins_at("K+", HarmonicExpansion.unit(0, 0), 0)
     assert lhs == pytest.approx(math.sqrt(1 / 3), rel=1e-14)

@@ -151,6 +151,38 @@ def test_oversized_coefficient_document_is_usage_error(tmp_path, capsys):
     assert str(bad) in err and "missing" in err
 
 
+def _document(lmax, records):
+    return {"lmax": lmax, "basis": "sqrt(l+1/2)Y", "coefficients": records}
+
+
+_LMAX1_RECORDS = [
+    {"l": l, "m": m, "re": 1.0, "im": 0.0} for l, m in [(0, 0), (1, -1), (1, 0), (1, 1)]
+]
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (5, "top level"),
+        (_document([1], _LMAX1_RECORDS), "lmax"),
+        (_document(0, 5), "coefficients"),
+        (_document(1.7, _LMAX1_RECORDS), "lmax"),
+        (_document(True, _LMAX1_RECORDS), "lmax"),
+        (_document(0, [{"l": 0.7, "m": 0, "re": 1.0, "im": 0.0}]), "record #0"),
+    ],
+    ids=["top-level-number", "lmax-list", "coefficients-number", "lmax-fraction",
+         "lmax-boolean", "degree-fraction"],
+)
+def test_type_malformed_coefficient_document_is_usage_error(tmp_path, capsys, doc, named):
+    # each once escaped as a TypeError traceback or was truncated to an integer
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["apply", "--op", "L", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and named in err
+
+
 def test_memory_exhaustion_is_usage_error(monkeypatch, capsys):
     def exhausted(lmax, trials, seed):
         raise MemoryError

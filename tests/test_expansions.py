@@ -10,6 +10,7 @@ from sphcalc import (
     SpherePoint,
     estimate_decay,
     graded_norm,
+    graded_norms,
     hilbert_norm,
     load_expansion,
     norm_profile,
@@ -67,6 +68,21 @@ def test_graded_norm_rejects_bad_order():
         graded_norm(f, -1)
     with pytest.raises(OverflowError):
         graded_norm(f, 10**6)
+
+
+def test_graded_norms_rows_equal_graded_norm_bitwise():
+    lmax = 7
+    K = (lmax + 1) ** 2
+    rng = np.random.default_rng(5)
+    scale = np.logspace(0, -9, K)
+    table = scale * (rng.standard_normal((6, K)) + 1j * rng.standard_normal((6, K)))
+    for n in range(6):
+        rows = graded_norms(table, lmax, n)
+        assert rows.shape == (6,)
+        for t in range(6):
+            one = graded_norm(HarmonicExpansion(lmax, table[t]), n)
+            assert rows[t] == one
+            assert graded_norms(table[t], lmax, n) == one
 
 
 def test_norm_profile_examples():

@@ -175,13 +175,13 @@ def _amp(l, m):
 
 
 def test_uniform_bound_lmax0_margin_zero():
-    r = uniform_bound_check(0, 64)
+    r = uniform_bound_check(0)
     assert r.lhs == pytest.approx(SH_SUP_BOUND, abs=1e-15)
     assert r.passed
 
 
 def test_uniform_bound_dense_scan():
-    r = uniform_bound_check(64, 2048)
+    r = uniform_bound_check(64)
     assert r.passed
     assert r.lhs <= SH_SUP_BOUND + 1e-12
 

@@ -241,6 +241,13 @@ def test_field_file_errors(tmp_path):
         load_field(path)
 
 
+def test_field_file_bad_header_lmax_names_the_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# columns theta,phi,re,im\n# grid lmax=abc n_theta=1 n_phi=2\n")
+    with pytest.raises(FieldFileError, match=re.escape(f"{path}:2: non-integer 'lmax=abc'")):
+        load_field(path)
+
+
 @pytest.mark.parametrize(
     "header, n_rows",
     [("lmax=200000", 1), ("lmax=-3", 8)],
