@@ -3,8 +3,11 @@
 Every operator is one :class:`Operator`: a name and a tuple of shift rules
 ``(l, m) -> (l+dl, m+dm)``.  Products, sums and scalar multiples fold into
 rules (``a * b`` composes every pair, ``a + b`` joins the tuples, a scalar
-scales the amplitudes), so one stencil serves ``apply``, ``matrix`` and the
-batched tables.
+scales the amplitudes), so one stencil serves ``apply``, ``matrix``, the
+batched tables and the closure and sub-Casimir checks.  Those checks read
+each single-shift map as its band, one coefficient per source mode: maps with
+different shifts share no matrix entry, so the closure fit splits exactly by
+shift and needs no matrix.
 
 Shift amplitudes are stated on the plain-``Y`` basis; application to stored
 coefficients (orthonormal basis) multiplies each transferred term by
@@ -90,17 +93,22 @@ class Operator:
             out[:, tgt] += coef[None, :] * coeffs[:, src]
         return out, out_lmax
 
-    def matrix(self, lmax_in: int, lmax_out: int | None = None) -> np.ndarray:
+    def matrix(self, lmax: int) -> np.ndarray:
         """Dense matrix on flat triangular layouts, columns = inputs."""
-        if lmax_out is None:
-            lmax_out = lmax_in + self.band_growth
-        K_in = (lmax_in + 1) ** 2
-        K_out = (lmax_out + 1) ** 2
-        out = np.zeros((K_out, K_in), dtype=np.complex128)
-        for src, tgt, coef in self._stencil(lmax_in, np.ones(K_in, dtype=bool)):
-            keep = tgt < K_out
-            out[tgt[keep], src[keep]] += coef[keep]
+        K_in = (lmax + 1) ** 2
+        out = np.zeros(((lmax + self.band_growth + 1) ** 2, K_in), dtype=np.complex128)
+        for src, tgt, coef in self._stencil(lmax, np.ones(K_in, dtype=bool)):
+            out[tgt, src] += coef
         return out
+
+    def _band(self, lmax: int):
+        """``(shift, column)``: the coefficient each source mode carries to its
+        target, summed over the rules, which must share one shift."""
+        (shift,) = {(r.dl, r.dm) for r in self.rules}
+        column = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
+        for src, _, coef in self._stencil(lmax, np.ones(column.size, dtype=bool)):
+            column[src] += coef
+        return shift, column
 
     def __mul__(self, other):
         if isinstance(other, Operator):
@@ -182,10 +190,15 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
     """Least-squares expansion of every commutator in the generator actions.
 
     Returns ``(constants, max_residual)`` where ``constants[(a, b)]`` maps
-    basis-element names to the fitted coefficient of ``[a, b]``.  Commutators
-    are formed by ``commutator`` composition, the same path ``apply`` takes,
-    and evaluated on basis elements of degree <= ``lmax`` inside a space
-    padded by two degrees, so no truncation error enters.
+    every basis-element name to the fitted coefficient of ``[a, b]``.
+    Commutators are formed by ``commutator`` composition, the same path
+    ``apply`` takes, and read on basis elements of degree <= ``lmax`` with
+    their targets kept whole, so no truncation error enters.
+
+    Each generator is one shift rule, so each commutator has one net shift,
+    and the global fit splits exactly by shift: a commutator's band is fitted
+    against the basis bands of its own shift only (at most ``L``, ``M`` and
+    the unit), and every other constant is zero.
 
     The opposite-ladder pairs produce diagonal commutators such as
     ``[K+, K-] = -(2L + 1)``: the ten printed actions close exactly once the
@@ -195,29 +208,23 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
     """
     if lmax < 4:
         raise ValueError("closure check needs lmax >= 4")
-    lpad = lmax + 2
     gens = {name: generator(name) for name in GENERATOR_NAMES}
-    columns = {name: op.matrix(lmax, lpad) for name, op in gens.items()}
+    bands = {name: op._band(lmax) for name, op in gens.items()}
     if include_identity:
-        columns["1"] = np.eye((lpad + 1) ** 2, (lmax + 1) ** 2, dtype=np.complex128)
-    basis_names = list(columns)
-    design = np.stack([columns[name].ravel() for name in basis_names], axis=1)
-    pairs = list(combinations(GENERATOR_NAMES, 2))
-    rhs = np.stack(
-        [commutator(gens[a], gens[b]).matrix(lmax, lpad).ravel() for a, b in pairs], axis=1
-    )
-    # rows where every column and every commutator vanish change neither the
-    # fit nor the residual; at lmax 16 only 3% of the rows hold data
-    held = (design != 0).any(axis=1) | (rhs != 0).any(axis=1)
-    design, rhs = design[held], rhs[held]
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    resid = np.abs(design @ sol - rhs)
-    constants = {}
-    for j, pair in enumerate(pairs):
-        constants[pair] = {
-            name: complex(sol[i, j]) for i, name in enumerate(basis_names)
-        }
-    return constants, float(resid.max())
+        bands["1"] = ((0, 0), np.ones((lmax + 1) ** 2, dtype=np.complex128))
+    constants, worst = {}, 0.0
+    for a, b in combinations(GENERATOR_NAMES, 2):
+        shift, rhs = commutator(gens[a], gens[b])._band(lmax)
+        same = [name for name, (s, _) in bands.items() if s == shift]
+        columns = [bands[name][1] for name in same]
+        # with no same-shift column, the empty design leaves the band as residual
+        design = np.column_stack(columns) if columns else np.zeros((rhs.size, 0))
+        sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+        fit = dict.fromkeys(bands, 0j)
+        fit.update(zip(same, sol.tolist()))
+        constants[(a, b)] = fit
+        worst = max(worst, float(np.abs(design @ sol - rhs).max()))
+    return constants, worst
 
 
 def closure_check(lmax: int) -> BoundReport:
@@ -249,10 +256,9 @@ def so3_casimir_check(lmax: int) -> BoundReport:
     """``(J+J- + J-J+)/2 + M^2`` must act as ``l(l+1)``, to 1e-12, on every basis element."""
     jp, jm, M = generator("J+"), generator("J-"), generator("M")
     cas = 0.5 * (jp * jm + jm * jp) + M * M
-    mat = cas.matrix(lmax, lmax)
+    _, column = cas._band(lmax)
     ls, _ = degree_order_arrays(lmax)
-    expected = np.diag((ls * (ls + 1)).astype(np.float64))
-    dev = float(np.max(np.abs(mat - expected)))
+    dev = float(np.max(np.abs(column - ls * (ls + 1.0))))
     return BoundReport(
         check="so3_sub_casimir",
         anchor="(J+J- + J-J+)/2 + M^2 = l(l+1) on basis elements",

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -556,19 +555,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def cmd_bench(args) -> int:
-    for lmax in args.lmax_list:
-        grid = make_grid(lmax)
-        f = bnd.random_expansion(42, lmax, decay=1.0)
-        t0 = time.perf_counter()
-        field = synthesize(f, grid)
-        t1 = time.perf_counter()
-        analyze(field, lmax)
-        t2 = time.perf_counter()
-        print(f"lmax={lmax:4d}  synthesize={1e3*(t1-t0):8.2f} ms  analyze={1e3*(t2-t1):8.2f} ms")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sphcalc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -601,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", action="append", metavar="CHECK=VALUE")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the transforms")
-    p.add_argument("--lmax", dest="lmax_list", type=int, nargs="+", default=[16, 32, 64])
-    p.set_defaults(func=cmd_bench)
     return ap
 
 

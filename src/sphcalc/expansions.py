@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -285,6 +286,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    # JSON numbers only (type() rules out bool): float() would read "1.5" and
+    # true; NaN, Infinity and integers past the double range fail the bound
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_expansion(path) -> HarmonicExpansion:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -317,16 +324,17 @@ def load_expansion(path) -> HarmonicExpansion:
     seen = np.zeros(size, dtype=bool)
     for k, rec in enumerate(records):
         try:
-            l, m = rec["l"], rec["m"]
-            value = float(rec["re"]) + 1j * float(rec["im"])
-        except (KeyError, TypeError, ValueError) as exc:
+            l, m, re, im = rec["l"], rec["m"], rec["re"], rec["im"]
+        except (KeyError, TypeError) as exc:
             raise CoefficientFileError(f"{path}: bad record #{k}: {rec!r}") from exc
+        if not (_is_finite_number(re) and _is_finite_number(im)):
+            raise CoefficientFileError(f"{path}: record #{k} re/im not finite numbers: {rec!r}")
         if not (_is_int(l) and _is_int(m)) or l < 0 or l > lmax or abs(m) > l:
             raise CoefficientFileError(f"{path}: record #{k} index ({l!r},{m!r}) out of range")
         pos = flat_index(l, m)
         if seen[pos]:
             raise CoefficientFileError(f"{path}: duplicate entry for ({l},{m})")
         seen[pos] = True
-        coeffs[pos] = value
+        coeffs[pos] = float(re) + 1j * float(im)
     # size distinct in-range records leave no (l, m) missing
     return HarmonicExpansion(lmax, coeffs)

@@ -1,6 +1,8 @@
 import math
 import re
+import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -138,6 +140,57 @@ def test_without_central_term_closure_fails():
     # from the regression basis must surface a visible residual
     _, resid = derive_structure_constants(6, include_identity=False)
     assert resid > 0.5
+
+
+def _dense_structure_constants(lmax, include_identity):
+    # the global fit the per-shift fit replaced, kept as reference: every map
+    # as a dense matrix zero-padded to (lmax+3)^2 rows, all commutators
+    # fitted at once against all basis columns
+    K_out = (lmax + 3) ** 2
+
+    def padded(op):
+        mat = op.matrix(lmax)
+        return np.vstack([mat, np.zeros((K_out - mat.shape[0], mat.shape[1]))])
+
+    gens = {name: generator(name) for name in GENERATOR_NAMES}
+    columns = {name: padded(op) for name, op in gens.items()}
+    if include_identity:
+        columns["1"] = np.eye(K_out, (lmax + 1) ** 2, dtype=np.complex128)
+    pairs = list(combinations(GENERATOR_NAMES, 2))
+    design = np.stack([col.ravel() for col in columns.values()], axis=1)
+    rhs = np.stack([padded(commutator(gens[a], gens[b])).ravel() for a, b in pairs], axis=1)
+    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    constants = {pair: dict(zip(columns, sol[:, j])) for j, pair in enumerate(pairs)}
+    return constants, float(np.abs(design @ sol - rhs).max())
+
+
+@pytest.mark.parametrize("include_identity", [True, False])
+@pytest.mark.parametrize("lmax", [4, 8])
+def test_per_shift_fit_matches_dense_fit(lmax, include_identity):
+    constants, resid = derive_structure_constants(lmax, include_identity)
+    dense, dense_resid = _dense_structure_constants(lmax, include_identity)
+    assert constants.keys() == dense.keys()
+    for pair, fit in constants.items():
+        assert fit.keys() == dense[pair].keys()
+        for name, c in fit.items():
+            assert abs(c - dense[pair][name]) <= 1e-12, (pair, name)
+    if include_identity:
+        assert resid <= 1e-10 and dense_resid <= 1e-10
+    else:
+        assert resid > 0.5 and dense_resid > 0.5
+        assert resid == pytest.approx(dense_resid, rel=1e-12)
+
+
+def test_closure_check_memory_stays_small():
+    # the dense fit stacked 56 maps of (lmax+3)^2 x (lmax+1)^2 entries, a
+    # 187 MB tracemalloc peak at lmax 16; the per-shift bands are vectors
+    tracemalloc.start()
+    try:
+        assert closure_check(16).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_so3_casimir():

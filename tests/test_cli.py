@@ -183,6 +183,24 @@ def test_type_malformed_coefficient_document_is_usage_error(tmp_path, capsys, do
     assert err.startswith("error:") and str(bad) in err and named in err
 
 
+@pytest.mark.parametrize(
+    "re_value, im_value",
+    [("1.5", 0.0), (1.0, True), (float("nan"), 0.0), (0.0, float("inf")), (10**400, 0.0)],
+    ids=["string", "boolean", "nan", "infinity", "integer-past-double-range"],
+)
+def test_non_numeric_or_non_finite_coefficient_is_usage_error(tmp_path, capsys, re_value, im_value):
+    # float() once read the string and the boolean silently; NaN failed later
+    # naming neither the document nor the record
+    records = [dict(rec) for rec in _LMAX1_RECORDS]
+    records[2].update(re=re_value, im=im_value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_document(1, records)))
+    code = main(["apply", "--op", "L", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "record #2" in err
+
+
 def test_memory_exhaustion_is_usage_error(monkeypatch, capsys):
     def exhausted(lmax, trials, seed):
         raise MemoryError
@@ -248,12 +266,6 @@ def test_verify_tol_override_can_fail(tmp_path):
         "--tol", "ladder_algebra_closure=1e-30",
     ])
     assert code == EXIT_VERIFY_FAILED
-
-
-def test_bench_runs(capsys):
-    assert main(["bench", "--lmax", "4", "8"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "synthesize" in out
 
 
 def test_verify_all_suites(tmp_path):
