@@ -18,7 +18,6 @@ from .algebra import (
     so3_casimir_check,
 )
 from .bounds import (
-    PointFunctional,
     bound_point_functional,
     claim_margins,
     continuity_criterion_check,
@@ -48,7 +47,6 @@ from .legendre import (
     SH_SUP_BOUND,
     assoc_legendre,
     orthonormal_legendre_table,
-    orthonormal_sh_eval,
     orthonormal_sh_values,
     sh_eval,
     uniform_bound_check,
@@ -73,7 +71,6 @@ from .transform import (
     SampledField,
     SphereGrid,
     analyze,
-    basis_point_values,
     completeness_kernel,
     gauss_legendre,
     inner_product,

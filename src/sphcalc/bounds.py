@@ -18,7 +18,6 @@ import numpy as np
 
 from .expansions import (
     HarmonicExpansion,
-    SpherePoint,
     as_point,
     degree_weights,
     flat_index,
@@ -86,37 +85,17 @@ def functional_constant(p: int) -> float:
     return math.sqrt(partial + tail)
 
 
-@dataclass(frozen=True)
-class PointFunctional:
-    """Evaluation functional at a point, certified at order ``p >= 2``."""
-
-    point: SpherePoint
-    order: int
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("point functional order must be >= 2")
-
-    @property
-    def constant(self) -> float:
-        return functional_constant(self.order)
-
-    def bound(self, f: HarmonicExpansion, seed=None) -> BoundReport:
-        lhs = abs(point_eval(f, self.point))
-        rhs = self.constant * graded_norm(f, self.order)
-        return BoundReport(
-            check="point_functional",
-            anchor="|f(theta,phi)| <= C_p |f|_p",
-            lhs=lhs,
-            rhs=rhs,
-            seed=seed,
-            lmax=f.lmax,
-            n=self.order,
-        )
-
-
 def bound_point_functional(f: HarmonicExpansion, p, order: int, seed=None) -> BoundReport:
-    return PointFunctional(as_point(p), order).bound(f, seed=seed)
+    """Certificate of the evaluation functional at ``p``, order ``order >= 2``."""
+    return BoundReport(
+        check="point_functional",
+        anchor="|f(theta,phi)| <= C_p |f|_p",
+        lhs=abs(point_eval(f, p)),
+        rhs=functional_constant(order) * graded_norm(f, order),
+        seed=seed,
+        lmax=f.lmax,
+        n=order,
+    )
 
 
 def weak_eigen_cos(f: HarmonicExpansion, p, seed=None) -> BoundReport:

@@ -335,6 +335,6 @@ def load_expansion(path) -> HarmonicExpansion:
         if seen[pos]:
             raise CoefficientFileError(f"{path}: duplicate entry for ({l},{m})")
         seen[pos] = True
-        coeffs[pos] = float(re) + 1j * float(im)
+        coeffs[pos] = complex(re, im)
     # size distinct in-range records leave no (l, m) missing
     return HarmonicExpansion(lmax, coeffs)

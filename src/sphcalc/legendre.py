@@ -103,18 +103,12 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     return mags * np.exp(1j * ms * phi)
 
 
-def orthonormal_sh_eval(idx, p) -> complex:
-    """Orthonormal basis function ``sqrt(l+1/2) * Y_l^m`` at a point."""
-    idx = as_index(idx)
-    p = as_point(p)
-    values = orthonormal_sh_values(idx.l, math.cos(p.theta), p.phi)
-    return complex(values[0, flat_index(idx.l, idx.m)])
-
-
 def sh_eval(idx, p) -> complex:
     """Spherical harmonic ``Y_l^m`` at a point."""
     idx = as_index(idx)
-    return orthonormal_sh_eval(idx, p) / math.sqrt(idx.l + 0.5)
+    p = as_point(p)
+    values = orthonormal_sh_values(idx.l, math.cos(p.theta), p.phi)
+    return complex(values[0, flat_index(idx.l, idx.m)]) / math.sqrt(idx.l + 0.5)
 
 
 def uniform_bound_check(lmax: int) -> BoundReport:

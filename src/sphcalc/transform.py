@@ -160,6 +160,8 @@ def analyze(field: SampledField, lmax: int) -> HarmonicExpansion:
     Exact (to roundoff) whenever the field is band-limited at a degree the
     grid resolves.
     """
+    if lmax < 0:
+        raise ValueError("lmax must be >= 0")
     grid = field.grid
     if grid.lmax < lmax:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
@@ -178,15 +180,10 @@ def analyze(field: SampledField, lmax: int) -> HarmonicExpansion:
     return HarmonicExpansion(L, C[ls, L + ms])
 
 
-def basis_point_values(lmax: int, p) -> np.ndarray:
-    """Flat array of the orthonormal basis functions at one point."""
-    p = as_point(p)
-    return orthonormal_sh_values(lmax, math.cos(p.theta), p.phi)[0]
-
-
 def point_eval(f: HarmonicExpansion, p) -> complex:
     """Evaluate the expansion at a single point (finite coefficient sum)."""
-    return complex(basis_point_values(f.lmax, p) @ f.coeffs)
+    p = as_point(p)
+    return complex(orthonormal_sh_values(f.lmax, math.cos(p.theta), p.phi)[0] @ f.coeffs)
 
 
 def inner_product(f: HarmonicExpansion, g: HarmonicExpansion) -> complex:
@@ -245,7 +242,9 @@ def completeness_kernel(lmax: int, p, q) -> complex:
     Concentrates toward a delta in ``(cos(theta), phi)`` as ``lmax`` grows;
     the diagonal value is exactly ``(lmax+1)^2 / (4*pi)``.
     """
-    return complex(np.vdot(basis_point_values(lmax, q), basis_point_values(lmax, p)))
+    p, q = as_point(p), as_point(q)
+    values = orthonormal_sh_values(lmax, np.cos([p.theta, q.theta]), np.array([p.phi, q.phi]))
+    return complex(np.vdot(values[1], values[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,5 +304,5 @@ def load_field(path) -> SampledField:
         i, j = divmod(k, grid.n_phi)
         if abs(theta - grid.theta[i]) > 1e-9 or abs(phi - grid.phi[j]) > 1e-9:
             raise FieldFileError(f"{path}: row {k} nodes do not match the declared grid")
-        samples[i, j] = re + 1j * im
+        samples[i, j] = complex(re, im)
     return SampledField(grid, samples)

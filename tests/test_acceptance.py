@@ -21,6 +21,7 @@ from sphcalc import (
     hilbert_norm,
     inv_sin_op_literal,
     make_grid,
+    orthonormal_sh_values,
     orthonormality_check,
     pde_residual,
     pointwise_multiply_oracle,
@@ -40,7 +41,6 @@ from sphcalc.bounds import (
 )
 from sphcalc.cli import exp_iphi_gap_report, product_law_report
 from sphcalc.expansions import degree_order_arrays
-from sphcalc.transform import basis_point_values
 
 SEED = 42
 
@@ -147,7 +147,8 @@ def test_criterion_08_point_functional_and_weak_eigen():
         (float(np.arccos(rng.uniform(-1, 1))), float(rng.uniform(0, 2 * math.pi)))
         for _ in range(100)
     ]
-    E = np.stack([basis_point_values(lmax, p) for p in points])
+    theta, phi = np.array(points).T
+    E = orthonormal_sh_values(lmax, np.cos(theta), phi)
     B = np.stack([trial_expansion(SEED, t, lmax).coeffs for t in range(100)])
     values = E @ B.T  # [point, function]
     norms3 = np.array([graded_norm(HarmonicExpansion(lmax, row), 3) for row in B])
@@ -156,7 +157,7 @@ def test_criterion_08_point_functional_and_weak_eigen():
 
     cos_op = cos_theta_op()
     out, out_lmax = cos_op._apply_table(B, lmax)
-    E2 = np.stack([basis_point_values(out_lmax, p) for p in points])
+    E2 = orthonormal_sh_values(out_lmax, np.cos(theta), phi)
     lhs = E2 @ out.T
     rhs = np.array([math.cos(p[0]) for p in points])[:, None] * values
     scale = np.maximum(np.abs(lhs), np.abs(rhs)).max()

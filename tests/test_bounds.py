@@ -7,7 +7,6 @@ from scipy.special import zeta
 from sphcalc import (
     OPERATORS,
     HarmonicExpansion,
-    PointFunctional,
     SpherePoint,
     bound_point_functional,
     claim_margins,
@@ -17,7 +16,9 @@ from sphcalc import (
     point_eval,
     weak_eigen_cos,
 )
-from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, trial_expansion
+from sphcalc import bounds
+from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, substream, trial_expansion
+from sphcalc.cli import suite_bounds
 
 
 def margins_at(op_name, f, n):
@@ -150,7 +151,7 @@ def test_point_functional_scan():
 
 def test_point_functional_validation():
     with pytest.raises(ValueError):
-        PointFunctional(SpherePoint(0.1, 0.1), 1)
+        bound_point_functional(HarmonicExpansion.unit(0, 0), SpherePoint(0.1, 0.1), 1)
 
 
 def test_weak_eigen_cos_closed_form():
@@ -229,6 +230,38 @@ def test_batched_scan_matches_per_trial():
         expected = reference_falsifier(name, trials, seed, lmax, claim)
         assert (r.lhs, r.rhs, r.n, r.details["worst_trial"]) == expected, name
         assert r.passed == (claim is _CLAIMS.get(name)), name
+
+
+def reference_point_functional(trials, seed, lmax):
+    """Per-point loop: a one-point certificate for each of ten points per function."""
+    worst = None
+    rng = substream(seed, "points")
+    for t in range(max(4, min(trials, 100))):
+        f = trial_expansion(seed, t, lmax)
+        for _ in range(10):
+            theta = float(np.arccos(rng.uniform(-1, 1)))
+            r = bound_point_functional(f, (theta, float(rng.uniform(0, 2 * math.pi))), 3, seed=seed)
+            if worst is None or r.margin < worst.margin:
+                worst = r
+    return worst
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123456])
+@pytest.mark.parametrize("trials", [2, 50])
+def test_suite_point_functional_matches_per_point_loop(monkeypatch, seed, trials):
+    calls = []
+    original = bounds.bound_point_functional
+
+    def certify(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "bound_point_functional", certify)
+    (record,) = [r for r in suite_bounds(16, trials, seed) if r.check == "point_functional"]
+    assert len(calls) == 1  # only the worst pair is certified on its own
+    expected = reference_point_functional(trials, seed, 16)
+    assert repr(record) == repr(expected)  # lhs, rhs, seed, lmax, n, ...
+    assert repr(record.margin) == repr(expected.margin)
 
 
 def test_random_expansion_reproducible():

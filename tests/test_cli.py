@@ -116,6 +116,17 @@ def test_transform_constant_field(tmp_path):
     assert g[(0, 0)] == pytest.approx(1.0, abs=1e-13)
 
 
+def test_transform_analyze_negative_lmax_is_usage_error(tmp_path, capsys):
+    coeffs = write_unit(tmp_path, 0, 0, 2)
+    field = tmp_path / "f.csv"
+    assert main(["transform", "synthesize", "--in", str(coeffs), "--out", str(field)]) == EXIT_OK
+    out = tmp_path / "o.json"
+    code = main(["transform", "analyze", "--in", str(field), "--lmax", "-1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: lmax must be >= 0\n"
+    assert not out.exists()
+
+
 def test_transform_malformed_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("# grid lmax=1 n_theta=2 n_phi=4\n0.9,0.0,oops,0.0\n")
@@ -233,6 +244,13 @@ def test_eval_range_error(tmp_path):
     assert main(["eval", "--in", str(src), "--theta", "4.0", "--phi", "0.0"]) == EXIT_USAGE
 
 
+def test_version(capsys):
+    import sphcalc
+
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out == f"sphcalc {sphcalc.__version__}\n"
+
+
 def test_usage_error_exit_code():
     assert main(["transform", "sideways", "--in", "x", "--out", "y"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -291,3 +309,13 @@ def test_verify_all_suites(tmp_path):
     assert gap["informational"] is True
     assert len(gap["details"]["truncation_tail"]) >= 5
     assert set(gap["details"]["norm_ratio_to_order_plus_2"]) == {"0", "1", "2", "3"}
+
+
+def test_verify_all_suites_at_low_lmax(tmp_path):
+    # the closure check needs lmax >= 4, so the algebra suite raises lower requests to 4
+    report = tmp_path / "all.json"
+    code = main(["verify", "--suite", "all", "--lmax", "2", "--trials", "2", "--out", str(report)])
+    assert code == EXIT_OK
+    doc = json.loads(report.read_text())
+    closure = next(r for r in doc["reports"] if r["check"] == "ladder_algebra_closure")
+    assert closure["lmax"] == 4

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from sphcalc import (
     DecayEstimate,
@@ -172,6 +174,28 @@ def test_coefficient_file_round_trip(tmp_path):
     g = load_expansion(path)
     assert g.lmax == f.lmax
     np.testing.assert_array_equal(g.coeffs, f.coeffs)
+
+
+# finite doubles with the edges named: signed zeros, subnormals, near the double maximum
+FINITE = hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308]) | hs.floats(
+    allow_nan=False, allow_infinity=False
+)
+COMPLEX = hs.builds(complex, FINITE, FINITE)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    hs.integers(0, 3).flatmap(
+        lambda lmax: hs.lists(COMPLEX, min_size=(lmax + 1) ** 2, max_size=(lmax + 1) ** 2)
+    )
+)
+def test_coefficient_file_round_trip_is_bit_exact(tmp_path_factory, values):
+    f = HarmonicExpansion(math.isqrt(len(values)) - 1, values)
+    path = tmp_path_factory.mktemp("doc") / "coeffs.json"
+    save_expansion(f, path)
+    g = load_expansion(path)
+    assert g.lmax == f.lmax
+    assert g.coeffs.view(np.float64).tobytes() == f.coeffs.view(np.float64).tobytes()
 
 
 def test_coefficient_file_errors(tmp_path):

@@ -9,10 +9,11 @@ from sphcalc import (
     SH_SUP_BOUND,
     assoc_legendre,
     orthonormal_legendre_table,
-    orthonormal_sh_eval,
+    orthonormal_sh_values,
     sh_eval,
     uniform_bound_check,
 )
+from sphcalc.expansions import flat_index
 
 RNG = np.random.default_rng(2024)
 
@@ -137,6 +138,10 @@ def test_sh_eval_negative_order_symmetry():
         assert minus == pytest.approx((-1) ** m * np.conj(plus), rel=1e-12, abs=1e-14)
 
 
+def _orthonormal_at(l, m, theta, phi):
+    return orthonormal_sh_values(l, math.cos(theta), phi)[0, flat_index(l, m)]
+
+
 @pytest.mark.parametrize("trial", range(25))
 def test_orthonormal_eval_against_scipy(trial):
     # the orthonormal functions coincide with the fully normalised harmonics
@@ -144,15 +149,15 @@ def test_orthonormal_eval_against_scipy(trial):
     m = int(RNG.integers(-l, l + 1)) if l else 0
     theta = float(RNG.uniform(0, math.pi))
     phi = float(RNG.uniform(0, 2 * math.pi))
-    ours = orthonormal_sh_eval((l, m), (theta, phi))
+    ours = _orthonormal_at(l, m, theta, phi)
     ref = complex(sph_harm_y(l, m, theta, phi))
     assert ours == pytest.approx(ref, rel=1e-11, abs=1e-12)
 
 
 def test_orthonormal_eval_pinned_values():
-    assert orthonormal_sh_eval((0, 0), (0.7, 0.1)) == pytest.approx(1 / math.sqrt(4 * math.pi))
-    assert abs(orthonormal_sh_eval((1, 0), (math.pi / 2, 1.0))) < 1e-16
-    assert orthonormal_sh_eval((1, 1), (math.pi / 2, math.pi)) == pytest.approx(
+    assert _orthonormal_at(0, 0, 0.7, 0.1) == pytest.approx(1 / math.sqrt(4 * math.pi))
+    assert abs(_orthonormal_at(1, 0, math.pi / 2, 1.0)) < 1e-16
+    assert _orthonormal_at(1, 1, math.pi / 2, math.pi) == pytest.approx(
         math.sqrt(3 / (8 * math.pi)), rel=1e-12
     )
 

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from sphcalc import (
     GridTooCoarseError,
@@ -15,7 +17,7 @@ from sphcalc import (
     inner_product,
     load_field,
     make_grid,
-    orthonormal_sh_eval,
+    orthonormal_sh_values,
     orthonormality_check,
     point_eval,
     quadrature_inner_product,
@@ -176,7 +178,8 @@ def test_completeness_kernel_reproduces_band_limited():
         from sphcalc import quadrature_integral
 
         value = quadrature_integral(integrand)
-        assert value == pytest.approx(complex(orthonormal_sh_eval((l, m), p)), abs=1e-10)
+        expected = orthonormal_sh_values(l, math.cos(p[0]), p[1])[0, flat_index(l, m)]
+        assert value == pytest.approx(complex(expected), abs=1e-10)
 
 
 def test_real_field_symmetry():
@@ -229,6 +232,26 @@ def test_field_file_round_trip(tmp_path):
     loaded = load_field(path)
     np.testing.assert_allclose(loaded.samples, field.samples, atol=1e-15)
     assert loaded.grid.lmax == 5
+
+
+# finite doubles with the edges named: signed zeros, subnormals, near the double maximum
+FINITE = hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308]) | hs.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hs.integers(0, 2).flatmap(lambda lmax: hs.lists(
+    hs.builds(complex, FINITE, FINITE), min_size=2 * (lmax + 1) ** 2, max_size=2 * (lmax + 1) ** 2
+)))
+def test_field_file_round_trip_is_bit_exact(tmp_path_factory, values):
+    lmax = math.isqrt(len(values) // 2) - 1
+    grid = make_grid(lmax)
+    field = SampledField(grid, np.reshape(values, (grid.n_theta, grid.n_phi)))
+    path = tmp_path_factory.mktemp("doc") / "field.csv"
+    save_field(field, path)
+    loaded = load_field(path)
+    assert loaded.samples.view(np.float64).tobytes() == field.samples.view(np.float64).tobytes()
 
 
 def test_field_file_errors(tmp_path):
