@@ -55,6 +55,7 @@ from .report import BoundReport
 from .structural import (
     OPERATORS,
     clebsch_gordan,
+    clebsch_gordan_array,
     cos_theta_op,
     dphi_op,
     dtheta_op_literal,
@@ -62,6 +63,7 @@ from .structural import (
     inv_sin_op_literal,
     pde_residual,
     pointwise_multiply_oracle,
+    product_weights,
     sh_product,
     sin_exp_op,
 )

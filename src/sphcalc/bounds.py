@@ -79,7 +79,9 @@ def functional_constant(p: int) -> float:
         raise ValueError("functional constant needs order p >= 2")
     lmax_tail = 4000
     degs = np.arange(lmax_tail + 1, dtype=np.float64)
-    partial = float(np.sum((2 * degs + 1) ** 2 / (4 * math.pi * (degs + 1) ** (2 * p))))
+    # from p = 43 the high-degree powers pass the double range: those terms are 0
+    with np.errstate(over="ignore"):
+        partial = float(np.sum((2 * degs + 1) ** 2 / (4 * math.pi * (degs + 1) ** (2 * p))))
     # (2l+1)^2 <= 4 (l+1)^2 for the tail, then integral comparison
     tail = (lmax_tail + 1.0) ** (3 - 2 * p) / (math.pi * (2 * p - 3))
     return math.sqrt(partial + tail)

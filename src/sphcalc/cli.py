@@ -44,6 +44,8 @@ from .transform import (
     FieldFileError,
     GridTooCoarseError,
     SampledField,
+    _analyze_table,
+    _synthesize_table,
     analyze,
     load_field,
     make_grid,
@@ -332,20 +334,36 @@ def dtheta_identity_order_report(seed: int) -> BoundReport:
 
 
 def product_law_report(lcap: int) -> BoundReport:
-    """Banded coupling product against quadrature of the pointwise product."""
+    """Banded coupling product against quadrature of the pointwise product.
+
+    Every pair of harmonics up to ``lcap``: one batched analysis of the
+    products with each first harmonic, compared over degrees ``<= l1 + l2``
+    with coupling weights evaluated once for all pairs.
+    """
     grid = make_grid(2 * lcap)
+    ls, ms = degree_order_arrays(lcap)
+    out_ls, _ = degree_order_arrays(2 * lcap)
+    # plain-basis samples e_{l,m} / sqrt(l + 1/2) of every harmonic up to lcap
+    y = _synthesize_table(np.eye(ls.size), grid) / np.sqrt(ls + 0.5)[:, None, None]
+    # the (first, second, L) entries sh_product fills, first harmonic slowest:
+    # |M| <= L inside the triangle, with l1 + l2 + L even (else parity kills it)
+    l1, m1 = ls[:, None, None], ms[:, None, None]
+    l2, m2 = ls[None, :, None], ms[None, :, None]
+    degs = np.arange(2 * lcap + 1)
+    first, second, L = np.nonzero(
+        (np.abs(m1 + m2) <= degs) & (np.abs(l1 - l2) <= degs) & (degs <= l1 + l2)
+        & ((l1 + l2 + degs) % 2 == 0)
+    )
+    weights = st.product_weights(ls[first], ms[first], ls[second], ms[second], L)
+    targets = flat_index(L, ms[first] + ms[second])
+    starts = np.searchsorted(first, np.arange(ls.size + 1))
     worst = 0.0
-    fields = {}
-    for l in range(lcap + 1):
-        for m in range(-l, l + 1):
-            e = HarmonicExpansion.unit(l, m, lcap)
-            fields[(l, m)] = synthesize(e, grid).samples / math.sqrt(l + 0.5)
-    for (l1, m1), y1 in fields.items():
-        for (l2, m2), y2 in fields.items():
-            product = SampledField(grid, y1 * y2)
-            via_quad = analyze(product, l1 + l2)
-            via_cg = st.sh_product((l1, m1), (l2, m2))
-            worst = max(worst, float(np.max(np.abs(via_quad.coeffs - via_cg.coeffs))))
+    for i in range(ls.size):
+        diff = _analyze_table(y[i] * y, grid, 2 * lcap)
+        sel = slice(starts[i], starts[i + 1])
+        diff[second[sel], targets[sel]] -= weights[sel]
+        compared = out_ls[None, :] <= ls[i] + ls[:, None]
+        worst = max(worst, float(np.max(np.abs(diff[compared]))))
     return BoundReport(
         check="product_law",
         anchor="Y1*Y2 = (2*pi)^(-1/2) sum of coupled harmonics",

@@ -7,6 +7,12 @@ their agreement is a test.  The ``1/sin(theta)`` and ``d/dtheta`` maps are
 *formal* coefficient recurrences: their order-``m`` bookkeeping drops a
 compensating ``exp(+-i*phi)`` phase, so they are banded analogues rather than
 pointwise multiplications; the gap is measured, not hidden.
+
+Harmonic products follow the coupling law ``Y1*Y2 = (2*pi)^(-1/2) sum`` of
+coupled harmonics.  ``clebsch_gordan_array`` evaluates the coupling
+coefficients over broadcast integer arrays, and ``product_weights`` and
+``sh_product`` read them from it; the scalar ``clebsch_gordan`` stays as the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -201,12 +207,76 @@ def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
     return total
 
 
+def clebsch_gordan_array(l1, m1, l2, m2, L, M) -> np.ndarray:
+    """``clebsch_gordan`` broadcast over integer arrays.
+
+    The same Racah sum and the same zero cases, with log-factorials read from
+    a table of ``math.lgamma`` values; each sum runs over the ``k`` its own
+    entry admits.
+    """
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (l1, m1, l2, m2, L, M)))
+    l1, m1, l2, m2, L, M = args
+    valid = (
+        (M == m1 + m2)
+        & (L >= np.abs(l1 - l2)) & (L <= l1 + l2) & (np.abs(M) <= L)
+        & (np.abs(m1) <= l1) & (np.abs(m2) <= l2)
+        & ~((m1 == 0) & (m2 == 0) & ((l1 + l2 + L) % 2 == 1))
+    )
+    out = np.zeros(valid.shape)
+    l1, m1, l2, m2, L, M = (a[valid] for a in args)
+    if l1.size == 0:
+        return out
+    lf = np.array([math.lgamma(n + 1) for n in range(int(np.max(l1 + l2 + L)) + 2)])
+    log_pref = 0.5 * (
+        np.log(2.0 * L + 1.0)
+        + lf[l1 + l2 - L]
+        + lf[l1 - l2 + L]
+        + lf[-l1 + l2 + L]
+        - lf[l1 + l2 + L + 1]
+        + lf[L + M]
+        + lf[L - M]
+        + lf[l1 - m1]
+        + lf[l1 + m1]
+        + lf[l2 - m2]
+        + lf[l2 + m2]
+    )
+    # the k-th term's factorials: k, down - k and up + k
+    down = (l1 + l2 - L, l1 - m1, l2 + m2)
+    up = (L - l2 + m1, L - l1 - m2)
+    k_min = np.maximum.reduce([np.zeros_like(L), -up[0], -up[1]])
+    k_max = np.minimum.reduce(down)
+    total = np.zeros(L.size)
+    for k in range(int(k_min.min()), int(k_max.max()) + 1):
+        on = np.nonzero((k_min <= k) & (k <= k_max))[0]
+        log_term = (
+            lf[k]
+            + lf[down[0][on] - k]
+            + lf[down[1][on] - k]
+            + lf[down[2][on] - k]
+            + lf[up[0][on] + k]
+            + lf[up[1][on] + k]
+        )
+        total[on] += (-1.0) ** k * np.exp(log_pref[on] - log_term)
+    out[valid] = total
+    return out
+
+
+def product_weights(l1, m1, l2, m2, L) -> np.ndarray:
+    """Coefficient of ``e_{L, m1+m2}`` in ``Y_{l1}^{m1} Y_{l2}^{m2}``, broadcast.
+
+    ``1/sqrt(2*pi)`` times the parity coupling ``<l1 0 l2 0|L 0>`` times
+    ``<l1 m1 l2 m2|L M>``, over ``sqrt(L + 1/2)`` for the orthonormal basis.
+    """
+    parity = clebsch_gordan_array(l1, 0, l2, 0, L, 0)
+    weight = parity * clebsch_gordan_array(l1, m1, l2, m2, L, np.add(m1, m2))
+    return weight / math.sqrt(2.0 * math.pi) / np.sqrt(np.asarray(L) + 0.5)
+
+
 def sh_product(idx1, idx2) -> HarmonicExpansion:
     """Expansion (orthonormal basis) of the pointwise product of two harmonics.
 
     ``Y_{l1}^{m1} Y_{l2}^{m2}`` couples into orders ``M = m1 + m2`` and degrees
-    ``|l1-l2| <= L <= l1+l2``, weighted by ``1/sqrt(2*pi)`` times the two
-    coupling coefficients.
+    ``|l1-l2| <= L <= l1+l2``, weighted by ``product_weights``.
     """
     idx1 = as_index(idx1)
     idx2 = as_index(idx2)
@@ -214,13 +284,9 @@ def sh_product(idx1, idx2) -> HarmonicExpansion:
     l2, m2 = idx2.l, idx2.m
     M = m1 + m2
     out_lmax = l1 + l2
+    L = np.arange(max(abs(l1 - l2), abs(M)), out_lmax + 1)
     coeffs = np.zeros((out_lmax + 1) ** 2, dtype=np.complex128)
-    for L in range(max(abs(l1 - l2), abs(M)), out_lmax + 1):
-        parity = clebsch_gordan(l1, 0, l2, 0, L, 0)
-        if parity == 0.0:
-            continue
-        weight = parity * clebsch_gordan(l1, m1, l2, m2, L, M)
-        coeffs[flat_index(L, M)] = weight / math.sqrt(2.0 * math.pi) / math.sqrt(L + 0.5)
+    coeffs[flat_index(L, M)] = product_weights(l1, m1, l2, m2, L)
     return HarmonicExpansion(out_lmax, coeffs)
 
 

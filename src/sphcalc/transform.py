@@ -132,52 +132,72 @@ def _phase_matrix(grid: SphereGrid, lmax: int) -> np.ndarray:
     return np.exp(1j * np.outer(mvals, grid.phi))
 
 
-def synthesize(f: HarmonicExpansion, grid: SphereGrid) -> SampledField:
-    """Evaluate the expansion on the grid.
+def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """Samples ``(B, n_theta, n_phi)`` of ``B`` coefficient rows ``(B, K)``.
 
     Separable evaluation: the theta-dependent part is accumulated per order
     ``m``, then phased across the phi nodes by direct summation; cubic cost
-    in the degree, which is the intended envelope at desk scale.
+    in the degree, which is the intended envelope at desk scale.  The batch
+    rides on the last matmul axis, so a one-row table takes the same BLAS
+    calls, and gives the same bits, as a single expansion.
     """
-    if grid.lmax < f.lmax:
-        raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={f.lmax}")
-    L = f.lmax
+    B, K = coeffs.shape
+    L = math.isqrt(K) - 1
+    if grid.lmax < L:
+        raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
     N = grid.basis_table(L)
-    C = f.to_matrix()
-    G = np.zeros((grid.n_theta, 2 * L + 1), dtype=np.complex128)
+    ls, ms = degree_order_arrays(L)
+    C = np.zeros((L + 1, 2 * L + 1, B), dtype=np.complex128)
+    C[ls, L + ms] = coeffs.T
+    G = np.zeros((grid.n_theta, 2 * L + 1, B), dtype=np.complex128)
     for m in range(L + 1):
         block = N[:, m:, m]
         G[:, L + m] = block @ C[m:, L + m]
         if m > 0:
             G[:, L - m] = (-1) ** m * (block @ C[m:, L - m])
-    samples = G @ _phase_matrix(grid, L)
-    return SampledField(grid, samples)
+    G = G.transpose(2, 0, 1).reshape(B * grid.n_theta, 2 * L + 1)
+    return (G @ _phase_matrix(grid, L)).reshape(B, grid.n_theta, grid.n_phi)
 
 
-def analyze(field: SampledField, lmax: int) -> HarmonicExpansion:
-    """Coefficients by quadrature against the orthonormal basis functions.
+def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarray:
+    """Coefficient rows ``(B, K)`` of ``B`` sample tables ``(B, n_theta, n_phi)``.
 
-    Exact (to roundoff) whenever the field is band-limited at a degree the
-    grid resolves.
+    The phi stage is one product over every batch row and theta node; the
+    per-order stage carries the batch on the last matmul axis, as in
+    ``_synthesize_table``.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    grid = field.grid
     if grid.lmax < lmax:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
+    B = samples.shape[0]
     scale = 2.0 * math.pi / grid.n_phi
-    H = scale * (field.samples @ _phase_matrix(grid, L).conj().T)
+    H = scale * (samples.reshape(-1, grid.n_phi) @ _phase_matrix(grid, L).conj().T)
     N = grid.basis_table(L)
-    wH = grid.w[:, None] * H
-    C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
+    wH = (grid.w[:, None] * H.reshape(B, grid.n_theta, 2 * L + 1)).transpose(1, 2, 0)
+    C = np.zeros((L + 1, 2 * L + 1, B), dtype=np.complex128)
     for m in range(L + 1):
         block = N[:, m:, m]
         C[m:, L + m] = block.T @ wH[:, L + m]
         if m > 0:
             C[m:, L - m] = (-1) ** m * (block.T @ wH[:, L - m])
     ls, ms = degree_order_arrays(L)
-    return HarmonicExpansion(L, C[ls, L + ms])
+    return C[ls, L + ms].T
+
+
+def synthesize(f: HarmonicExpansion, grid: SphereGrid) -> SampledField:
+    """Evaluate the expansion on the grid (one row of ``_synthesize_table``)."""
+    return SampledField(grid, _synthesize_table(f.coeffs[None, :], grid)[0])
+
+
+def analyze(field: SampledField, lmax: int) -> HarmonicExpansion:
+    """Coefficients by quadrature against the orthonormal basis functions.
+
+    Exact (to roundoff) whenever the field is band-limited at a degree the
+    grid resolves.  One row of ``_analyze_table``.
+    """
+    return HarmonicExpansion(lmax, _analyze_table(field.samples[None], field.grid, lmax)[0])
 
 
 def point_eval(f: HarmonicExpansion, p) -> complex:

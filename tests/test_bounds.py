@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ def test_functional_constant_values():
     assert functional_constant(40) == pytest.approx(1 / math.sqrt(4 * math.pi), rel=1e-8)
     with pytest.raises(ValueError):
         functional_constant(1)
+
+
+def test_functional_constant_is_warning_free_at_high_order():
+    # (l + 1)^(2p) passes the double range from p = 43 and once warned twice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (43, 60, 400):
+            assert math.isfinite(functional_constant(p))
+        degs = np.arange(4001, dtype=np.float64)
+        for p in range(2, 43):
+            # the unguarded formula, which stays in range below p = 43
+            partial = float(np.sum((2 * degs + 1) ** 2 / (4 * math.pi * (degs + 1) ** (2 * p))))
+            tail = 4001.0 ** (3 - 2 * p) / (math.pi * (2 * p - 3))
+            assert functional_constant(p) == math.sqrt(partial + tail)
 
 
 def test_point_functional_single_mode():

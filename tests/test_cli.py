@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from sphcalc import OPERATORS, HarmonicExpansion, load_expansion, save_expansion
 from sphcalc import cli
@@ -212,6 +217,61 @@ def test_non_numeric_or_non_finite_coefficient_is_usage_error(tmp_path, capsys, 
     assert err.startswith("error:") and str(bad) in err and "record #2" in err
 
 
+# values of every JSON type, plus an integer past the double range
+JUNK = hs.sampled_from(["1.5", "", "sqrt(l+1/2)Y", True, False, None, [], [1.0, 0.0], {},
+                        {"l": 0}, 0.5, -1, 3, 10**400])
+
+
+def _mutate(data, doc):
+    """One random damage to a coefficient document, in place."""
+    records = doc.get("coefficients")
+    target = doc
+    if isinstance(records, list) and records and data.draw(hs.booleans()):
+        k = data.draw(hs.integers(0, len(records) - 1))
+        if not isinstance(records[k], dict) or data.draw(hs.booleans()):
+            records[k] = data.draw(JUNK)
+            return
+        target = records[k]
+    action = data.draw(hs.sampled_from(["drop", "retype", "count"]))
+    if action == "count" and isinstance(records, list):
+        if records and data.draw(hs.booleans()):
+            records.pop(data.draw(hs.integers(0, len(records) - 1)))
+        else:
+            records.append(dict(records[0]) if records and isinstance(records[0], dict) else {})
+    elif target:
+        key = data.draw(hs.sampled_from(sorted(target)))
+        if action == "drop":
+            del target[key]
+        else:
+            target[key] = data.draw(JUNK)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hs.data())
+def test_malformed_documents_exit_cleanly(tmp_path_factory, data):
+    lmax = data.draw(hs.integers(0, 2))
+    finite = hs.floats(allow_nan=False, allow_infinity=False)
+    doc = _document(lmax, [
+        {"l": l, "m": m, "re": data.draw(finite), "im": data.draw(finite)}
+        for l in range(lmax + 1) for m in range(-l, l + 1)
+    ])
+    for _ in range(data.draw(hs.integers(1, 3))):
+        _mutate(data, doc)
+    folder = tmp_path_factory.mktemp("doc")
+    path = folder / "in.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["apply", "--op", "L", "--in", str(path), "--out", str(folder / "out.json")])
+    text = err.getvalue()
+    assert "Traceback" not in text
+    if code == EXIT_OK:
+        assert text == ""
+    else:
+        assert code == EXIT_USAGE
+        assert text.startswith("error:") and text.count("\n") == 1 and str(path) in text
+
+
 def test_memory_exhaustion_is_usage_error(monkeypatch, capsys):
     def exhausted(lmax, trials, seed):
         raise MemoryError
@@ -237,6 +297,17 @@ def test_eval_command(tmp_path, capsys):
     assert main(["eval", "--in", str(src), "--theta", "0.5", "--phi", "1.0", "--bound", "3"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "bound(p=3)" in out and "margin" in out
+
+
+def test_eval_bound_at_high_order_writes_nothing_to_stderr(tmp_path, capsys):
+    # functional_constant(43) once printed two overflow warnings here
+    src = write_unit(tmp_path, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--in", str(src), "--theta", "0.3", "--phi", "0.4", "--bound", "43"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and "bound(p=43)" in captured.out
 
 
 def test_eval_range_error(tmp_path):

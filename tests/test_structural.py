@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sphcalc import (
     DomainError,
     HarmonicExpansion,
     clebsch_gordan,
+    clebsch_gordan_array,
     cos_theta_op,
     dphi_op,
     dtheta_op_literal,
@@ -20,6 +22,7 @@ from sphcalc import (
     sin_exp_op,
 )
 from sphcalc.bounds import random_expansion
+from sphcalc.cli import product_law_report
 from sphcalc.transform import SampledField, analyze, make_grid, point_eval, synthesize
 
 
@@ -321,6 +324,87 @@ def test_product_law_against_quadrature(l1, l2):
             via_quad = analyze(SampledField(grid, y1 * y2), l1 + l2)
             via_cg = sh_product((l1, m1), (l2, m2))
             assert np.max(np.abs(via_quad.coeffs - via_cg.coeffs)) <= 1e-9
+
+
+def test_coupling_array_matches_scalar_clebsch_gordan():
+    # every (l1, m1, l2, m2, L) up to lcap 8, orders one past each bound and
+    # a mismatched M included, so out-of-domain entries are exercised too
+    lcap = 8
+    rows = np.array([
+        (l1, m1, l2, m2, L, M)
+        for l1 in range(lcap + 1) for m1 in range(-l1 - 1, l1 + 2)
+        for l2 in range(lcap + 1) for m2 in range(-l2 - 1, l2 + 2)
+        for L in range(2 * lcap + 2) for M in (m1 + m2, m1 + m2 + 1)
+    ])
+    got = clebsch_gordan_array(*rows.T)
+    expected = np.array([clebsch_gordan(*map(int, row)) for row in rows])
+    assert np.max(np.abs(got - expected)) <= 1e-14
+    l1, m1, l2, m2, L, M = rows.T
+    outside = (
+        (M != m1 + m2) | (L < np.abs(l1 - l2)) | (L > l1 + l2) | (np.abs(M) > L)
+        | (np.abs(m1) > l1) | (np.abs(m2) > l2)
+        | ((m1 == 0) & (m2 == 0) & ((l1 + l2 + L) % 2 == 1))
+    )
+    assert outside.any() and np.all(got[outside] == 0.0)
+
+
+def _sh_product_scalar(l1, m1, l2, m2):
+    # the per-degree product the coupling weights replaced, kept as reference
+    M = m1 + m2
+    coeffs = np.zeros((l1 + l2 + 1) ** 2, dtype=np.complex128)
+    for L in range(max(abs(l1 - l2), abs(M)), l1 + l2 + 1):
+        parity = clebsch_gordan(l1, 0, l2, 0, L, 0)
+        if parity == 0.0:
+            continue
+        weight = parity * clebsch_gordan(l1, m1, l2, m2, L, M)
+        coeffs[L * L + L + M] = weight / math.sqrt(2.0 * math.pi) / math.sqrt(L + 0.5)
+    return coeffs
+
+
+def reference_product_law(lcap):
+    """Worst coefficient gap over every harmonic pair, one analysis per pair."""
+    grid = make_grid(2 * lcap)
+    fields = {}
+    for l in range(lcap + 1):
+        for m in range(-l, l + 1):
+            e = HarmonicExpansion.unit(l, m, lcap)
+            fields[(l, m)] = synthesize(e, grid).samples / math.sqrt(l + 0.5)
+    worst = 0.0
+    for (l1, m1), y1 in fields.items():
+        for (l2, m2), y2 in fields.items():
+            via_quad = analyze(SampledField(grid, y1 * y2), l1 + l2)
+            via_cg = _sh_product_scalar(l1, m1, l2, m2)
+            worst = max(worst, float(np.max(np.abs(via_quad.coeffs - via_cg))))
+    return worst
+
+
+def test_sh_product_matches_scalar_coupling():
+    for l1, l2 in [(0, 0), (1, 1), (3, 2), (4, 4), (6, 5)]:
+        for m1 in range(-l1, l1 + 1):
+            for m2 in range(-l2, l2 + 1):
+                got = sh_product((l1, m1), (l2, m2)).coeffs
+                expected = _sh_product_scalar(l1, m1, l2, m2)
+                assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("lcap", [0, 1, 2, 4, 6])
+def test_product_law_matches_per_pair_loop(lcap):
+    report = product_law_report(lcap)
+    reference = reference_product_law(lcap)
+    assert report.passed and reference <= report.rhs
+    assert abs(report.lhs - reference) <= 1e-15
+
+
+def test_product_law_memory_stays_small():
+    # one analysis block per first harmonic: all 2,401 pairs in one block
+    # would hold a 13 MB sample table at lcap 6
+    tracemalloc.start()
+    try:
+        assert product_law_report(6).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

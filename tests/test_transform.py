@@ -26,7 +26,7 @@ from sphcalc import (
 )
 from sphcalc.bounds import random_expansion
 from sphcalc.expansions import degree_order_arrays, flat_index
-from sphcalc.transform import FieldFileError
+from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 
 
 def test_gauss_legendre_small_closed_forms():
@@ -201,6 +201,62 @@ def test_grid_too_coarse_errors():
     field = synthesize(f, make_grid(8))
     with pytest.raises(GridTooCoarseError):
         analyze(field, 9)
+
+
+def _synthesize_per_order(f, grid):
+    # the one-expansion loop the batched table replaced, kept as reference
+    L = f.lmax
+    N = grid.basis_table(L)
+    C = f.to_matrix()
+    G = np.zeros((grid.n_theta, 2 * L + 1), dtype=np.complex128)
+    for m in range(L + 1):
+        block = N[:, m:, m]
+        G[:, L + m] = block @ C[m:, L + m]
+        if m > 0:
+            G[:, L - m] = (-1) ** m * (block @ C[m:, L - m])
+    return G @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi))
+
+
+def _analyze_per_order(field, L):
+    grid = field.grid
+    scale = 2.0 * math.pi / grid.n_phi
+    H = scale * (field.samples @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi)).conj().T)
+    N = grid.basis_table(L)
+    wH = grid.w[:, None] * H
+    C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
+    for m in range(L + 1):
+        block = N[:, m:, m]
+        C[m:, L + m] = block.T @ wH[:, L + m]
+        if m > 0:
+            C[m:, L - m] = (-1) ** m * (block.T @ wH[:, L - m])
+    ls, ms = degree_order_arrays(L)
+    return C[ls, L + ms]
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 16, 64])
+def test_one_row_transforms_equal_per_order_loops(lmax):
+    # the batch rides on the last matmul axis, so one row takes the same BLAS calls
+    grid = make_grid(lmax)
+    f = random_expansion(lmax + 3, lmax, decay=1.0)
+    field = synthesize(f, grid)
+    np.testing.assert_array_equal(field.samples, _synthesize_per_order(f, grid))
+    np.testing.assert_array_equal(analyze(field, lmax).coeffs, _analyze_per_order(field, lmax))
+
+
+def test_transform_tables_match_one_row_calls():
+    # a batch sums in gemm order, one row in gemv order: equal to roundoff
+    lmax = 12
+    grid = make_grid(lmax + 2)
+    block = np.array([random_expansion(s, lmax, decay=1.0).coeffs for s in range(5)])
+    samples = _synthesize_table(block, grid)
+    assert samples.shape == (5, grid.n_theta, grid.n_phi)
+    coeffs = _analyze_table(samples, grid, lmax + 1)
+    assert coeffs.shape == (5, (lmax + 2) ** 2)
+    for row, s, c in zip(block, samples, coeffs):
+        one = synthesize(HarmonicExpansion(lmax, row), grid)
+        assert np.max(np.abs(s - one.samples)) <= 1e-13 * np.max(np.abs(s))
+        back = analyze(one, lmax + 1).coeffs
+        assert np.max(np.abs(c - back)) <= 1e-13 * np.max(np.abs(c))
 
 
 def test_concurrent_reads_are_deterministic():
