@@ -24,7 +24,6 @@ from .bounds import (
     functional_constant,
     random_expansion,
     substream,
-    trial_expansion,
     weak_eigen_cos,
 )
 from .expansions import (

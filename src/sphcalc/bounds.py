@@ -61,10 +61,6 @@ def random_expansion(seed, lmax: int, decay: float = DEFAULT_DECAY) -> HarmonicE
     return HarmonicExpansion(lmax, _random_rows([seed], lmax, decay)[0])
 
 
-def trial_expansion(seed: int, trial: int, lmax: int, decay: float = DEFAULT_DECAY):
-    return random_expansion((seed, trial), lmax, decay)
-
-
 # ---------------------------------------------------------------------------
 # point functionals
 

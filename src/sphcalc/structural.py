@@ -29,7 +29,7 @@ from .algebra import (
     _sq,
     generator,
 )
-from .expansions import HarmonicExpansion, as_index, flat_index
+from .expansions import HarmonicExpansion, as_index, degree_order_arrays, flat_index
 from .legendre import orthonormal_sh_values
 from .transform import SampledField, analyze, make_grid, synthesize
 
@@ -293,33 +293,28 @@ def sh_product(idx1, idx2) -> HarmonicExpansion:
 # ---------------------------------------------------------------------------
 # eigenvalue equation check by finite differences
 
-def pde_residual(idx, h: float, points=None) -> float:
-    """Max residual of the angular Laplacian eigen-equation on one harmonic.
+def pde_residual(lmax: int, h: float) -> np.ndarray:
+    """Max residual of the angular Laplacian eigen-equation on every harmonic.
 
-    Central second-order differences of the point evaluator; default sample
-    points sit well inside ``theta in [pi/3, 2*pi/3]`` (the equation's
-    coefficients are singular at the poles, and the pole-exclusion zone must
-    be at least ``10*h``).
+    Entry ``k`` of the flat ``(K,)`` result is the largest
+    ``|(Lap_S2 + l(l+1)) Y_l^m|`` over 20 fixed points with ``theta`` in
+    ``[pi/3, 2*pi/3]``, clear of the poles where the equation is singular:
+    central differences of step ``h`` on a five-point stencil, with every
+    mode read from one ``orthonormal_sh_values`` table.
     """
-    idx = as_index(idx)
     if not 0.0 < h < 0.1:
         raise ValueError("step must satisfy 0 < h < 0.1")
-    if points is None:
-        thetas = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, 5)
-        phis = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False) + 0.37
-        points = [(t, p) for t in thetas for p in phis]
-    theta, phi = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
-    if np.any(np.minimum(theta, math.pi - theta) < 10.0 * h):
-        raise ValueError("sample point closer to a pole than 10*h")
+    theta = np.repeat(np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, 5), 4)[:, None]
+    phi = np.tile(np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False) + 0.37, 5)[:, None]
     # five-point stencil per sample: centre, theta -+ h, phi -+ h
-    tt = theta[:, None] + h * np.array([0.0, -1.0, 1.0, 0.0, 0.0])
-    pp = phi[:, None] % (2.0 * math.pi) + h * np.array([0.0, 0.0, 0.0, -1.0, 1.0])
-    values = orthonormal_sh_values(idx.l, np.cos(tt).ravel(), (pp % (2.0 * math.pi)).ravel())
-    y = values[:, flat_index(idx.l, idx.m)].reshape(tt.shape) / math.sqrt(idx.l + 0.5)
-    y0, yt_lo, yt_hi, yp_lo, yp_hi = y.T
+    tt = theta + h * np.array([0.0, -1.0, 1.0, 0.0, 0.0])
+    pp = phi % (2.0 * math.pi) + h * np.array([0.0, 0.0, 0.0, -1.0, 1.0])
+    values = orthonormal_sh_values(lmax, np.cos(tt).ravel(), (pp % (2.0 * math.pi)).ravel())
+    ls, _ = degree_order_arrays(lmax)
+    y = values.reshape(*tt.shape, -1) / np.sqrt(ls + 0.5)
+    y0, yt_lo, yt_hi, yp_lo, yp_hi = y.transpose(1, 0, 2)
     d2_theta = (yt_hi - 2.0 * y0 + yt_lo) / (h * h)
     d1_theta = (yt_hi - yt_lo) / (2.0 * h)
     d2_phi = (yp_hi - 2.0 * y0 + yp_lo) / (h * h)
-    eig = float(idx.l * (idx.l + 1))
-    residual = d2_theta + d1_theta / np.tan(theta) + d2_phi / np.sin(theta) ** 2 + eig * y0
-    return float(np.max(np.abs(residual), initial=0.0))
+    residual = d2_theta + d1_theta / np.tan(theta) + d2_phi / np.sin(theta) ** 2 + ls * (ls + 1.0) * y0
+    return np.max(np.abs(residual), axis=0)

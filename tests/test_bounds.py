@@ -18,7 +18,7 @@ from sphcalc import (
     weak_eigen_cos,
 )
 from sphcalc import bounds
-from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, substream, trial_expansion
+from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, substream
 from sphcalc.cli import suite_bounds
 
 
@@ -29,7 +29,7 @@ def margins_at(op_name, f, n):
 
 
 def block(seed, trials, lmax):
-    return np.array([trial_expansion(seed, t, lmax).coeffs for t in range(trials)])
+    return np.array([random_expansion((seed, t), lmax).coeffs for t in range(trials)])
 
 
 def test_oversized_claim_order_raises_instead_of_inf_or_nan():
@@ -108,7 +108,7 @@ def test_bound_random_scans(op_name, n_top):
 
 
 def test_margins_scale_invariant():
-    rows = trial_expansion(7, 0, 8).coeffs[None, :]
+    rows = random_expansion((7, 0), 8).coeffs[None, :]
     for name in ("K+", "L", "cosTheta", "dThetaLit"):
         base_lhs, base_rhs = (side[0, 1] for side in claim_margins(name, rows, 8))
         lhs, rhs = (side[0, 1] for side in claim_margins(name, 137.0 * rows, 8))
@@ -157,7 +157,7 @@ def test_point_functional_single_mode():
 def test_point_functional_scan():
     rng = np.random.default_rng(8)
     for t in range(25):
-        f = trial_expansion(1200, t, 10)
+        f = random_expansion((1200, t), 10)
         for _ in range(4):
             p = (float(np.arccos(rng.uniform(-1, 1))), float(rng.uniform(0, 2 * math.pi)))
             assert bound_point_functional(f, p, 3).passed
@@ -179,9 +179,9 @@ def test_weak_eigen_cos_closed_form():
 
 def test_weak_eigen_cos_random_and_pole():
     for t in range(20):
-        f = trial_expansion(1300, t, 9)
+        f = random_expansion((1300, t), 9)
         assert weak_eigen_cos(f, (1.1, 2.2)).passed
-    f = trial_expansion(1300, 0, 9)
+    f = random_expansion((1300, 0), 9)
     r = weak_eigen_cos(f, (0.0, 0.0))  # cos(0) = 1: both sides are the pole value
     assert r.passed
 
@@ -224,7 +224,7 @@ def reference_falsifier(name, trials, seed, lmax, claim):
             l = int(rng.integers(lmax, 4 * lmax + 8))
             f = HarmonicExpansion.unit(l, int(rng.integers(-l, l + 1)))
         else:
-            f = trial_expansion(seed, t, lmax)
+            f = random_expansion((seed, t), lmax)
         g = op.apply(f)
         for n in range(claim.max_n + 1):
             lhs = graded_norm(g, n)
@@ -252,7 +252,7 @@ def reference_point_functional(trials, seed, lmax):
     worst = None
     rng = substream(seed, "points")
     for t in range(max(4, min(trials, 100))):
-        f = trial_expansion(seed, t, lmax)
+        f = random_expansion((seed, t), lmax)
         for _ in range(10):
             theta = float(np.arccos(rng.uniform(-1, 1)))
             r = bound_point_functional(f, (theta, float(rng.uniform(0, 2 * math.pi))), 3, seed=seed)

@@ -383,10 +383,40 @@ def test_verify_all_suites(tmp_path):
 
 
 def test_verify_all_suites_at_low_lmax(tmp_path):
-    # the closure check needs lmax >= 4, so the algebra suite raises lower requests to 4
-    report = tmp_path / "all.json"
-    code = main(["verify", "--suite", "all", "--lmax", "2", "--trials", "2", "--out", str(report)])
-    assert code == EXIT_OK
-    doc = json.loads(report.read_text())
-    closure = next(r for r in doc["reports"] if r["check"] == "ladder_algebra_closure")
-    assert closure["lmax"] == 4
+    # the closure check needs lmax >= 4, so the algebra suite raises lower requests
+    # to 4; the pde order records read l = 2 even at lmax 1
+    expected_orders = {1: {"l=1,m=1", "l=2,m=1"}, 2: {"l=2,m=1"}, 3: {"l=2,m=1", "l=3,m=1"}}
+    for lmax, orders in expected_orders.items():
+        report = tmp_path / f"all_{lmax}.json"
+        code = main(["verify", "--suite", "all", "--lmax", str(lmax), "--trials", "2", "--out", str(report)])
+        assert code == EXIT_OK, lmax
+        doc = json.loads(report.read_text())
+        closure = next(r for r in doc["reports"] if r["check"] == "ladder_algebra_closure")
+        assert closure["lmax"] == 4
+        pde = next(r for r in doc["reports"] if r["check"] == "laplacian_annihilation")
+        assert set(pde["details"]["convergence_orders"]) == orders, lmax
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("nosuch=1", "has no such check"),
+        ("=1", "has no such check"),
+        ("so3_sub_casimir=nan", "must be finite"),
+        ("so3_sub_casimir=inf", "must be finite"),
+        ("x=abc", "expected check=value"),
+    ],
+)
+def test_verify_bad_tol_override_is_usage_error(capsys, item, message):
+    code = main(["verify", "--suite", "algebra", "--lmax", "4", "--tol", item])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(item) in lines[0] and message in lines[0]
+
+
+def test_verify_negative_seed_names_the_flag(capsys):
+    assert main(["verify", "--suite", "pde", "--seed", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: verify needs --seed >= 0, got -1\n"

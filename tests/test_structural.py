@@ -15,14 +15,16 @@ from sphcalc import (
     exp_iphi_composite,
     generator,
     inv_sin_op_literal,
+    orthonormal_sh_values,
     pde_residual,
     pointwise_multiply_oracle,
     sh_eval,
     sh_product,
     sin_exp_op,
 )
-from sphcalc.bounds import random_expansion
-from sphcalc.cli import product_law_report
+from sphcalc.bounds import random_expansion, substream
+from sphcalc.cli import dtheta_identity_order_report, product_law_report
+from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.transform import SampledField, analyze, make_grid, point_eval, synthesize
 
 
@@ -172,6 +174,33 @@ def test_dtheta_phase_corrected_identity_fd_order():
         orders.append(math.log2(errs[0] / errs[1]))
     for order in orders:
         assert order == pytest.approx(2.0, abs=0.2)
+
+
+def reference_dtheta_order_report(seed):
+    """The per-point ``sh_eval`` loop behind ``dtheta_identity_fd_order``: (lhs, orders)."""
+    rng = substream(seed, "dtheta")
+    pts = [(float(rng.uniform(0.6, math.pi - 0.6)), float(rng.uniform(0, 2 * math.pi)))
+           for _ in range(6)]
+    orders = []
+    for l, m in [(2, 1), (5, -3), (7, 0), (9, 6)]:
+        errs = []
+        for h in (4e-3, 2e-3):
+            worst = 0.0
+            for theta, phi in pts:
+                fd = (sh_eval((l, m), (theta + h, phi)) - sh_eval((l, m), (theta - h, phi))) / (2 * h)
+                worst = max(worst, abs(fd - dtheta_identity_value(l, m, theta, phi)))
+            errs.append(worst)
+        orders.append(math.log2(errs[0] / errs[1]))
+    return max(abs(o - 2.0) for o in orders), [round(o, 3) for o in orders]
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123456])
+def test_dtheta_order_report_matches_per_point_loop(seed):
+    lhs, orders = reference_dtheta_order_report(seed)
+    report = dtheta_identity_order_report(seed)
+    assert report.details["orders"] == orders
+    assert abs(report.lhs - lhs) <= 1e-9
+    assert report.passed
 
 
 def test_dphi_examples():
@@ -410,23 +439,51 @@ def test_product_law_memory_stays_small():
 # ---------------------------------------------------------------------------
 # eigen-equation residual
 
+def reference_pde_residual(idx, h):
+    """The per-mode residual: one table at degree l for one harmonic."""
+    l, m = idx
+    thetas = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, 5)
+    phis = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False) + 0.37
+    theta, phi = np.asarray([(t, p) for t in thetas for p in phis]).T
+    tt = theta[:, None] + h * np.array([0.0, -1.0, 1.0, 0.0, 0.0])
+    pp = phi[:, None] % (2.0 * math.pi) + h * np.array([0.0, 0.0, 0.0, -1.0, 1.0])
+    values = orthonormal_sh_values(l, np.cos(tt).ravel(), (pp % (2.0 * math.pi)).ravel())
+    y = values[:, flat_index(l, m)].reshape(tt.shape) / math.sqrt(l + 0.5)
+    y0, yt_lo, yt_hi, yp_lo, yp_hi = y.T
+    d2_theta = (yt_hi - 2.0 * y0 + yt_lo) / (h * h)
+    d1_theta = (yt_hi - yt_lo) / (2.0 * h)
+    d2_phi = (yp_hi - 2.0 * y0 + yp_lo) / (h * h)
+    eig = float(l * (l + 1))
+    residual = d2_theta + d1_theta / np.tan(theta) + d2_phi / np.sin(theta) ** 2 + eig * y0
+    return float(np.max(np.abs(residual), initial=0.0))
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-3, 4e-3])
+def test_pde_residual_table_equals_per_mode_residuals(h):
+    ls, ms = degree_order_arrays(8)
+    reference = [reference_pde_residual((l, m), h) for l, m in zip(ls.tolist(), ms.tolist())]
+    residual = pde_residual(8, h)
+    assert residual.shape == (81,)
+    assert np.array_equal(residual, reference)
+
+
 def test_pde_residual_constant_mode_exact():
-    assert pde_residual((0, 0), 1e-3) == 0.0
+    assert pde_residual(0, 1e-3)[0] == 0.0
+    assert pde_residual(4, 1e-3)[0] == 0.0
 
 
 def test_pde_residual_small():
-    res = pde_residual((2, 1), 1e-3)
+    res = pde_residual(2, 1e-3)[flat_index(2, 1)]
     assert res <= 1e-4 * 6 * (1 / math.sqrt(2 * math.pi))
 
 
 def test_pde_residual_halving_step():
-    r1 = pde_residual((5, 3), 4e-3)
-    r2 = pde_residual((5, 3), 2e-3)
+    k = flat_index(5, 3)
+    r1 = pde_residual(5, 4e-3)[k]
+    r2 = pde_residual(5, 2e-3)[k]
     assert r1 / r2 == pytest.approx(4.0, rel=0.2)
 
 
 def test_pde_residual_preconditions():
     with pytest.raises(ValueError):
-        pde_residual((2, 1), 0.2)
-    with pytest.raises(ValueError):
-        pde_residual((2, 1), 1e-2, points=[(0.05, 0.0)])  # inside the 10h pole zone
+        pde_residual(2, 0.2)

@@ -25,6 +25,7 @@ from sphcalc import (
     synthesize,
 )
 from sphcalc.bounds import random_expansion
+from sphcalc.cli import suite_transforms
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 
@@ -257,6 +258,29 @@ def test_transform_tables_match_one_row_calls():
         assert np.max(np.abs(s - one.samples)) <= 1e-13 * np.max(np.abs(s))
         back = analyze(one, lmax + 1).coeffs
         assert np.max(np.abs(c - back)) <= 1e-13 * np.max(np.abs(c))
+
+
+def reference_round_trip(lmax, trials, seed):
+    """The per-trial loop behind ``round_trip`` and ``parseval``: both worst lhs."""
+    grid = make_grid(lmax)
+    worst_rt = worst_pv = 0.0
+    for t in range(trials):
+        f = random_expansion((seed, t), lmax, decay=2.0)
+        field = synthesize(f, grid)
+        worst_rt = max(worst_rt, float(np.max(np.abs(analyze(field, lmax).coeffs - f.coeffs))))
+        quad = quadrature_inner_product(field, field).real
+        coeff = hilbert_norm(f) ** 2
+        worst_pv = max(worst_pv, abs(quad - coeff) / coeff)
+    return worst_rt, worst_pv
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123456])
+def test_suite_round_trip_matches_per_trial_loop(seed):
+    reports = {r.check: r for r in suite_transforms(16, 50, seed)}
+    rt, pv = reference_round_trip(16, 50, seed)
+    assert abs(reports["round_trip"].lhs - rt) <= 1e-15
+    assert abs(reports["parseval"].lhs - pv) <= 1e-15
+    assert reports["round_trip"].passed and reports["parseval"].passed
 
 
 def test_concurrent_reads_are_deterministic():
