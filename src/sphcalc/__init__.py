@@ -47,6 +47,7 @@ from .legendre import (
     assoc_legendre,
     orthonormal_legendre_table,
     orthonormal_sh_values,
+    packed_row,
     sh_eval,
     uniform_bound_check,
 )

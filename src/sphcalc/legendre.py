@@ -60,29 +60,55 @@ def assoc_legendre(l: int, m: int, x):
     return float(p[0]) if scalar else p
 
 
-def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
-    """Table ``N[i, l, m]`` of orthonormal-harmonic magnitudes for ``m >= 0``.
+def packed_row(lmax: int, l, m):
+    """Row of degree ``l``, order ``|m|`` in the packed table of degree ``lmax``.
 
-    ``N[i, l, m] * exp(i*m*phi)`` equals ``sqrt(l+1/2) * Y_l^m(theta, phi)``
+    Rows run m-major, ``off[m] + l - m`` with ``off[m] = m*(2*lmax+3-m)/2``,
+    so order ``m`` is the contiguous block ``off[m]:off[m+1]`` and
+    ``packed_row(lmax, m, m)`` for ``m = 0..lmax+1`` gives those offsets.
+    """
+    m = np.abs(m)
+    return m * (2 * lmax + 3 - m) // 2 + l - m
+
+
+def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
+    """Packed m-major table ``N[row, i]`` of orthonormal-harmonic magnitudes.
+
+    Shape ``((lmax+1)(lmax+2)/2, x.size)``: row ``packed_row(lmax, l, m)``
+    holds ``(l, m)`` for ``0 <= m <= l``, and no row is stored for ``m > l``.
+    ``N[row, i] * exp(i*m*phi)`` equals ``sqrt(l+1/2) * Y_l^m(theta, phi)``
     at ``x_i = cos(theta)``; for negative orders multiply by ``(-1)^m``.
     Fully-normalised recurrence, stable for degrees well beyond the plain
-    ``P_l^m`` overflow point.  Each degree is one step over all of its
-    orders: two-term for ``m <= l-2``, then the sub-diagonal and diagonal
-    seeds.
+    ``P_l^m`` overflow point.  The diagonal and sub-diagonal seeds come
+    first, then each degree is one two-term step over its orders
+    ``m <= l-2``; every entry takes the same arithmetic as the order-by-order
+    recurrence, so the values are bit-identical to it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument out of range: |x| > 1")
-    N = np.zeros((x.size, lmax + 1, lmax + 1))
+    orders = np.arange(lmax + 2)
+    off = packed_row(lmax, orders, orders)
+    N = np.zeros((off[-1], x.size))
     s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    N[:, 0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for l in range(1, lmax + 1):
-        m = np.arange(l - 1)
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        N[:, l, : l - 1] = a * (x[:, None] * N[:, l - 1, : l - 1] - b * N[:, l - 2, : l - 1])
-        N[:, l, l - 1] = math.sqrt(2 * l + 1.0) * x * N[:, l - 1, l - 1]
-        N[:, l, l] = -math.sqrt((2 * l + 1) / (2.0 * l)) * s * N[:, l - 1, l - 1]
+    # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product
+    deg = orders[1:-1]
+    diag = np.empty((lmax + 1, x.size))
+    diag[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    diag[1:] = -np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None] * s
+    N[off[:-1]] = np.cumprod(diag, axis=0)
+    # N[l, l-1] = (sqrt(2l+1) * x) * N[l-1, l-1]
+    N[off[:-2] + 1] = (np.sqrt(2 * deg + 1.0)[:, None] * x) * N[off[:-2]]
+    # two-term steps, degree-major: degree l holds entries [(l-1)(l-2)/2, l(l-1)/2)
+    l, m = np.tril_indices(max(lmax - 1, 0))
+    l += 2
+    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+    rows = packed_row(lmax, l, m)
+    for k in range(2, lmax + 1):
+        j = slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
+        r = rows[j]
+        N[r] = a[j] * (x * N[r - 1] - b[j] * N[r - 2])
     return N
 
 
@@ -99,7 +125,7 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)[..., None]
     N = orthonormal_legendre_table(lmax, x)
     ls, ms = degree_order_arrays(lmax)
-    mags = N[:, ls, np.abs(ms)] * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
+    mags = N[packed_row(lmax, ls, ms)].T * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
     return mags * np.exp(1j * ms * phi)
 
 
@@ -121,9 +147,9 @@ def uniform_bound_check(lmax: int) -> BoundReport:
         raise ValueError("lmax must be >= 0")
     theta = np.linspace(0.0, math.pi, _SUP_SCAN_NODES)
     N = orthonormal_legendre_table(lmax, np.cos(theta))
-    degs = np.arange(lmax + 1, dtype=np.float64)
-    # |Y_l^m| = N[l, m] / sqrt(l + 1/2); phase factors drop out of the modulus
-    scaled = np.abs(N) / np.sqrt(degs + 0.5)[None, :, None]
+    _, degs = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
+    # |Y_l^m| = N[row] / sqrt(l + 1/2); phase factors drop out of the modulus
+    scaled = np.abs(N) / np.sqrt(degs + 0.5)[:, None]
     worst = float(scaled.max())
     return BoundReport(
         check="uniform_sup_bound",

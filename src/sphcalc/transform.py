@@ -17,7 +17,7 @@ from .expansions import (
     as_point,
     degree_order_arrays,
 )
-from .legendre import orthonormal_legendre_table, orthonormal_sh_values
+from .legendre import orthonormal_legendre_table, orthonormal_sh_values, packed_row
 from .report import BoundReport
 
 
@@ -63,7 +63,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 class SphereGrid:
     """Gauss-Legendre x equispaced-phi product grid declared for ``lmax``."""
 
-    __slots__ = ("lmax", "x", "w", "theta", "phi", "_tables")
+    __slots__ = ("lmax", "x", "w", "theta", "phi", "_tables", "_phases")
 
     def __init__(self, lmax: int, x, w, phi):
         self.lmax = int(lmax)
@@ -72,6 +72,7 @@ class SphereGrid:
         self.phi = np.asarray(phi, dtype=np.float64)
         self.theta = np.arccos(np.clip(self.x, -1.0, 1.0))
         self._tables = {}
+        self._phases = {}
         if abs(self.w.sum() - 2.0) > 1e-13:
             raise ValueError("quadrature weights must sum to 2")
         if np.any(np.diff(self.x) <= 0.0):
@@ -92,6 +93,13 @@ class SphereGrid:
         if lmax not in self._tables:
             self._tables[lmax] = orthonormal_legendre_table(lmax, self.x)
         return self._tables[lmax]
+
+    def phases(self, lmax: int) -> np.ndarray:
+        """Cached ``exp(i*m*phi_j)``, rows ``m = -lmax..lmax``, columns the phi nodes."""
+        if lmax not in self._phases:
+            m = np.arange(-lmax, lmax + 1)
+            self._phases[lmax] = np.exp(1j * np.outer(m, self.phi))
+        return self._phases[lmax]
 
     def __repr__(self):
         return f"SphereGrid(lmax={self.lmax}, n_theta={self.n_theta}, n_phi={self.n_phi})"
@@ -127,43 +135,54 @@ class SampledField:
         self.samples = arr
 
 
-def _phase_matrix(grid: SphereGrid, lmax: int) -> np.ndarray:
-    mvals = np.arange(-lmax, lmax + 1)
-    return np.exp(1j * np.outer(mvals, grid.phi))
+def _packed_map(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed row, slot (0 for ``+m``, 1 for ``-m``) and sign ``(-1)^m`` on the
+    ``-m`` slot, for every flat index up to degree ``L``."""
+    ls, ms = degree_order_arrays(L)
+    neg = ms < 0
+    return packed_row(L, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0)
+
+
+def _order_blocks(L: int):
+    """``(m, rows)`` of each order's contiguous block in the packed table."""
+    orders = np.arange(L + 2)
+    off = packed_row(L, orders, orders)
+    return ((m, slice(off[m], off[m + 1])) for m in range(L + 1))
 
 
 def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     """Samples ``(B, n_theta, n_phi)`` of ``B`` coefficient rows ``(B, K)``.
 
-    Separable evaluation: the theta-dependent part is accumulated per order
-    ``m``, then phased across the phi nodes by direct summation; cubic cost
-    in the degree, which is the intended envelope at desk scale.  The batch
-    rides on the last matmul axis, so a one-row table takes the same BLAS
-    calls, and gives the same bits, as a single expansion.
+    Separable evaluation: per order ``m``, one real product of the order's
+    packed table block against the ``+m`` and ``-m`` coefficients of every
+    row, stacked as the float64 view of complex data; then one product with
+    the grid's cached phases.  Cubic cost in the degree, which is the
+    intended envelope at desk scale.
     """
     B, K = coeffs.shape
     L = math.isqrt(K) - 1
     if grid.lmax < L:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
     N = grid.basis_table(L)
-    ls, ms = degree_order_arrays(L)
-    C = np.zeros((L + 1, 2 * L + 1, B), dtype=np.complex128)
-    C[ls, L + ms] = coeffs.T
-    G = np.zeros((grid.n_theta, 2 * L + 1, B), dtype=np.complex128)
-    for m in range(L + 1):
-        block = N[:, m:, m]
-        G[:, L + m] = block @ C[m:, L + m]
-        if m > 0:
-            G[:, L - m] = (-1) ** m * (block @ C[m:, L - m])
-    G = G.transpose(2, 0, 1).reshape(B * grid.n_theta, 2 * L + 1)
-    return (G @ _phase_matrix(grid, L)).reshape(B, grid.n_theta, grid.n_phi)
+    P = grid.n_theta
+    rows, slot, sign = _packed_map(L)
+    C = np.zeros((N.shape[0], 2, B), dtype=np.complex128)
+    C[rows, slot] = sign[:, None] * coeffs.T
+    Cr = C.reshape(-1, 2 * B).view(np.float64)
+    G = np.empty((L + 1, P, 2, B), dtype=np.complex128)
+    Gr = G.reshape(L + 1, P, 2 * B).view(np.float64)
+    for m, block in _order_blocks(L):
+        np.matmul(N[block].T, Cr[block], out=Gr[m])
+    G = np.concatenate([G[:0:-1, :, 1], G[:, :, 0]])  # orders -L..L
+    samples = G.reshape(2 * L + 1, P * B).T @ grid.phases(L)
+    return samples.reshape(P, B, grid.n_phi).transpose(1, 0, 2)
 
 
 def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarray:
     """Coefficient rows ``(B, K)`` of ``B`` sample tables ``(B, n_theta, n_phi)``.
 
     The phi stage is one product over every batch row and theta node; the
-    per-order stage carries the batch on the last matmul axis, as in
+    per-order stage is one real product per order, as in
     ``_synthesize_table``.
     """
     if lmax < 0:
@@ -172,18 +191,21 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
     B = samples.shape[0]
-    scale = 2.0 * math.pi / grid.n_phi
-    H = scale * (samples.reshape(-1, grid.n_phi) @ _phase_matrix(grid, L).conj().T)
+    P = grid.n_theta
     N = grid.basis_table(L)
-    wH = (grid.w[:, None] * H.reshape(B, grid.n_theta, 2 * L + 1)).transpose(1, 2, 0)
-    C = np.zeros((L + 1, 2 * L + 1, B), dtype=np.complex128)
-    for m in range(L + 1):
-        block = N[:, m:, m]
-        C[m:, L + m] = block.T @ wH[:, L + m]
-        if m > 0:
-            C[m:, L - m] = (-1) ** m * (block.T @ wH[:, L - m])
-    ls, ms = degree_order_arrays(L)
-    return C[ls, L + ms].T
+    scale = 2.0 * math.pi / grid.n_phi
+    H = scale * (samples.reshape(-1, grid.n_phi) @ grid.phases(L).conj().T)
+    wH = (grid.w[:, None] * H.reshape(B, P, 2 * L + 1)).transpose(2, 1, 0)
+    W = np.empty((L + 1, P, 2, B), dtype=np.complex128)
+    W[:, :, 0] = wH[L:]
+    W[:, :, 1] = wH[L::-1]
+    Wr = W.reshape(L + 1, P, 2 * B).view(np.float64)
+    C = np.empty((N.shape[0], 2, B), dtype=np.complex128)
+    Cr = C.reshape(-1, 2 * B).view(np.float64)
+    for m, block in _order_blocks(L):
+        np.matmul(N[block], Wr[m], out=Cr[block])
+    rows, slot, sign = _packed_map(L)
+    return (sign[:, None] * C[rows, slot]).T
 
 
 def synthesize(f: HarmonicExpansion, grid: SphereGrid) -> SampledField:
@@ -243,7 +265,7 @@ def orthonormality_check(lmax: int) -> BoundReport:
     T = orthonormal_sh_values(lmax, grid.x, 0.0).real
     theta_gram = T.T @ (grid.w[:, None] * T)
     scale = 2.0 * math.pi / grid.n_phi
-    phases = _phase_matrix(grid, lmax)
+    phases = grid.phases(lmax)
     phi_gram = scale * (phases.conj() @ phases.T)  # [m + lmax, m' + lmax]
     gram = theta_gram * phi_gram[np.ix_(ms + lmax, ms + lmax)]
     dev = float(np.max(np.abs(gram - np.eye(K))))

@@ -10,6 +10,7 @@ from sphcalc import (
     assoc_legendre,
     orthonormal_legendre_table,
     orthonormal_sh_values,
+    packed_row,
     sh_eval,
     uniform_bound_check,
 )
@@ -170,7 +171,8 @@ def test_table_consistent_with_scalar_path():
         for l in (0, 3, 11, 20):
             for m in sorted({0, min(1, l), l // 2, l}):
                 expected = math.sqrt(l + 0.5) * _amp(l, m) * assoc_legendre(l, m, x)
-                assert table[i, l, m] == pytest.approx(expected, rel=1e-11, abs=1e-13)
+                got = table[packed_row(lmax, l, m), i]
+                assert got == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
 
 def _amp(l, m):
@@ -240,4 +242,9 @@ def _table_per_order(lmax, x):
 def test_table_equals_per_order_recurrence(lmax):
     # same arithmetic per entry, so the tables agree bit for bit
     x = np.concatenate([np.random.default_rng(lmax).uniform(-1, 1, 9), [-1.0, 1.0, 0.0]])
-    np.testing.assert_array_equal(orthonormal_legendre_table(lmax, x), _table_per_order(lmax, x))
+    table = orthonormal_legendre_table(lmax, x)
+    assert table.shape == ((lmax + 1) * (lmax + 2) // 2, x.size)
+    # packed rows run m-major, degree l of order m at off[m] + l - m
+    ms, ls = np.triu_indices(lmax + 1)
+    np.testing.assert_array_equal(packed_row(lmax, ls, ms), np.arange(table.shape[0]))
+    np.testing.assert_array_equal(table, _table_per_order(lmax, x)[:, ls, ms].T)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sphcalc import (
     make_grid,
     orthonormal_sh_values,
     orthonormality_check,
+    packed_row,
     point_eval,
     quadrature_inner_product,
     save_field,
@@ -204,18 +206,27 @@ def test_grid_too_coarse_errors():
         analyze(field, 9)
 
 
+def _order_block(N, L, m):
+    return N[packed_row(L, m, m) : packed_row(L, m + 1, m + 1)]
+
+
 def _synthesize_per_order(f, grid):
-    # the one-expansion loop the batched table replaced, kept as reference
+    # one expansion, order by order: the real block against the +m and -m
+    # coefficients stacked as float64 re/im, then the phases
     L = f.lmax
     N = grid.basis_table(L)
     C = f.to_matrix()
-    G = np.zeros((grid.n_theta, 2 * L + 1), dtype=np.complex128)
+    G = np.zeros((2 * L + 1, grid.n_theta), dtype=np.complex128)
     for m in range(L + 1):
-        block = N[:, m:, m]
-        G[:, L + m] = block @ C[m:, L + m]
+        rhs = np.zeros((L + 1 - m, 2), dtype=np.complex128)
+        rhs[:, 0] = C[m:, L + m]
         if m > 0:
-            G[:, L - m] = (-1) ** m * (block @ C[m:, L - m])
-    return G @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi))
+            rhs[:, 1] = (-1) ** m * C[m:, L - m]
+        out = (_order_block(N, L, m).T @ rhs.view(np.float64)).view(np.complex128)
+        G[L + m] = out[:, 0]
+        if m > 0:
+            G[L - m] = out[:, 1]
+    return G.T @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi))
 
 
 def _analyze_per_order(field, L):
@@ -226,10 +237,11 @@ def _analyze_per_order(field, L):
     wH = grid.w[:, None] * H
     C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
     for m in range(L + 1):
-        block = N[:, m:, m]
-        C[m:, L + m] = block.T @ wH[:, L + m]
+        rhs = np.stack([wH[:, L + m], wH[:, L - m]], axis=1)
+        out = (_order_block(N, L, m) @ rhs.view(np.float64)).view(np.complex128)
+        C[m:, L + m] = out[:, 0]
         if m > 0:
-            C[m:, L - m] = (-1) ** m * (block.T @ wH[:, L - m])
+            C[m:, L - m] = (-1) ** m * out[:, 1]
     ls, ms = degree_order_arrays(L)
     return C[ls, L + ms]
 
@@ -242,6 +254,68 @@ def test_one_row_transforms_equal_per_order_loops(lmax):
     field = synthesize(f, grid)
     np.testing.assert_array_equal(field.samples, _synthesize_per_order(f, grid))
     np.testing.assert_array_equal(analyze(field, lmax).coeffs, _analyze_per_order(field, lmax))
+
+
+def _dense_table(grid, L):
+    # the packed table spread over [theta node, l, m], zeros for m > l
+    ms, ls = np.triu_indices(L + 1)
+    D = np.zeros((grid.n_theta, L + 1, L + 1))
+    D[:, ls, ms] = grid.basis_table(L).T
+    return D
+
+
+def _synthesize_complex_upcast(f, grid):
+    # the earlier complex matvec per order on strided dense-table columns
+    L = f.lmax
+    N = _dense_table(grid, L)
+    C = f.to_matrix()
+    G = np.zeros((grid.n_theta, 2 * L + 1), dtype=np.complex128)
+    for m in range(L + 1):
+        block = N[:, m:, m]
+        G[:, L + m] = block @ C[m:, L + m]
+        if m > 0:
+            G[:, L - m] = (-1) ** m * (block @ C[m:, L - m])
+    return G @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi))
+
+
+def _analyze_complex_upcast(field, L):
+    grid = field.grid
+    scale = 2.0 * math.pi / grid.n_phi
+    H = scale * (field.samples @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi)).conj().T)
+    N = _dense_table(grid, L)
+    wH = grid.w[:, None] * H
+    C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
+    for m in range(L + 1):
+        block = N[:, m:, m]
+        C[m:, L + m] = block.T @ wH[:, L + m]
+        if m > 0:
+            C[m:, L - m] = (-1) ** m * (block.T @ wH[:, L - m])
+    ls, ms = degree_order_arrays(L)
+    return C[ls, L + ms]
+
+
+@pytest.mark.parametrize("lmax", [1, 16, 64])
+def test_transforms_match_complex_upcast_loops(lmax):
+    # real blocks on stacked re/im sum in another order: equal to roundoff
+    grid = make_grid(lmax + 1)
+    f = random_expansion(lmax + 5, lmax, decay=1.0)
+    field = synthesize(f, grid)
+    ref = _synthesize_complex_upcast(f, grid)
+    assert np.max(np.abs(field.samples - ref)) <= 1e-13 * np.max(np.abs(ref))
+    back, ref = analyze(field, lmax).coeffs, _analyze_complex_upcast(field, lmax)
+    assert np.max(np.abs(back - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_round_trip_and_parseval_at_l256():
+    lmax = 256
+    grid = make_grid(lmax)
+    # packed m-major: (L+1)(L+2)/2 rows of n_theta doubles
+    assert grid.basis_table(lmax).nbytes == 68_162_568
+    f = random_expansion(256, lmax, decay=1.0)
+    field = synthesize(f, grid)
+    assert np.max(np.abs(analyze(field, lmax).coeffs - f.coeffs)) <= 1e-12
+    quad = quadrature_inner_product(field, field).real
+    assert abs(quad - hilbert_norm(f) ** 2) <= 1e-10 * hilbert_norm(f) ** 2
 
 
 def test_transform_tables_match_one_row_calls():
@@ -281,6 +355,22 @@ def test_suite_round_trip_matches_per_trial_loop(seed):
     assert abs(reports["round_trip"].lhs - rt) <= 1e-15
     assert abs(reports["parseval"].lhs - pv) <= 1e-15
     assert reports["round_trip"].passed and reports["parseval"].passed
+
+
+def _suite_transforms_peak(trials):
+    tracemalloc.start()
+    try:
+        reports = suite_transforms(32, trials, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    return peak
+
+
+def test_suite_transforms_memory_does_not_grow_with_trials():
+    # trials run in fixed blocks; one block held all 500 at 86.7 MB against 57.8 MB
+    assert _suite_transforms_peak(500) <= 1.1 * _suite_transforms_peak(50)
 
 
 def test_concurrent_reads_are_deterministic():
