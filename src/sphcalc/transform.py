@@ -169,7 +169,7 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     C = np.zeros((N.shape[0], 2, B), dtype=np.complex128)
     C[rows, slot] = sign[:, None] * coeffs.T
     Cr = C.reshape(-1, 2 * B).view(np.float64)
-    G = np.empty((L + 1, P, 2, B), dtype=np.complex128)
+    G = np.empty((L + 1, P, 2, B), dtype=np.complex128)  # [m, theta node, +m/-m, row]
     Gr = G.reshape(L + 1, P, 2 * B).view(np.float64)
     for m, block in _order_blocks(L):
         np.matmul(N[block].T, Cr[block], out=Gr[m])
@@ -196,7 +196,7 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     scale = 2.0 * math.pi / grid.n_phi
     H = scale * (samples.reshape(-1, grid.n_phi) @ grid.phases(L).conj().T)
     wH = (grid.w[:, None] * H.reshape(B, P, 2 * L + 1)).transpose(2, 1, 0)
-    W = np.empty((L + 1, P, 2, B), dtype=np.complex128)
+    W = np.empty((L + 1, P, 2, B), dtype=np.complex128)  # [m, theta node, +m/-m, row]
     W[:, :, 0] = wH[L:]
     W[:, :, 1] = wH[L::-1]
     Wr = W.reshape(L + 1, P, 2 * B).view(np.float64)
