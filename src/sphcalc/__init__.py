@@ -32,14 +32,12 @@ from .expansions import (
     DecayEstimate,
     HarmonicExpansion,
     HarmonicIndex,
-    NormProfile,
     SpherePoint,
     estimate_decay,
     graded_norm,
     graded_norms,
     hilbert_norm,
     load_expansion,
-    norm_profile,
     save_expansion,
 )
 from .legendre import (

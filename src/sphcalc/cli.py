@@ -157,9 +157,13 @@ class _Parser:
         if tok in st.OPERATORS:
             return st.OPERATORS[tok]()
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise ExpressionError(f"unknown operator {tok!r}") from None
+        # float() also reads nan, inf, Infinity and 1e999
+        if not math.isfinite(value):
+            raise ExpressionError(f"non-finite scalar {tok!r}")
+        return value
 
 
 def _require_op(value) -> Operator:

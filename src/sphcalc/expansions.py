@@ -179,17 +179,6 @@ class HarmonicExpansion:
 
 
 @dataclass(frozen=True)
-class NormProfile:
-    """Sequence of graded norms for orders ``0..N``."""
-
-    values: tuple[float, ...]
-
-    @property
-    def N(self) -> int:
-        return len(self.values) - 1
-
-
-@dataclass(frozen=True)
 class DecayEstimate:
     """Least-squares decay exponent of ``max_m |c_{l,m}|`` against ``l+1``."""
 
@@ -232,12 +221,6 @@ def graded_norm(f: HarmonicExpansion, n: int) -> float:
 def hilbert_norm(f: HarmonicExpansion) -> float:
     """Plain coefficient two-norm; equal to ``graded_norm(f, 0)``."""
     return graded_norm(f, 0)
-
-
-def norm_profile(f: HarmonicExpansion, N: int) -> NormProfile:
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return NormProfile(tuple(graded_norm(f, n) for n in range(N + 1)))
 
 
 def estimate_decay(f: HarmonicExpansion) -> DecayEstimate:

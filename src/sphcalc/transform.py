@@ -61,24 +61,28 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SphereGrid:
-    """Gauss-Legendre x equispaced-phi product grid declared for ``lmax``."""
+    """Gauss-Legendre x equispaced-phi product grid of degree ``lmax``.
 
-    __slots__ = ("lmax", "x", "w", "theta", "phi", "_tables", "_phases")
+    The degree fixes everything: ``lmax + 1`` Gauss-Legendre nodes in ``x =
+    cos(theta)`` and ``2*lmax + 2`` phi nodes ``2*pi*j/n_phi`` from 0, the
+    nodes on which the transforms' phi stage is an FFT.
+    """
 
-    def __init__(self, lmax: int, x, w, phi):
+    __slots__ = ("lmax", "x", "w", "theta", "phi", "_tables")
+
+    def __init__(self, lmax: int):
+        if lmax < 0:
+            raise ValueError("lmax must be >= 0")
         self.lmax = int(lmax)
-        self.x = np.asarray(x, dtype=np.float64)
-        self.w = np.asarray(w, dtype=np.float64)
-        self.phi = np.asarray(phi, dtype=np.float64)
+        n_theta, n_phi = _grid_shape(self.lmax)
+        self.x, self.w = gauss_legendre(n_theta)
+        self.phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         self.theta = np.arccos(np.clip(self.x, -1.0, 1.0))
         self._tables = {}
-        self._phases = {}
         if abs(self.w.sum() - 2.0) > 1e-13:
             raise ValueError("quadrature weights must sum to 2")
         if np.any(np.diff(self.x) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
-        if self.n_theta < self.lmax + 1 or self.n_phi < 2 * self.lmax + 1:
-            raise ValueError("grid too small for its declared lmax")
 
     @property
     def n_theta(self) -> int:
@@ -94,13 +98,6 @@ class SphereGrid:
             self._tables[lmax] = orthonormal_legendre_table(lmax, self.x)
         return self._tables[lmax]
 
-    def phases(self, lmax: int) -> np.ndarray:
-        """Cached ``exp(i*m*phi_j)``, rows ``m = -lmax..lmax``, columns the phi nodes."""
-        if lmax not in self._phases:
-            m = np.arange(-lmax, lmax + 1)
-            self._phases[lmax] = np.exp(1j * np.outer(m, self.phi))
-        return self._phases[lmax]
-
     def __repr__(self):
         return f"SphereGrid(lmax={self.lmax}, n_theta={self.n_theta}, n_phi={self.n_phi})"
 
@@ -111,12 +108,7 @@ def _grid_shape(lmax: int) -> tuple[int, int]:
 
 def make_grid(lmax: int) -> SphereGrid:
     """Minimal exact grid for degree ``lmax``: ``lmax+1`` x ``2*lmax+2`` nodes."""
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
-    n_theta, n_phi = _grid_shape(lmax)
-    x, w = gauss_legendre(n_theta)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return SphereGrid(lmax, x, w, phi)
+    return SphereGrid(lmax)
 
 
 class SampledField:
@@ -155,9 +147,10 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
 
     Separable evaluation: per order ``m``, one real product of the order's
     packed table block against the ``+m`` and ``-m`` coefficients of every
-    row, stacked as the float64 view of complex data; then one product with
-    the grid's cached phases.  Cubic cost in the degree, which is the
-    intended envelope at desk scale.
+    row, stacked as the float64 view of complex data; then order ``m`` goes
+    to FFT bin ``m mod n_phi`` and one unnormalised inverse FFT sums
+    ``exp(i*m*phi_j)`` over the equispaced phi nodes.  Cubic cost in the
+    degree, which is the intended envelope at desk scale.
     """
     B, K = coeffs.shape
     L = math.isqrt(K) - 1
@@ -173,17 +166,20 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     Gr = G.reshape(L + 1, P, 2 * B).view(np.float64)
     for m, block in _order_blocks(L):
         np.matmul(N[block].T, Cr[block], out=Gr[m])
-    G = np.concatenate([G[:0:-1, :, 1], G[:, :, 0]])  # orders -L..L
-    samples = G.reshape(2 * L + 1, P * B).T @ grid.phases(L)
-    return samples.reshape(P, B, grid.n_phi).transpose(1, 0, 2)
+    m = np.arange(L + 1)
+    F = np.zeros((B, P, grid.n_phi), dtype=np.complex128)  # [row, theta node, FFT bin]
+    F[..., m] = G[:, :, 0].transpose(2, 1, 0)
+    F[..., -m[1:]] = G[1:, :, 1].transpose(2, 1, 0)
+    return np.fft.ifft(F, axis=-1, norm="forward")
 
 
 def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarray:
     """Coefficient rows ``(B, K)`` of ``B`` sample tables ``(B, n_theta, n_phi)``.
 
-    The phi stage is one product over every batch row and theta node; the
-    per-order stage is one real product per order, as in
-    ``_synthesize_table``.
+    The phi stage is one FFT over every batch row and theta node, whose bins
+    ``m`` and ``-m mod n_phi`` are the trapezoid sums against
+    ``exp(-+i*m*phi_j)``; the per-order stage is one real product per order,
+    as in ``_synthesize_table``.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
@@ -194,12 +190,10 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     P = grid.n_theta
     N = grid.basis_table(L)
     scale = 2.0 * math.pi / grid.n_phi
-    H = scale * (samples.reshape(-1, grid.n_phi) @ grid.phases(L).conj().T)
-    wH = (grid.w[:, None] * H.reshape(B, P, 2 * L + 1)).transpose(2, 1, 0)
-    W = np.empty((L + 1, P, 2, B), dtype=np.complex128)  # [m, theta node, +m/-m, row]
-    W[:, :, 0] = wH[L:]
-    W[:, :, 1] = wH[L::-1]
-    Wr = W.reshape(L + 1, P, 2 * B).view(np.float64)
+    m = np.arange(L + 1)
+    H = scale * np.fft.fft(samples, axis=-1)[..., np.stack([m, -m], axis=1)]
+    W = (grid.w[:, None, None] * H).transpose(2, 1, 3, 0)  # [m, theta node, +m/-m, row]
+    Wr = np.ascontiguousarray(W).reshape(L + 1, P, 2 * B).view(np.float64)
     C = np.empty((N.shape[0], 2, B), dtype=np.complex128)
     Cr = C.reshape(-1, 2 * B).view(np.float64)
     for m, block in _order_blocks(L):
@@ -253,22 +247,22 @@ def quadrature_inner_product(fa: SampledField, fb: SampledField) -> complex:
 def orthonormality_check(lmax: int) -> BoundReport:
     """Gram matrix of the orthonormal basis by quadrature, against identity.
 
-    The phi factor of every Gram entry is itself computed by the trapezoid
-    sum, so the reported deviation is the true quadrature deviation.
+    The theta factor of every Gram entry comes from the grid's table; the
+    phi factor is the trapezoid sum ``sum_j exp(i*(m'-m)*phi_j)``, computed
+    for each order difference, so the reported deviation is the true
+    quadrature deviation.
     """
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
     grid = make_grid(lmax)
-    ls, ms = degree_order_arrays(lmax)
-    K = ls.size
+    rows, _, sign = _packed_map(lmax)
     # T[i, k] = basis function k at theta node i and phi = 0: its real theta factor
-    T = orthonormal_sh_values(lmax, grid.x, 0.0).real
+    T = (sign[:, None] * grid.basis_table(lmax)[rows]).T
     theta_gram = T.T @ (grid.w[:, None] * T)
     scale = 2.0 * math.pi / grid.n_phi
-    phases = grid.phases(lmax)
-    phi_gram = scale * (phases.conj() @ phases.T)  # [m + lmax, m' + lmax]
-    gram = theta_gram * phi_gram[np.ix_(ms + lmax, ms + lmax)]
-    dev = float(np.max(np.abs(gram - np.eye(K))))
+    d = np.arange(-2 * lmax, 2 * lmax + 1)
+    phi_sum = scale * np.exp(1j * np.outer(d, grid.phi)).sum(axis=1)  # [m' - m + 2*lmax]
+    _, ms = degree_order_arrays(lmax)
+    gram = theta_gram * phi_sum[ms[None, :] - ms[:, None] + 2 * lmax]
+    dev = float(np.max(np.abs(gram - np.eye(ms.size))))
     return BoundReport(
         check="orthonormality",
         anchor="integral of conj(Y_l^m) (l+1/2) Y_l'^m' over the sphere = delta_ll' delta_mm'",

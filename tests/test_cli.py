@@ -95,6 +95,19 @@ def test_apply_command_parse_error(tmp_path):
     assert main(["apply", "--op", "Q?", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "Infinity", "1e999"])
+@pytest.mark.parametrize("nonzero", [False, True], ids=["zero-document", "unit-document"])
+def test_apply_non_finite_scalar_is_usage_error(tmp_path, capsys, token, nonzero):
+    # float() read these tokens: exit 0 on a zero document, a blamed (0,0) mode otherwise
+    path = tmp_path / "in.json"
+    save_expansion(HarmonicExpansion.unit(0, 0, 1) if nonzero else HarmonicExpansion.zeros(1), path)
+    code = main(["apply", "--op", f"{token}*L", "--in", str(path), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: non-finite scalar {token!r}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_transform_round_trip(tmp_path):
     from sphcalc.bounds import random_expansion
 

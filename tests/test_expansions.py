@@ -15,7 +15,6 @@ from sphcalc import (
     graded_norms,
     hilbert_norm,
     load_expansion,
-    norm_profile,
     save_expansion,
 )
 from sphcalc.expansions import CoefficientFileError, INCONCLUSIVE, RAPID_DECAY, SLOW_DECAY
@@ -88,12 +87,13 @@ def test_graded_norms_rows_equal_graded_norm_bitwise():
 
 
 def test_norm_profile_examples():
+    # the graded norms of orders 0..N
     f = HarmonicExpansion.unit(1, 0)
-    assert norm_profile(f, 3).values == pytest.approx([1.0, 2.0, 4.0, 8.0])
+    assert [graded_norm(f, n) for n in range(4)] == pytest.approx([1.0, 2.0, 4.0, 8.0])
     z = HarmonicExpansion.zeros(2)
-    assert norm_profile(z, 2).values == (0.0, 0.0, 0.0)
+    assert [graded_norm(z, n) for n in range(3)] == [0.0, 0.0, 0.0]
     g = HarmonicExpansion.unit(2, 1)
-    assert norm_profile(g, 2).values == pytest.approx([1.0, 4.0, 16.0])
+    assert [graded_norm(g, n) for n in range(3)] == pytest.approx([1.0, 4.0, 16.0])
 
 
 def test_hilbert_norm():
@@ -119,7 +119,7 @@ def test_norm_family_properties(trial):
 
     f = random_expansion((900, trial), 9, decay=2.0)
     g = random_expansion((901, trial), 9, decay=2.0)
-    profile = norm_profile(f, 5).values
+    profile = [graded_norm(f, n) for n in range(6)]
     assert all(a <= b * (1 + 1e-15) for a, b in zip(profile, profile[1:]))
     alpha = 0.37 - 1.2j
     for n in (0, 2, 4):

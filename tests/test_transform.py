@@ -212,32 +212,34 @@ def _order_block(N, L, m):
 
 def _synthesize_per_order(f, grid):
     # one expansion, order by order: the real block against the +m and -m
-    # coefficients stacked as float64 re/im, then the phases
+    # coefficients stacked as float64 re/im into FFT bins m and -m, then the
+    # inverse FFT over phi
     L = f.lmax
     N = grid.basis_table(L)
     C = f.to_matrix()
-    G = np.zeros((2 * L + 1, grid.n_theta), dtype=np.complex128)
+    F = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
     for m in range(L + 1):
         rhs = np.zeros((L + 1 - m, 2), dtype=np.complex128)
         rhs[:, 0] = C[m:, L + m]
         if m > 0:
             rhs[:, 1] = (-1) ** m * C[m:, L - m]
         out = (_order_block(N, L, m).T @ rhs.view(np.float64)).view(np.complex128)
-        G[L + m] = out[:, 0]
+        F[:, m] = out[:, 0]
         if m > 0:
-            G[L - m] = out[:, 1]
-    return G.T @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi))
+            F[:, -m] = out[:, 1]
+    return np.fft.ifft(F, axis=-1, norm="forward")
 
 
 def _analyze_per_order(field, L):
     grid = field.grid
     scale = 2.0 * math.pi / grid.n_phi
-    H = scale * (field.samples @ np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phi)).conj().T)
+    # FFT bin m holds the trapezoid sum against exp(-i*m*phi), bin -m the +m one
+    H = scale * np.fft.fft(field.samples, axis=-1)
     N = grid.basis_table(L)
     wH = grid.w[:, None] * H
     C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
     for m in range(L + 1):
-        rhs = np.stack([wH[:, L + m], wH[:, L - m]], axis=1)
+        rhs = np.stack([wH[:, m], wH[:, -m]], axis=1)
         out = (_order_block(N, L, m) @ rhs.view(np.float64)).view(np.complex128)
         C[m:, L + m] = out[:, 0]
         if m > 0:
@@ -294,10 +296,16 @@ def _analyze_complex_upcast(field, L):
     return C[ls, L + ms]
 
 
-@pytest.mark.parametrize("lmax", [1, 16, 64])
-def test_transforms_match_complex_upcast_loops(lmax):
-    # real blocks on stacked re/im sum in another order: equal to roundoff
-    grid = make_grid(lmax + 1)
+@pytest.mark.parametrize(
+    "lmax, grid_lmax",
+    [(1, 2), (16, 17), (64, 65), (16, 35)],
+    ids=["1", "16", "64", "16-on-35"],
+)
+def test_transforms_match_complex_upcast_loops(lmax, grid_lmax):
+    # real blocks on stacked re/im and an FFT phi stage sum in another order
+    # than these loops and their explicit phases: equal to roundoff; the grid
+    # of degree 35 leaves empty FFT bins between +lmax and n_phi - lmax
+    grid = make_grid(grid_lmax)
     f = random_expansion(lmax + 5, lmax, decay=1.0)
     field = synthesize(f, grid)
     ref = _synthesize_complex_upcast(f, grid)
