@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -254,14 +255,33 @@ def estimate_decay(f: HarmonicExpansion) -> DecayEstimate:
 # ---------------------------------------------------------------------------
 # coefficient document I/O (single JSON document, canonical (l, m) ordering)
 
+# records per write: the text held at once stays bounded whatever the lmax
+_RECORDS_PER_BLOCK = 4096
+# json.dump(indent=1) layout of one record; %r of a float is float.__repr__, as in json
+_RECORD = '  {\n   "l": %r,\n   "m": %r,\n   "re": %r,\n   "im": %r\n  }'
+_RECORD_FIELDS = operator.itemgetter("l", "m", "re", "im")
+
+
 def save_expansion(f: HarmonicExpansion, path) -> None:
-    records = [
-        {"l": l, "m": m, "re": c.real, "im": c.imag} for (l, m), c in f.items()
-    ]
-    doc = {"lmax": f.lmax, "basis": BASIS_TAG, "coefficients": records}
+    """Write ``f`` as an indented JSON coefficient document.
+
+    The bytes are those of ``json.dump(indent=1)`` on the document object
+    plus a final newline, pinned by tests to the per-record reference writer
+    in ``tests/reference_io.py``; the text is built from whole columns, in
+    blocks of ``_RECORDS_PER_BLOCK`` records.
+    """
+    ls, ms = degree_order_arrays(f.lmax)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "lmax": %s,\n "basis": %s,\n "coefficients": [\n'
+                 % (json.dumps(f.lmax), json.dumps(BASIS_TAG)))
+        for start in range(0, f.coeffs.size, _RECORDS_PER_BLOCK):
+            block = slice(start, start + _RECORDS_PER_BLOCK)
+            c = f.coeffs[block]
+            columns = (ls[block].tolist(), ms[block].tolist(), c.real.tolist(), c.imag.tolist())
+            if start:
+                fh.write(",\n")
+            fh.write(",\n".join(map(_RECORD.__mod__, zip(*columns))))
+        fh.write("\n ]\n}\n")
 
 
 def _is_int(value) -> bool:
@@ -276,11 +296,25 @@ def _is_finite_number(value) -> bool:
 
 
 def load_expansion(path) -> HarmonicExpansion:
+    """Read a JSON coefficient document, validating every record.
+
+    Accepts and rejects the same documents, with the same messages, as the
+    per-record reference reader in ``tests/reference_io.py``, and loads the
+    same bits.  Records are checked as whole columns; a document that fails
+    any column check goes through the per-record loop, which names the first
+    bad record.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CoefficientFileError(f"{path}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CoefficientFileError(f"{path}: not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise CoefficientFileError(f"{path}: arrays or objects nested too deeply") from exc
+        except ValueError as exc:  # int() refuses a JSON integer past its digit limit
+            raise CoefficientFileError(f"{path}: integer too long: {exc}") from exc
     if not isinstance(doc, dict):
         raise CoefficientFileError(f"{path}: top level must be an object, not {type(doc).__name__}")
     for key in ("lmax", "basis", "coefficients"):
@@ -303,6 +337,48 @@ def load_expansion(path) -> HarmonicExpansion:
             f"{path}: {len(records)} records for lmax={lmax}, expected {size}:"
             " entries missing or surplus"
         )
+    coeffs = _columns_to_coefficients(records, lmax)
+    if coeffs is None:
+        coeffs = _records_to_coefficients(path, records, lmax)
+    return HarmonicExpansion(lmax, coeffs)
+
+
+def _columns_to_coefficients(records: list, lmax: int) -> np.ndarray | None:
+    """Flat coefficients of ``(lmax+1)**2`` records, checked as whole columns.
+
+    ``None`` unless every record has integer ``l``, ``m`` in range, finite
+    float ``re``, ``im`` and no ``(l, m)`` repeats: such documents, and valid
+    ones with integer amplitudes, go through ``_records_to_coefficients``.
+    """
+    try:
+        l, m, re, im = zip(*map(_RECORD_FIELDS, records))
+    except (KeyError, TypeError):
+        return None
+    if {*map(type, l), *map(type, m)} != {int} or {*map(type, re), *map(type, im)} != {float}:
+        return None
+    try:
+        ls = np.array(l, dtype=np.int64)
+        ms = np.array(m, dtype=np.int64)
+    except OverflowError:
+        return None
+    values = np.array([re, im], dtype=np.float64)
+    # -ls <= ms, not abs(ms) <= ls: abs wraps at the most negative int64
+    if not (np.all((ls >= 0) & (ls <= lmax) & (ms >= -ls) & (ms <= ls))
+            and np.all(np.isfinite(values))):
+        return None
+    pos = flat_index(ls, ms)
+    seen = np.zeros(ls.size, dtype=bool)
+    seen[pos] = True
+    if not seen.all():  # as many records as slots: a repeat leaves a slot empty
+        return None
+    coeffs = np.empty(ls.size, dtype=np.complex128)
+    coeffs.real[pos], coeffs.imag[pos] = values
+    return coeffs
+
+
+def _records_to_coefficients(path, records: list, lmax: int) -> np.ndarray:
+    """Per-record loop: the flat coefficients, or the first bad record's error."""
+    size = len(records)
     coeffs = np.zeros(size, dtype=np.complex128)
     seen = np.zeros(size, dtype=bool)
     for k, rec in enumerate(records):
@@ -320,4 +396,4 @@ def load_expansion(path) -> HarmonicExpansion:
         seen[pos] = True
         coeffs[pos] = complex(re, im)
     # size distinct in-range records leave no (l, m) missing
-    return HarmonicExpansion(lmax, coeffs)
+    return coeffs

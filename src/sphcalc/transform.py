@@ -8,6 +8,7 @@ makes analyse/synthesise an exact round trip on band-limited data.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -287,20 +288,86 @@ def completeness_kernel(lmax: int, p, q) -> complex:
 # sampled-field document I/O: '#' metadata header, then theta,phi,re,im rows
 
 def save_field(field: SampledField, path) -> None:
+    """Write the samples as a ``#`` header and one ``theta,phi,re,im`` row per node.
+
+    Every double is written with ``repr``; the bytes are pinned by tests to
+    the per-row reference writer in ``tests/reference_io.py``.  The text is
+    built from whole columns and written one theta row at a time.
+    """
     grid = field.grid
+    phis = [repr(phi) for phi in grid.phi.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# grid lmax={grid.lmax} n_theta={grid.n_theta} n_phi={grid.n_phi}\n")
         fh.write("# columns theta,phi,re,im\n")
-        for i in range(grid.n_theta):
-            for j in range(grid.n_phi):
-                v = field.samples[i, j]
-                fh.write(
-                    f"{float(grid.theta[i])!r},{float(grid.phi[j])!r},"
-                    f"{float(v.real)!r},{float(v.imag)!r}\n"
-                )
+        for theta, row in zip(grid.theta.tolist(), field.samples):
+            line = f"{theta!r},%s,%r,%r\n"
+            fh.write("".join(map(line.__mod__, zip(phis, row.real.tolist(), row.imag.tolist()))))
+
+
+def _header_lmax(path, lineno: int, line: str, lmax):
+    """The last ``lmax=`` token of a stripped ``#`` line, else ``lmax`` unchanged."""
+    for token in line[1:].split():
+        if token.startswith("lmax="):
+            try:
+                lmax = int(token[5:])
+            except ValueError:
+                raise FieldFileError(f"{path}:{lineno}: non-integer {token!r}") from None
+    return lmax
 
 
 def load_field(path) -> SampledField:
+    """Read a sampled-field document onto the grid its header declares.
+
+    Accepts and rejects the same documents, with the same messages, as the
+    per-line reference reader in ``tests/reference_io.py``, and loads the
+    same bits.  After the leading ``#`` lines the body is parsed as one
+    array by ``np.loadtxt``, which reads a subset of what ``float`` reads and
+    rounds the same way, and checked as whole columns; a document that fails
+    any bulk step is read again line by line, which accepts it as before or
+    names the first bad line.  Bytes that are not UTF-8 are reported with
+    the line they fall on.
+    """
+    try:
+        field = _load_field_bulk(path)
+        return field if field is not None else _load_field_lines(path)
+    except UnicodeDecodeError as exc:
+        raise FieldFileError(_decode_error_message(path)) from exc
+
+
+def _load_field_bulk(path) -> SampledField | None:
+    """The field read as one array, or ``None`` where the line loop must decide."""
+    lmax = None
+    body = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text.startswith("#"):
+                lmax = _header_lmax(path, lineno, text, lmax)
+            elif text:
+                # comments=None: a later '#' line fails the parse, so only
+                # the line loop reads a header past the first row
+                try:
+                    body = np.loadtxt(itertools.chain([line], fh), dtype=np.float64,
+                                      delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    return None
+                break
+    if body is None or lmax is None or lmax < 0:
+        return None
+    # make_grid costs O(lmax^2), so the header must first agree with the rows
+    n_theta, n_phi = _grid_shape(lmax)
+    if body.shape != (n_theta * n_phi, 4) or not np.all(np.isfinite(body)):
+        return None
+    grid = make_grid(lmax)
+    body = body.reshape(n_theta, n_phi, 4)
+    if (np.any(np.abs(body[..., 0] - grid.theta[:, None]) > 1e-9)
+            or np.any(np.abs(body[..., 1] - grid.phi[None, :]) > 1e-9)):
+        return None
+    return SampledField(grid, np.ascontiguousarray(body[..., 2:]).view(np.complex128)[..., 0])
+
+
+def _load_field_lines(path) -> SampledField:
+    """Per-line loop: the field, or the first bad line's error."""
     lmax = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -309,12 +376,7 @@ def load_field(path) -> SampledField:
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("lmax="):
-                        try:
-                            lmax = int(token[5:])
-                        except ValueError:
-                            raise FieldFileError(f"{path}:{lineno}: non-integer {token!r}") from None
+                lmax = _header_lmax(path, lineno, line, lmax)
                 continue
             parts = line.split(",")
             if len(parts) != 4:
@@ -342,3 +404,17 @@ def load_field(path) -> SampledField:
             raise FieldFileError(f"{path}: row {k} nodes do not match the declared grid")
         samples[i, j] = complex(re, im)
     return SampledField(grid, samples)
+
+
+def _decode_error_message(path) -> str:
+    """``path:line`` of the first byte sequence that is not UTF-8, counting
+    lines as text-mode reading does (``\\n``, ``\\r\\n`` or a lone ``\\r``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        lineno = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        return f"{path}:{lineno}: not UTF-8 text: byte {data[exc.start]:#04x}: {exc.reason}"
+    return f"{path}: not UTF-8 text"

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from sphcalc.cli import (
     main,
     parse_operator,
 )
+
+import reference_io
 
 
 def write_unit(tmp_path, l, m, lmax=None, name="in.json"):
@@ -283,6 +286,140 @@ def test_malformed_documents_exit_cleanly(tmp_path_factory, data):
     else:
         assert code == EXIT_USAGE
         assert text.startswith("error:") and text.count("\n") == 1 and str(path) in text
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hs.data())
+def test_coefficient_reader_matches_reference_on_damaged_documents(tmp_path_factory, data):
+    lmax = data.draw(hs.integers(0, 2))
+    finite = hs.floats(allow_nan=False, allow_infinity=False)
+    doc = _document(lmax, [
+        {"l": l, "m": m, "re": data.draw(finite), "im": data.draw(finite)}
+        for l in range(lmax + 1) for m in range(-l, l + 1)
+    ])
+    for _ in range(data.draw(hs.integers(0, 3))):
+        _mutate(data, doc)
+    path = tmp_path_factory.mktemp("doc") / "in.json"
+    path.write_text(json.dumps(doc))
+    assert reference_io.outcome(load_expansion, path) == reference_io.outcome(
+        reference_io.load_expansion, path)
+
+
+def _records_with(k, **fields):
+    records = [dict(rec) for rec in _LMAX1_RECORDS]
+    records[k].update(fields)
+    return records
+
+
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
+# valid documents the column checks pass or leave to the record loop, and one
+# document per record fault; every one must read the same as the reference
+COEFFICIENT_VARIANTS = {
+    "as-written": _document(1, _LMAX1_RECORDS),
+    "shuffled": _document(1, _LMAX1_RECORDS[::-1]),
+    "extra-key": _document(1, _records_with(1, note="x")),
+    "signed-zero-and-subnormal": _document(1, _records_with(2, re=-0.0, im=5e-324)),
+    "integer-amplitudes": _document(1, _records_with(3, re=2, im=-7)),
+    "integer-at-double-max": _document(1, _records_with(3, re=_FLOAT_MAX_INT)),
+    "integer-past-double-max": _document(1, _records_with(3, re=_FLOAT_MAX_INT + 1)),
+    "integer-past-double-range": _document(1, _records_with(3, im=10**400)),
+    "missing-record": _document(1, _LMAX1_RECORDS[:3]),
+    "surplus-record": _document(1, [*_LMAX1_RECORDS, _LMAX1_RECORDS[0]]),
+    "duplicate-record": _document(1, [*_LMAX1_RECORDS[:3], _LMAX1_RECORDS[1]]),
+    "missing-key": _document(1, [*_LMAX1_RECORDS[:3], {"l": 1, "m": 1, "re": 0.0}]),
+    "record-list": _document(1, [*_LMAX1_RECORDS[:3], [1, 1, 0.0, 0.0]]),
+    "record-null": _document(1, [*_LMAX1_RECORDS[:3], None]),
+    "degree-float": _document(1, _records_with(1, l=1.0)),
+    "degree-boolean": _document(1, _records_with(1, l=True)),
+    "degree-string": _document(1, _records_with(1, l="1")),
+    "order-float": _document(1, _records_with(2, m=0.0)),
+    "order-out-of-range": _document(1, _records_with(3, m=2)),
+    "degree-out-of-range": _document(1, _records_with(3, l=2)),
+    "degree-negative": _document(1, _records_with(0, l=-1, m=0)),
+    "order-most-negative-int64": _document(1, _records_with(3, m=-(2**63))),
+    "degree-past-int64": _document(1, _records_with(3, l=2**70)),
+    "amplitude-nan": _document(1, _records_with(1, re=float("nan"))),
+    "amplitude-infinity": _document(1, _records_with(2, im=float("-inf"))),
+    "amplitude-string": _document(1, _records_with(2, im="0.5")),
+    "amplitude-boolean": _document(1, _records_with(0, re=False)),
+    "amplitude-null": _document(1, _records_with(0, im=None)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(COEFFICIENT_VARIANTS))
+def test_coefficient_reader_matches_reference_reader(tmp_path, variant):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(COEFFICIENT_VARIANTS[variant]))
+    assert reference_io.outcome(load_expansion, path) == reference_io.outcome(
+        reference_io.load_expansion, path)
+
+
+def test_coefficient_overflowing_literal_matches_reference_reader(tmp_path):
+    # 1e999 parses as an infinite float, which the column checks hand back
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_document(1, _LMAX1_RECORDS)).replace("1.0", "1e999", 1))
+    expected = reference_io.outcome(reference_io.load_expansion, path)
+    assert expected[0] == "error"
+    assert reference_io.outcome(load_expansion, path) == expected
+
+
+def test_clean_coefficient_document_skips_the_record_loop(tmp_path, monkeypatch):
+    def no_loop(path, records, lmax):
+        raise AssertionError("record loop ran for a clean document")
+
+    monkeypatch.setattr("sphcalc.expansions._records_to_coefficients", no_loop)
+    path = tmp_path / "in.json"
+    f = HarmonicExpansion(2, np.arange(9) * (1.0 - 0.5j))
+    save_expansion(f, path)
+    assert load_expansion(path).coeffs.tobytes() == f.coeffs.tobytes()
+
+
+def _cli_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+def test_deeply_nested_coefficient_document_is_usage_error(tmp_path, command):
+    # 100,000 nested arrays once escaped as a RecursionError traceback with exit 1
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    argv = (["apply", "--op", "L", "--in", str(bad), "--out", str(tmp_path / "o.json")]
+            if command == "apply" else ["eval", "--in", str(bad), "--theta", "0.1", "--phi", "0.2"])
+    code, err = _cli_error(argv)
+    assert code == EXIT_USAGE
+    assert err == f"error: {bad}: arrays or objects nested too deeply\n"
+
+
+def test_non_utf8_coefficient_document_names_the_path(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"lmax": 0, "basis": "\xff"}')
+    code, err = _cli_error(["apply", "--op", "L", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {bad}: not UTF-8 text:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows_before", [1, 2000], ids=["first-read", "past-first-read"])
+def test_non_utf8_field_document_names_the_line(tmp_path, rows_before):
+    # 2,000 rows put the bad byte past the first block that text-mode reading decodes
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"# grid lmax=0\r\n# columns theta,phi,re,im\r" + b"0.5,0.0,1.0,0.0\n" * rows_before
+                    + b"0.5,\xff,1.0,0.0\n")
+    code, err = _cli_error(["transform", "analyze", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert err == f"error: {bad}:{rows_before + 3}: not UTF-8 text: byte 0xff: invalid start byte\n"
+
+
+def test_overlong_integer_in_coefficient_document_names_the_path(tmp_path):
+    # 5,000 digits is past int()'s default limit of 4,300
+    bad = tmp_path / "long.json"
+    bad.write_text('{"lmax": ' + "1" * 5000 + ', "basis": "sqrt(l+1/2)Y", "coefficients": []}')
+    code, err = _cli_error(["apply", "--op", "L", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {bad}: integer too long:") and err.count("\n") == 1
 
 
 def test_memory_exhaustion_is_usage_error(monkeypatch, capsys):

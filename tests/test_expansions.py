@@ -19,6 +19,8 @@ from sphcalc import (
 )
 from sphcalc.expansions import CoefficientFileError, INCONCLUSIVE, RAPID_DECAY, SLOW_DECAY
 
+import reference_io
+
 
 def test_index_invariants():
     HarmonicIndex(3, -3)
@@ -196,6 +198,33 @@ def test_coefficient_file_round_trip_is_bit_exact(tmp_path_factory, values):
     g = load_expansion(path)
     assert g.lmax == f.lmax
     assert g.coeffs.view(np.float64).tobytes() == f.coeffs.view(np.float64).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    hs.integers(0, 3).flatmap(
+        lambda lmax: hs.lists(COMPLEX, min_size=(lmax + 1) ** 2, max_size=(lmax + 1) ** 2)
+    )
+)
+def test_save_expansion_bytes_match_reference_writer(tmp_path_factory, values):
+    f = HarmonicExpansion(math.isqrt(len(values)) - 1, values)
+    folder = tmp_path_factory.mktemp("doc")
+    save_expansion(f, folder / "new.json")
+    reference_io.save_expansion(f, folder / "reference.json")
+    assert (folder / "new.json").read_bytes() == (folder / "reference.json").read_bytes()
+
+
+def test_coefficient_document_at_lmax_128_matches_reference(tmp_path):
+    # the benchmark's document size: 16,641 records, more than one write block
+    rng = np.random.default_rng(128)
+    K = 129**2
+    f = HarmonicExpansion(128, rng.standard_normal(K) + 1j * rng.standard_normal(K))
+    save_expansion(f, tmp_path / "new.json")
+    reference_io.save_expansion(f, tmp_path / "reference.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    expected = reference_io.outcome(reference_io.load_expansion, tmp_path / "reference.json")
+    assert expected[0] == "ok"
+    assert reference_io.outcome(load_expansion, tmp_path / "reference.json") == expected
 
 
 def test_coefficient_file_errors(tmp_path):

@@ -31,6 +31,8 @@ from sphcalc.cli import suite_transforms
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 
+import reference_io
+
 
 def test_gauss_legendre_small_closed_forms():
     x, w = gauss_legendre(1)
@@ -430,6 +432,143 @@ def test_field_file_round_trip_is_bit_exact(tmp_path_factory, values):
     save_field(field, path)
     loaded = load_field(path)
     assert loaded.samples.view(np.float64).tobytes() == field.samples.view(np.float64).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hs.integers(0, 2).flatmap(lambda lmax: hs.lists(
+    hs.builds(complex, FINITE, FINITE), min_size=2 * (lmax + 1) ** 2, max_size=2 * (lmax + 1) ** 2
+)))
+def test_save_field_bytes_match_reference_writer(tmp_path_factory, values):
+    lmax = math.isqrt(len(values) // 2) - 1
+    grid = make_grid(lmax)
+    field = SampledField(grid, np.reshape(values, (grid.n_theta, grid.n_phi)))
+    folder = tmp_path_factory.mktemp("doc")
+    save_field(field, folder / "new.csv")
+    reference_io.save_field(field, folder / "reference.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def test_field_document_at_lmax_128_matches_reference(tmp_path):
+    # the benchmark's document size: 129 x 258 rows
+    field = synthesize(random_expansion(128, 128, decay=1.0), make_grid(128))
+    save_field(field, tmp_path / "new.csv")
+    reference_io.save_field(field, tmp_path / "reference.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    expected = reference_io.outcome(reference_io.load_field, tmp_path / "reference.csv")
+    assert expected[0] == "ok"
+    assert reference_io.outcome(load_field, tmp_path / "reference.csv") == expected
+
+
+@pytest.fixture(scope="module")
+def field_text(tmp_path_factory):
+    """A saved lmax-1 field document: two header lines, then 8 rows, one of them -0.0."""
+    field = synthesize(random_expansion(12, 1, decay=1.0), make_grid(1))
+    field.samples[0, 1] = -0.0
+    path = tmp_path_factory.mktemp("field") / "base.csv"
+    reference_io.save_field(field, path)
+    return path.read_text(encoding="utf-8")
+
+
+def _set(text, row, column, value):
+    """``text`` with field ``column`` of body row ``row`` set to ``value``."""
+    lines = text.splitlines(keepends=True)
+    parts = lines[2 + row].rstrip("\n").split(",")
+    parts[column] = value
+    lines[2 + row] = ",".join(parts) + "\n"
+    return "".join(lines)
+
+
+def _shift(text, row, column, delta):
+    """``text`` with field ``column`` of body row ``row`` moved by ``delta``."""
+    value = float(text.splitlines()[2 + row].split(",")[column])
+    return _set(text, row, column, repr(value + delta))
+
+
+def _lines(edit):
+    """A variant built from the document's lines ``h`` (header) and ``b`` (body)."""
+    def variant(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(edit(lines[:2], lines[2:]))
+    return variant
+
+
+# valid documents with odd formatting, and malformed ones; every variant must
+# read the same from the bulk reader and the per-line reference
+FIELD_VARIANTS = {
+    "as-written": lambda t: t,
+    "blank-lines": _lines(lambda h, b: [h[0], "\n", h[1], *b[:3], "\n", "   \n", *b[3:], "\n"]),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone-cr": lambda t: t.replace("\n", "\r"),
+    "no-final-newline": lambda t: t.rstrip("\n"),
+    "mid-body-comment": _lines(lambda h, b: [*h, *b[:3], "# a note\n", *b[3:]]),
+    "mid-body-same-lmax": _lines(lambda h, b: [*h, *b[:3], "# lmax=1\n", *b[3:]]),
+    "mid-body-other-lmax": _lines(lambda h, b: [*h, *b[:3], "# grid lmax=2\n", *b[3:]]),
+    "second-lmax-header": _lines(lambda h, b: ["# grid lmax=0\n", *h, *b]),
+    "header-after-body": _lines(lambda h, b: [*b, *h]),
+    "no-header": _lines(lambda h, b: b),
+    "header-lmax-text": _lines(lambda h, b: ["# grid lmax=one\n", h[1], *b]),
+    "header-lmax-negative": _lines(lambda h, b: ["# grid lmax=-1\n", h[1], *b]),
+    "header-lmax-underscore": _lines(lambda h, b: ["# grid lmax=0_1\n", h[1], *b]),
+    "trailing-comment": _lines(lambda h, b: [*h, b[0].rstrip("\n") + " # note\n", *b[1:]]),
+    "spaces-around-fields": _lines(
+        lambda h, b: [*h, " " + b[0].rstrip("\n").replace(",", " , ") + " \n", *b[1:]]),
+    "tabs-around-fields": _lines(lambda h, b: [*h, "\t" + b[0].replace(",", "\t,"), *b[1:]]),
+    "nbsp-around-field": lambda t: _set(t, 1, 2, "\xa00.5\xa0"),
+    "bom": lambda t: "﻿" + t,
+    "bom-on-row": _lines(lambda h, b: [*h, "﻿" + b[0], *b[1:]]),
+    "three-fields": _lines(lambda h, b: [*h, *b[:2], ",".join(b[2].split(",")[:3]) + "\n", *b[3:]]),
+    "five-fields": _lines(lambda h, b: [*h, *b[:2], b[2].rstrip("\n") + ",0.0\n", *b[3:]]),
+    "every-row-three-fields": _lines(
+        lambda h, b: [*h, *(",".join(line.split(",")[:3]) + "\n" for line in b)]),
+    "trailing-comma": _lines(lambda h, b: [*h, b[0].rstrip("\n") + ",\n", *b[1:]]),
+    "one-row-short": _lines(lambda h, b: [*h, *b[:-1]]),
+    "one-row-over": _lines(lambda h, b: [*h, *b, b[-1]]),
+    "phi-off-grid": lambda t: _set(t, 6, 1, "0.5"),
+    "theta-off-grid": lambda t: _shift(t, 5, 0, 2e-9),
+    "theta-within-tolerance": lambda t: _shift(t, 5, 0, 5e-10),
+    **{f"value-{token!r}": (lambda token: lambda t: _set(t, 2, 3, token))(token)
+       for token in ["+1e0", "1.", ".5", "1_0", "1e-400", "-0.0", "5e-324", "1e999", "0x1p3", "",
+                     " ", "1e", "١", "1.0\x00", "Infinity", "1 0"]},
+    **{f"column-{column}-{token}": (lambda column, token: lambda t: _set(t, 3, column, token))(
+        column, token) for column in range(4) for token in ["nan", "inf", "-inf", "NaN"]},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(FIELD_VARIANTS))
+def test_field_reader_matches_reference_reader(tmp_path, field_text, variant):
+    path = tmp_path / "field.csv"
+    path.write_bytes(FIELD_VARIANTS[variant](field_text).encode("utf-8"))
+    assert reference_io.outcome(load_field, path) == reference_io.outcome(reference_io.load_field, path)
+
+
+FIELD_PIECES = hs.sampled_from([",", " ", "#", "\r", "\n", "\t", "e", "+", "-", ".", "_", "0", "1",
+                                "9", "nan", "inf", "lmax=", "=", "x", "\x00", "\xa0", "﻿",
+                                "١"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(hs.data())
+def test_field_reader_matches_reference_on_damaged_text(tmp_path_factory, field_text, data):
+    text = field_text
+    for _ in range(data.draw(hs.integers(1, 3))):
+        at = data.draw(hs.integers(0, len(text)))
+        if data.draw(hs.booleans()):
+            text = text[:at] + "".join(data.draw(hs.lists(FIELD_PIECES, min_size=1, max_size=3))) + text[at:]
+        else:
+            text = text[:at] + text[at + data.draw(hs.integers(1, 8)):]
+    path = tmp_path_factory.mktemp("doc") / "field.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert reference_io.outcome(load_field, path) == reference_io.outcome(reference_io.load_field, path)
+
+
+def test_clean_field_document_skips_the_line_loop(tmp_path, monkeypatch, field_text):
+    def no_loop(path):
+        raise AssertionError("line loop ran for a clean document")
+
+    monkeypatch.setattr("sphcalc.transform._load_field_lines", no_loop)
+    path = tmp_path / "field.csv"
+    path.write_text(field_text, encoding="utf-8")
+    assert reference_io.outcome(load_field, path) == reference_io.outcome(reference_io.load_field, path)
 
 
 def test_field_file_errors(tmp_path):
