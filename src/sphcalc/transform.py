@@ -8,8 +8,10 @@ makes analyse/synthesise an exact round trip on band-limited data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -325,17 +327,32 @@ def load_field(path) -> SampledField:
     rounds the same way, and checked as whole columns; a document that fails
     any bulk step is read again line by line, which accepts it as before or
     names the first bad line.  Bytes that are not UTF-8 are reported with
-    the line they fall on.
+    the line they fall on (the path alone for a pipe).
     """
+    # the bulk reader and the decode report read the file again, so a pipe
+    # or other stream goes straight to the line loop, which reads it once
+    regular = os.path.isfile(path)
     try:
-        field = _load_field_bulk(path)
+        field = _load_field_bulk(path) if regular else None
         return field if field is not None else _load_field_lines(path)
     except UnicodeDecodeError as exc:
-        raise FieldFileError(_decode_error_message(path)) from exc
+        where = f"{path}:{_undecodable_line(path)}" if regular else str(path)
+        raise FieldFileError(
+            f"{where}: not UTF-8 text: byte {exc.object[exc.start]:#04x}: {exc.reason}"
+        ) from exc
+
+
+# float() strips ASCII and non-ASCII spaces around a number, but np.loadtxt
+# strips every str.isspace() character, which adds U+001C..U+001F
+_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _load_field_bulk(path) -> SampledField | None:
     """The field read as one array, or ``None`` where the line loop must decide."""
+    with open(path, "rb") as raw:
+        for block in iter(functools.partial(raw.read, 1 << 16), b""):
+            if any(space in block for space in _LOADTXT_ONLY_SPACES):
+                return None
     lmax = None
     body = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -406,15 +423,13 @@ def _load_field_lines(path) -> SampledField:
     return SampledField(grid, samples)
 
 
-def _decode_error_message(path) -> str:
-    """``path:line`` of the first byte sequence that is not UTF-8, counting
-    lines as text-mode reading does (``\\n``, ``\\r\\n`` or a lone ``\\r``)."""
+def _undecodable_line(path) -> int:
+    """Line of the first byte sequence that is not UTF-8, counting lines as
+    text-mode reading does (``\\n``, ``\\r\\n`` or a lone ``\\r``)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start]
-        lineno = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
-        return f"{path}:{lineno}: not UTF-8 text: byte {data[exc.start]:#04x}: {exc.reason}"
-    return f"{path}: not UTF-8 text"
+        data = data[: exc.start]
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1

@@ -397,7 +397,8 @@ def test_deeply_nested_coefficient_document_is_usage_error(tmp_path, command):
 def test_non_utf8_coefficient_document_names_the_path(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"lmax": 0, "basis": "\xff"}')
-    code, err = _cli_error(["apply", "--op", "L", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    code, err = _cli_error(["apply", "--op", "L", "--in", str(bad),
+                            "--out", str(tmp_path / "o.json")])
     assert code == EXIT_USAGE
     assert err.startswith(f"error: {bad}: not UTF-8 text:") and err.count("\n") == 1
 
@@ -406,9 +407,10 @@ def test_non_utf8_coefficient_document_names_the_path(tmp_path):
 def test_non_utf8_field_document_names_the_line(tmp_path, rows_before):
     # 2,000 rows put the bad byte past the first block that text-mode reading decodes
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(b"# grid lmax=0\r\n# columns theta,phi,re,im\r" + b"0.5,0.0,1.0,0.0\n" * rows_before
-                    + b"0.5,\xff,1.0,0.0\n")
-    code, err = _cli_error(["transform", "analyze", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    bad.write_bytes(b"# grid lmax=0\r\n# columns theta,phi,re,im\r"
+                    + b"0.5,0.0,1.0,0.0\n" * rows_before + b"0.5,\xff,1.0,0.0\n")
+    code, err = _cli_error(["transform", "analyze", "--in", str(bad),
+                            "--out", str(tmp_path / "o.json")])
     assert code == EXIT_USAGE
     assert err == f"error: {bad}:{rows_before + 3}: not UTF-8 text: byte 0xff: invalid start byte\n"
 
@@ -417,7 +419,8 @@ def test_overlong_integer_in_coefficient_document_names_the_path(tmp_path):
     # 5,000 digits is past int()'s default limit of 4,300
     bad = tmp_path / "long.json"
     bad.write_text('{"lmax": ' + "1" * 5000 + ', "basis": "sqrt(l+1/2)Y", "coefficients": []}')
-    code, err = _cli_error(["apply", "--op", "L", "--in", str(bad), "--out", str(tmp_path / "o.json")])
+    code, err = _cli_error(["apply", "--op", "L", "--in", str(bad),
+                            "--out", str(tmp_path / "o.json")])
     assert code == EXIT_USAGE
     assert err.startswith(f"error: {bad}: integer too long:") and err.count("\n") == 1
 
