@@ -42,7 +42,6 @@ from .expansions import (
 )
 from .legendre import (
     SH_SUP_BOUND,
-    assoc_legendre,
     orthonormal_legendre_table,
     orthonormal_sh_values,
     packed_row,

@@ -66,6 +66,9 @@ class ExpressionError(ValueError):
     """Unparseable operator expression."""
 
 
+_TOO_DEEP = "operator expression nested too deeply"
+
+
 def _tokenize(text: str) -> list[str]:
     tokens = []
     i = 0
@@ -130,10 +133,14 @@ class _Parser:
         return value
 
     def term(self):
+        start = self.pos
         value = self.factor()
         while self.peek() == "*":
             self.take("*")
             value = value * self.factor()
+            # a product of finite scalars can overflow, as a literal like 1e999 does
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ExpressionError(f"non-finite scalar {''.join(self.tokens[start:self.pos])!r}")
         return value
 
     def factor(self):
@@ -174,7 +181,10 @@ def _require_op(value) -> Operator:
 
 def parse_operator(text: str) -> Operator:
     parser = _Parser(_tokenize(text))
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:  # each bracket, sign and parenthesis nests parser calls
+        raise ExpressionError(_TOO_DEEP) from None
     if parser.peek() is not None:
         raise ExpressionError(f"trailing input: {parser.tokens[parser.pos:]}")
     return _require_op(value)
@@ -533,7 +543,10 @@ def cmd_transform(args) -> int:
 def cmd_apply(args) -> int:
     op = parse_operator(args.op)
     f = load_expansion(args.input)
-    result = op.apply(f)
+    try:
+        result = op.apply(f)
+    except RecursionError:  # each factor of a product nests one more amplitude call
+        raise ExpressionError(_TOO_DEEP) from None
     save_expansion(result, args.out)
     return EXIT_OK
 
@@ -542,9 +555,9 @@ def cmd_eval(args) -> int:
     f = load_expansion(args.input)
     point = SpherePoint(args.theta, args.phi)
     value = point_eval(f, point)
+    r = None if args.bound is None else bnd.bound_point_functional(f, point, args.bound)
     print(f"value = {value.real:+.12e} {value.imag:+.12e}j")
-    if args.bound is not None:
-        r = bnd.bound_point_functional(f, point, args.bound)
+    if r is not None:
         print(f"bound(p={args.bound}) = {r.rhs:.12e}  margin = {r.margin:.6e}")
         if not r.passed:
             return EXIT_VERIFY_FAILED

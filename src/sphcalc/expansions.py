@@ -121,16 +121,6 @@ class HarmonicExpansion:
         c[flat_index(idx.l, idx.m)] = 1.0
         return cls(lmax, c)
 
-    @classmethod
-    def from_dict(cls, lmax: int, entries: dict) -> "HarmonicExpansion":
-        c = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
-        for (l, m), value in entries.items():
-            idx = HarmonicIndex(l, m)
-            if idx.l > lmax:
-                raise ValueError(f"entry ({l},{m}) exceeds lmax={lmax}")
-            c[flat_index(idx.l, idx.m)] = value
-        return cls(lmax, c)
-
     def __getitem__(self, lm) -> complex:
         idx = as_index(lm)
         if idx.l > self.lmax:

@@ -9,8 +9,9 @@ use ``P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m``, equivalently ``Y_l^{-m} =
 
 Every harmonic value comes from one fully-normalised recurrence,
 ``orthonormal_legendre_table``: point values (``orthonormal_sh_values``,
-``sh_eval``), the transforms' basis tables and the sup-bound scan.
-``assoc_legendre`` is the plain ``P_l^m`` reference it is tested against.
+``sh_eval``), the transforms' basis tables and the sup-bound scan.  It is the
+library's only Legendre recurrence; the plain ``P_l^m`` recurrence it is
+tested against is ``assoc_legendre`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -24,40 +25,6 @@ from .report import BoundReport
 
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
 _SUP_SCAN_NODES = 2048
-
-
-def assoc_legendre(l: int, m: int, x):
-    """Associated Legendre function ``P_l^m(x)`` for ``m >= 0``.
-
-    Ascending-degree three-term recurrence seeded with ``P_m^m(x) =
-    (-1)^m (2m-1)!! (1-x^2)^(m/2)``.  Accepts scalar or array ``x`` with
-    ``|x| <= 1``; returns 0 when ``m > l``.  Unnormalised values leave the
-    double range near ``l + m = 340``; there it raises ``OverflowError``
-    (``orthonormal_legendre_table`` stays finite).  Kept as the plain
-    reference the normalised table is tested against.
-    """
-    if m < 0:
-        raise ValueError("assoc_legendre requires m >= 0")
-    if l < 0:
-        raise ValueError("assoc_legendre requires l >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("argument out of range: |x| > 1")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if m > l:
-        p = np.zeros_like(x)
-    else:
-        s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-        p_prev, p = np.zeros_like(x), np.ones_like(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, m + 1):
-                p *= -(2 * k - 1) * s
-            for deg in range(m + 1, l + 1):
-                p_prev, p = p, (x * (2 * deg - 1) * p - (deg + m - 1) * p_prev) / (deg - m)
-        if not np.all(np.isfinite(p)):
-            raise OverflowError(f"P_{l}^{m}(x) overflows double precision")
-    return float(p[0]) if scalar else p
 
 
 def packed_row(lmax: int, l, m):

@@ -9,10 +9,10 @@ compensating ``exp(+-i*phi)`` phase, so they are banded analogues rather than
 pointwise multiplications; the gap is measured, not hidden.
 
 Harmonic products follow the coupling law ``Y1*Y2 = (2*pi)^(-1/2) sum`` of
-coupled harmonics.  ``clebsch_gordan_array`` evaluates the coupling
-coefficients over broadcast integer arrays, and ``product_weights`` and
-``sh_product`` read them from it; the scalar ``clebsch_gordan`` stays as the
-reference it is tested against.
+coupled harmonics.  ``clebsch_gordan_array`` is the one evaluation of the
+coupling coefficients, over broadcast integer arrays; ``product_weights``,
+``sh_product`` and the scalar view ``clebsch_gordan`` read them from it.  The
+scalar Racah loop it is tested against is in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -159,60 +159,13 @@ def pointwise_multiply_oracle(
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan coefficients and the harmonic product law
 
-def _logfact(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
-def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
-    """Coupling coefficient ``<l1 m1 l2 m2 | L M>`` for integer momenta.
-
-    Single-sum closed form evaluated with log-factorials.  Out-of-domain
-    arguments give 0; the all-zero-order case with ``l1+l2+L`` odd is exactly
-    0 by parity and short-circuited.
-    """
-    if M != m1 + m2:
-        return 0.0
-    if L < abs(l1 - l2) or L > l1 + l2 or abs(M) > L:
-        return 0.0
-    if abs(m1) > l1 or abs(m2) > l2:
-        return 0.0
-    if m1 == 0 and m2 == 0 and (l1 + l2 + L) % 2 == 1:
-        return 0.0
-    log_pref = 0.5 * (
-        math.log(2.0 * L + 1.0)
-        + _logfact(l1 + l2 - L)
-        + _logfact(l1 - l2 + L)
-        + _logfact(-l1 + l2 + L)
-        - _logfact(l1 + l2 + L + 1)
-        + _logfact(L + M)
-        + _logfact(L - M)
-        + _logfact(l1 - m1)
-        + _logfact(l1 + m1)
-        + _logfact(l2 - m2)
-        + _logfact(l2 + m2)
-    )
-    k_min = max(0, l2 - L - m1, l1 - L + m2)
-    k_max = min(l1 + l2 - L, l1 - m1, l2 + m2)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        log_term = (
-            _logfact(k)
-            + _logfact(l1 + l2 - L - k)
-            + _logfact(l1 - m1 - k)
-            + _logfact(l2 + m2 - k)
-            + _logfact(L - l2 + m1 + k)
-            + _logfact(L - l1 - m2 + k)
-        )
-        total += (-1.0) ** k * math.exp(log_pref - log_term)
-    return total
-
-
 def clebsch_gordan_array(l1, m1, l2, m2, L, M) -> np.ndarray:
-    """``clebsch_gordan`` broadcast over integer arrays.
+    """Coupling coefficients ``<l1 m1 l2 m2 | L M>``, broadcast over integer arrays.
 
-    The same Racah sum and the same zero cases, with log-factorials read from
-    a table of ``math.lgamma`` values; each sum runs over the ``k`` its own
-    entry admits.
+    Racah's single sum, with log-factorials read from a table of
+    ``math.lgamma`` values; each sum runs over the ``k`` its own entry admits.
+    Out-of-domain entries give 0, and so does the all-zero-order case with
+    ``l1+l2+L`` odd, exactly, by parity.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (l1, m1, l2, m2, L, M)))
     l1, m1, l2, m2, L, M = args
@@ -259,6 +212,11 @@ def clebsch_gordan_array(l1, m1, l2, m2, L, M) -> np.ndarray:
         total[on] += (-1.0) ** k * np.exp(log_pref[on] - log_term)
     out[valid] = total
     return out
+
+
+def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
+    """One coupling coefficient: ``clebsch_gordan_array`` at a single entry."""
+    return float(clebsch_gordan_array(l1, m1, l2, m2, L, M))
 
 
 def product_weights(l1, m1, l2, m2, L) -> np.ndarray:

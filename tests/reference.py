@@ -1,0 +1,111 @@
+"""Plain scalar formulas the library's vectorised kernels are tested against.
+
+The library keeps one implementation of each formula: every harmonic value
+comes from ``orthonormal_legendre_table`` and every coupling coefficient from
+``clebsch_gordan_array``.  The independent forms live here:
+
+* ``assoc_legendre``, the unnormalised ``P_l^m`` three-term recurrence;
+* ``clebsch_gordan``, the scalar Racah single sum over log-factorials;
+* ``from_dict``, an expansion built from a few ``(l, m) -> value`` entries.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from sphcalc import HarmonicExpansion, HarmonicIndex
+from sphcalc.expansions import flat_index
+
+
+def assoc_legendre(l: int, m: int, x):
+    """Associated Legendre function ``P_l^m(x)`` for ``m >= 0``.
+
+    Ascending-degree three-term recurrence seeded with ``P_m^m(x) =
+    (-1)^m (2m-1)!! (1-x^2)^(m/2)``.  Accepts scalar or array ``x`` with
+    ``|x| <= 1``; returns 0 when ``m > l``.  Unnormalised values leave the
+    double range near ``l + m = 340``; there it raises ``OverflowError``
+    (``orthonormal_legendre_table`` stays finite).
+    """
+    if m < 0:
+        raise ValueError("assoc_legendre requires m >= 0")
+    if l < 0:
+        raise ValueError("assoc_legendre requires l >= 0")
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("argument out of range: |x| > 1")
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if m > l:
+        p = np.zeros_like(x)
+    else:
+        s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, m + 1):
+                p *= -(2 * k - 1) * s
+            for deg in range(m + 1, l + 1):
+                p_prev, p = p, (x * (2 * deg - 1) * p - (deg + m - 1) * p_prev) / (deg - m)
+        if not np.all(np.isfinite(p)):
+            raise OverflowError(f"P_{l}^{m}(x) overflows double precision")
+    return float(p[0]) if scalar else p
+
+
+def _logfact(n: int) -> float:
+    return math.lgamma(n + 1)
+
+
+def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, L: int, M: int) -> float:
+    """Coupling coefficient ``<l1 m1 l2 m2 | L M>`` for integer momenta.
+
+    Single-sum closed form evaluated with log-factorials.  Out-of-domain
+    arguments give 0; the all-zero-order case with ``l1+l2+L`` odd is exactly
+    0 by parity and short-circuited.
+    """
+    if M != m1 + m2:
+        return 0.0
+    if L < abs(l1 - l2) or L > l1 + l2 or abs(M) > L:
+        return 0.0
+    if abs(m1) > l1 or abs(m2) > l2:
+        return 0.0
+    if m1 == 0 and m2 == 0 and (l1 + l2 + L) % 2 == 1:
+        return 0.0
+    log_pref = 0.5 * (
+        math.log(2.0 * L + 1.0)
+        + _logfact(l1 + l2 - L)
+        + _logfact(l1 - l2 + L)
+        + _logfact(-l1 + l2 + L)
+        - _logfact(l1 + l2 + L + 1)
+        + _logfact(L + M)
+        + _logfact(L - M)
+        + _logfact(l1 - m1)
+        + _logfact(l1 + m1)
+        + _logfact(l2 - m2)
+        + _logfact(l2 + m2)
+    )
+    k_min = max(0, l2 - L - m1, l1 - L + m2)
+    k_max = min(l1 + l2 - L, l1 - m1, l2 + m2)
+    total = 0.0
+    for k in range(k_min, k_max + 1):
+        log_term = (
+            _logfact(k)
+            + _logfact(l1 + l2 - L - k)
+            + _logfact(l1 - m1 - k)
+            + _logfact(l2 + m2 - k)
+            + _logfact(L - l2 + m1 + k)
+            + _logfact(L - l1 - m2 + k)
+        )
+        total += (-1.0) ** k * math.exp(log_pref - log_term)
+    return total
+
+
+def from_dict(lmax: int, entries: dict) -> HarmonicExpansion:
+    """Expansion up to ``lmax`` holding ``entries[(l, m)]`` and zeros elsewhere."""
+    c = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
+    for (l, m), value in entries.items():
+        idx = HarmonicIndex(l, m)
+        if idx.l > lmax:
+            raise ValueError(f"entry ({l},{m}) exceeds lmax={lmax}")
+        c[flat_index(idx.l, idx.m)] = value
+    return HarmonicExpansion(lmax, c)

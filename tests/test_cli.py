@@ -98,16 +98,32 @@ def test_apply_command_parse_error(tmp_path):
     assert main(["apply", "--op", "Q?", "--in", str(src), "--out", str(out)]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "Infinity", "1e999"])
+@pytest.mark.parametrize("token", ["nan", "inf", "Infinity", "1e999", "1e300*1e300"])
 @pytest.mark.parametrize("nonzero", [False, True], ids=["zero-document", "unit-document"])
 def test_apply_non_finite_scalar_is_usage_error(tmp_path, capsys, token, nonzero):
-    # float() read these tokens: exit 0 on a zero document, a blamed (0,0) mode otherwise
+    # float() read the first four tokens, and the product overflows: each once
+    # gave exit 0 on a zero document, a blamed (0,0) mode otherwise
     path = tmp_path / "in.json"
     save_expansion(HarmonicExpansion.unit(0, 0, 1) if nonzero else HarmonicExpansion.zeros(1), path)
     code = main(["apply", "--op", f"{token}*L", "--in", str(path), "--out", str(tmp_path / "o.json")])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"error: non-finite scalar {token!r}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("op", [
+    "(" * 400 + "L" + ")" * 400,
+    "-" * 3000 + "L",
+    "[" * 600 + "L" + ",M]" * 600,
+    "*".join(["L"] * 1200),  # parses; each factor nests one amplitude call in apply
+], ids=["parentheses", "signs", "commutators", "product"])
+def test_apply_deep_expression_is_usage_error(tmp_path, capsys, op):
+    # each once escaped as a RecursionError traceback with exit 1
+    src = write_unit(tmp_path, 1, 0)
+    code = main(["apply", f"--op={op}", "--in", str(src), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: operator expression nested too deeply\n"
     assert not (tmp_path / "o.json").exists()
 
 
@@ -460,6 +476,17 @@ def test_eval_bound_at_high_order_writes_nothing_to_stderr(tmp_path, capsys):
 def test_eval_range_error(tmp_path):
     src = write_unit(tmp_path, 0, 0)
     assert main(["eval", "--in", str(src), "--theta", "4.0", "--phi", "0.0"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bound", ["1", "400"])
+def test_eval_rejected_bound_prints_no_value(tmp_path, capsys, bound):
+    # the value line once reached stdout before the certificate failed
+    src = write_unit(tmp_path, 2, 1)
+    code = main(["eval", "--in", str(src), "--theta", "0.5", "--phi", "1.0", "--bound", bound])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_version(capsys):

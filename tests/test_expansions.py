@@ -20,6 +20,7 @@ from sphcalc import (
 from sphcalc.expansions import CoefficientFileError, INCONCLUSIVE, RAPID_DECAY, SLOW_DECAY
 
 import reference_io
+from reference import from_dict
 
 
 def test_index_invariants():
@@ -61,7 +62,7 @@ def test_graded_norm_single_entries():
 
 
 def test_graded_norm_two_terms():
-    f = HarmonicExpansion.from_dict(1, {(1, 1): 1.0, (1, -1): 1.0})
+    f = from_dict(1, {(1, 1): 1.0, (1, -1): 1.0})
     assert graded_norm(f, 1) == pytest.approx(math.sqrt(18.0), rel=1e-15)
 
 
@@ -100,7 +101,7 @@ def test_norm_profile_examples():
 
 def test_hilbert_norm():
     assert hilbert_norm(HarmonicExpansion.unit(0, 0)) == 1.0
-    f = HarmonicExpansion.from_dict(1, {(0, 0): 3.0, (1, 1): 4.0})
+    f = from_dict(1, {(0, 0): 3.0, (1, 1): 4.0})
     assert hilbert_norm(f) == pytest.approx(5.0, rel=1e-15)
     assert hilbert_norm(f) == graded_norm(f, 0)
 
@@ -134,14 +135,14 @@ def test_norm_family_properties(trial):
 
 def test_estimate_decay_synthetic():
     lmax = 32
-    fast = HarmonicExpansion.from_dict(
+    fast = from_dict(
         lmax, {(l, 0): (l + 1.0) ** -6 for l in range(lmax + 1)}
     )
     est = estimate_decay(fast)
     assert est.verdict == RAPID_DECAY
     assert est.exponent == pytest.approx(6.0, abs=0.3)
 
-    slow = HarmonicExpansion.from_dict(
+    slow = from_dict(
         lmax, {(l, 0): (l + 1.0) ** -1 for l in range(lmax + 1)}
     )
     est = estimate_decay(slow)
@@ -151,7 +152,7 @@ def test_estimate_decay_synthetic():
 
 def test_estimate_decay_degenerate():
     assert estimate_decay(HarmonicExpansion.zeros(8)).verdict == INCONCLUSIVE
-    only_l0 = HarmonicExpansion.from_dict(8, {(0, 0): 1.0})
+    only_l0 = from_dict(8, {(0, 0): 1.0})
     assert estimate_decay(only_l0).verdict == INCONCLUSIVE
     with pytest.raises(ValueError):
         estimate_decay(HarmonicExpansion.zeros(3))

@@ -7,7 +7,6 @@ from scipy.special import lpmv, sph_harm_y
 
 from sphcalc import (
     SH_SUP_BOUND,
-    assoc_legendre,
     orthonormal_legendre_table,
     orthonormal_sh_values,
     packed_row,
@@ -15,6 +14,8 @@ from sphcalc import (
     uniform_bound_check,
 )
 from sphcalc.expansions import flat_index
+
+from reference import assoc_legendre
 
 RNG = np.random.default_rng(2024)
 
