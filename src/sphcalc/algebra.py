@@ -1,30 +1,29 @@
 """Banded coefficient-space operators and the ten-generator ladder algebra.
 
-Every operator is one :class:`Operator`: a name and a tuple of shift rules
-``(l, m) -> (l+dl, m+dm)``.  Products, sums and scalar multiples fold into
-rules (``a * b`` composes every pair, ``a + b`` joins the tuples, a scalar
-scales the amplitudes), so one stencil serves ``apply``, ``matrix``, the
-batched tables and the closure and sub-Casimir checks.  Those checks read
-each single-shift map as its band, one coefficient per source mode: maps with
-different shifts share no matrix entry, so the closure fit splits exactly by
-shift and needs no matrix.
+Every operator is one :class:`Operator`: a name and, per input degree, one
+plain-``Y`` amplitude column per shift ``(l, m) -> (l+dl, m+dm)``, computed
+once.  A product composes columns, a sum adds same-shift columns and a scalar
+scales them, so ``cosTheta`` to the k-th power holds k + 1 columns.  One
+stencil serves ``apply``, ``matrix``, the batched tables and the closure and
+sub-Casimir checks.  Those checks read each single-shift map as its band, one
+coefficient per source mode: maps with different shifts share no matrix
+entry, so the closure fit splits exactly by shift and needs no matrix.
 
 Shift amplitudes are stated on the plain-``Y`` basis; application to stored
 coefficients (orthonormal basis) multiplies each transferred term by
-``sqrt((2l+1)/(2l'+1))`` where ``l' = l + dl`` is the rule's net shift.  The
+``sqrt((2l+1)/(2l'+1))`` where ``l' = l + dl`` is the column's net shift.  The
 output ``lmax`` grows by the net band width (the largest ``dl``) instead of
 dropping boundary terms, so application is exact on truncated expansions.
 
 The domain comes from the amplitudes: a non-finite amplitude marks its source
 mode as outside the domain, and any input carrying that mode (any source, for
-``matrix``) raises :class:`DomainError`.
+``matrix``) raises :class:`DomainError`; an overflowing one, ``OverflowError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
@@ -39,52 +38,62 @@ class DomainError(ValueError):
 GENERATOR_NAMES = ("L", "M", "J+", "J-", "K+", "K-", "R+", "R-", "S+", "S-")
 
 
-@dataclass(frozen=True)
-class ShiftRule:
-    """One band of a coefficient operator: ``(l, m) -> (l+dl, m+dm)``."""
-
-    dl: int
-    dm: int
-    amplitude: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 class Operator:
-    """Banded linear map on expansions: a name and a tuple of shift rules."""
+    """Banded linear map: a name and, per input degree, one amplitude column per shift.
 
-    def __init__(self, name: str, rules: tuple[ShiftRule, ...]):
+    ``amplitudes`` maps each shift ``(dl, dm)`` to its plain-``Y`` amplitude ``f(l, m)``.
+    """
+
+    def __init__(self, name: str, amplitudes: dict):
         self.name = name
-        self.rules = tuple(rules)
-        self.band_growth = max([r.dl for r in self.rules] + [0])
+        self.shifts = tuple(amplitudes)
+        self.band_growth = max([dl for dl, _ in self.shifts] + [0])
+        # columns at degree d: _combine(d, *(op._columns(d + extra) for op, extra in _operands))
+        self._operands = ()
+        self._combine = partial(_evaluate, amplitudes)
+        self._cache = {}
 
     def apply(self, f: HarmonicExpansion) -> HarmonicExpansion:
         table, lmax = self._apply_table(f.coeffs[None, :], f.lmax)
         return HarmonicExpansion(lmax, table[0])
 
-    def _stencil(self, lmax: int, support: np.ndarray):
-        """Yield ``(src, tgt, coef)`` per rule on the flat layout at ``lmax``.
+    def _columns(self, lmax: int) -> dict:
+        """``{(dl, dm): column}``: each source mode's plain-``Y`` amplitude at ``lmax``."""
+        if lmax not in self._cache:
+            parts = []
+            for op, extra in self._operands:  # a loop, not a comprehension: one frame per factor
+                parts.append(op._columns(lmax + extra))
+            try:
+                with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+                    columns = self._combine(lmax, *parts)
+            except FloatingPointError:
+                raise OverflowError(f"an amplitude of {self.name} overflows") from None
+            for column in columns.values():  # never written once stored: threads share them
+                column.flags.writeable = False
+            self._cache[lmax] = columns
+        return self._cache[lmax]
 
-        ``coef`` carries the basis ratio of the rule's net shift.  A non-finite
-        amplitude at a source flagged in ``support`` raises ``DomainError``;
-        at an unflagged source it contributes nothing.
+    def _stencil(self, lmax: int, support: np.ndarray):
+        """``(src, tgt, coef)`` per column on the flat layout at ``lmax``.
+
+        ``coef`` carries the basis ratio of the column's net shift.  A
+        non-finite amplitude at a source flagged in ``support`` raises
+        ``DomainError``; at an unflagged source it contributes nothing.
         """
         ls, ms = degree_order_arrays(lmax)
-        for rule in self.rules:
-            lt = ls + rule.dl
-            mt = ms + rule.dm
+        stencil = []
+        for (dl, dm), column in self._columns(lmax).items():
+            lt, mt = ls + dl, ms + dm
             src = np.nonzero((lt >= 0) & (np.abs(mt) <= lt))[0]
-            if src.size == 0:
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                amp = np.asarray(rule.amplitude(ls[src], ms[src]), dtype=np.complex128)
+            amp = column[src]
             singular = ~np.isfinite(amp)
-            if singular.any():
-                hit = src[singular & support[src]]
-                if hit.size:
-                    l, m = int(ls[hit[0]]), int(ms[hit[0]])
-                    raise DomainError(f"{self.name} is undefined on the ({l},{m}) mode")
-                amp[singular] = 0.0
+            hit = src[singular & support[src]]
+            if hit.size:
+                raise DomainError(f"{self.name} is undefined on the ({ls[hit[0]]},{ms[hit[0]]}) mode")
+            amp[singular] = 0.0
             ratio = np.sqrt((2.0 * ls[src] + 1.0) / (2.0 * lt[src] + 1.0))
-            yield src, flat_index(lt[src], mt[src]), amp * ratio
+            stencil.append((src, flat_index(lt[src], mt[src]), amp * ratio))
+        return stencil
 
     def _apply_table(self, coeffs: np.ndarray, lmax: int):
         out_lmax = lmax + self.band_growth
@@ -95,68 +104,81 @@ class Operator:
 
     def matrix(self, lmax: int) -> np.ndarray:
         """Dense matrix on flat triangular layouts, columns = inputs."""
-        K_in = (lmax + 1) ** 2
-        out = np.zeros(((lmax + self.band_growth + 1) ** 2, K_in), dtype=np.complex128)
-        for src, tgt, coef in self._stencil(lmax, np.ones(K_in, dtype=bool)):
-            out[tgt, src] += coef
-        return out
+        return self._apply_table(np.eye((lmax + 1) ** 2, dtype=np.complex128), lmax)[0].T
 
     def _band(self, lmax: int):
-        """``(shift, column)``: the coefficient each source mode carries to its
-        target, summed over the rules, which must share one shift."""
-        (shift,) = {(r.dl, r.dm) for r in self.rules}
+        """``(shift, column)``: each source mode's coefficient, for a map with one shift."""
         column = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
-        for src, _, coef in self._stencil(lmax, np.ones(column.size, dtype=bool)):
-            column[src] += coef
-        return shift, column
+        ((src, _, coef),) = self._stencil(lmax, np.ones(column.size, dtype=bool))
+        column[src] = coef
+        return self.shifts[0], column
 
     def __mul__(self, other):
         if isinstance(other, Operator):
-            rules = tuple(_compose(a, b) for a in self.rules for b in other.rules)
-            return Operator(f"({self.name} * {other.name})", rules)
-        return self._scaled(complex(other))
+            shifts = [(dl + odl, dm + odm) for odl, odm in other.shifts for dl, dm in self.shifts]
+            # the outer map reads the intermediate modes, up to other.band_growth higher
+            return _derived(f"({self.name} * {other.name})", shifts,
+                            ((self, other.band_growth), (other, 0)), _product)
+        scalar = complex(other)
+        return _derived(f"({scalar} * {self.name})", self.shifts, ((self, 0),),
+                        lambda lmax, a: {s: scalar * c for s, c in a.items()})
 
     __rmul__ = __mul__  # only scalars reach it, and they commute
 
-    def _scaled(self, scalar: complex) -> Operator:
-        rules = tuple(
-            ShiftRule(r.dl, r.dm, lambda l, m, a=r.amplitude: scalar * np.asarray(a(l, m)))
-            for r in self.rules
-        )
-        return Operator(f"({scalar} * {self.name})", rules)
-
     def __add__(self, other):
-        return Operator(f"({self.name} + {other.name})", self.rules + other.rules)
+        return _derived(f"({self.name} + {other.name})", self.shifts + other.shifts,
+                        ((self, 0), (other, 0)), lambda lmax, a, b: _merge([*a.items(), *b.items()]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._scaled(-1.0)
+        return -1.0 * self
 
     def __repr__(self):
         return f"Operator({self.name!r})"
 
 
-def _compose(outer: ShiftRule, inner: ShiftRule) -> ShiftRule:
-    # plain-Y amplitudes multiply (the basis ratio telescopes to the net shift);
-    # the pair contributes nothing where the intermediate target leaves the
-    # triangle or the inner amplitude is zero
-    def amplitude(l, m):
-        a = np.asarray(inner.amplitude(l, m), dtype=np.complex128)
-        li = l + inner.dl
-        mi = m + inner.dm
-        live = (li >= 0) & (np.abs(mi) <= li) & (a != 0)
-        out = np.zeros(l.shape, dtype=np.complex128)
-        out[live] = a[live] * outer.amplitude(li[live], mi[live])
-        return out
+def _derived(name, shifts, operands, combine) -> Operator:
+    op = Operator(name, dict.fromkeys(shifts))
+    op._operands, op._combine = operands, combine
+    return op
 
-    return ShiftRule(inner.dl + outer.dl, inner.dm + outer.dm, amplitude)
+
+def _evaluate(amplitudes, lmax):
+    ls, ms = degree_order_arrays(lmax)
+    return {s: np.asarray(amp(ls, ms), dtype=np.complex128) for s, amp in amplitudes.items()}
+
+
+def _merge(terms) -> dict:
+    out = {}
+    for shift, column in terms:
+        out[shift] = out[shift] + column if shift in out else column
+    return out
+
+
+def _product(lmax, outer, inner):
+    # plain-Y amplitudes multiply (the basis ratio telescopes to the net shift);
+    # a pair contributes nothing where the intermediate mode leaves the
+    # triangle or the inner amplitude is zero
+    ls, ms = degree_order_arrays(lmax)
+    terms = []
+    for (dl, dm), a in inner.items():
+        li, mi = ls + dl, ms + dm
+        live = np.nonzero((li >= 0) & (np.abs(mi) <= li) & (a != 0))[0]
+        mid = flat_index(li[live], mi[live])
+        for (odl, odm), b in outer.items():
+            column = np.zeros(ls.size, dtype=np.complex128)
+            column[live] = a[live] * b[mid]
+            terms.append(((dl + odl, dm + odm), column))
+    return _merge(terms)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    """Expression for ``a*b - b*a``."""
-    return a * b - b * a
+    """Expression for ``a*b - b*a``, named ``[a,b]``."""
+    op = a * b - b * a
+    op.name = f"[{a.name},{b.name}]"  # the expanded name doubles with each nesting level
+    return op
 
 
 def _sq(expr) -> np.ndarray:
@@ -165,25 +187,25 @@ def _sq(expr) -> np.ndarray:
     return np.sqrt(np.clip(np.asarray(expr, dtype=np.float64), 0.0, None))
 
 
-_GENERATOR_RULES = {
-    "L": (ShiftRule(0, 0, lambda l, m: np.asarray(l, dtype=np.float64)),),
-    "M": (ShiftRule(0, 0, lambda l, m: np.asarray(m, dtype=np.float64)),),
-    "J+": (ShiftRule(0, +1, lambda l, m: _sq((l - m) * (l + m + 1))),),
-    "J-": (ShiftRule(0, -1, lambda l, m: _sq((l + m) * (l - m + 1))),),
-    "K+": (ShiftRule(+1, 0, lambda l, m: _sq((l + 1) ** 2 - m * m)),),
-    "K-": (ShiftRule(-1, 0, lambda l, m: _sq(l * l - m * m)),),
-    "R+": (ShiftRule(+1, +1, lambda l, m: _sq((l + m + 2) * (l + m + 1))),),
-    "R-": (ShiftRule(-1, -1, lambda l, m: _sq((l + m) * (l + m - 1))),),
-    "S+": (ShiftRule(+1, -1, lambda l, m: _sq((l - m + 2) * (l - m + 1))),),
-    "S-": (ShiftRule(-1, +1, lambda l, m: _sq((l - m) * (l - m - 1))),),
+_GENERATOR_AMPLITUDES = {
+    "L": {(0, 0): lambda l, m: np.asarray(l, dtype=np.float64)},
+    "M": {(0, 0): lambda l, m: np.asarray(m, dtype=np.float64)},
+    "J+": {(0, +1): lambda l, m: _sq((l - m) * (l + m + 1))},
+    "J-": {(0, -1): lambda l, m: _sq((l + m) * (l - m + 1))},
+    "K+": {(+1, 0): lambda l, m: _sq((l + 1) ** 2 - m * m)},
+    "K-": {(-1, 0): lambda l, m: _sq(l * l - m * m)},
+    "R+": {(+1, +1): lambda l, m: _sq((l + m + 2) * (l + m + 1))},
+    "R-": {(-1, -1): lambda l, m: _sq((l + m) * (l + m - 1))},
+    "S+": {(+1, -1): lambda l, m: _sq((l - m + 2) * (l - m + 1))},
+    "S-": {(-1, +1): lambda l, m: _sq((l - m) * (l - m - 1))},
 }
 
 
 def generator(name: str) -> Operator:
     """One of the ten ladder/Cartan generators acting on coefficients."""
-    if name not in _GENERATOR_RULES:
+    if name not in _GENERATOR_AMPLITUDES:
         raise KeyError(f"unknown generator {name!r}; expected one of {GENERATOR_NAMES}")
-    return Operator(name, _GENERATOR_RULES[name])
+    return Operator(name, _GENERATOR_AMPLITUDES[name])
 
 
 def derive_structure_constants(lmax: int, include_identity: bool = True):
@@ -195,7 +217,7 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
     ``apply`` takes, and read on basis elements of degree <= ``lmax`` with
     their targets kept whole, so no truncation error enters.
 
-    Each generator is one shift rule, so each commutator has one net shift,
+    Each generator has one shift, so each commutator has one net shift,
     and the global fit splits exactly by shift: a commutator's band is fitted
     against the basis bands of its own shift only (at most ``L``, ``M`` and
     the unit), and every other constant is zero.
@@ -273,13 +295,10 @@ def boundary_vanishing_check(lmax: int) -> BoundReport:
     worst = 0.0
     ls, ms = degree_order_arrays(lmax)
     for name in GENERATOR_NAMES:
-        for rule in generator(name).rules:
-            lt = ls + rule.dl
-            mt = ms + rule.dm
+        for (dl, dm), column in generator(name)._columns(lmax).items():
+            lt, mt = ls + dl, ms + dm
             invalid = (lt < 0) | (np.abs(mt) > lt)
-            if invalid.any():
-                amps = np.abs(rule.amplitude(ls[invalid], ms[invalid]))
-                worst = max(worst, float(amps.max()))
+            worst = max(worst, float(np.abs(column[invalid]).max(initial=0.0)))
     return BoundReport(
         check="boundary_vanishing",
         anchor="shift amplitudes vanish at out-of-triangle targets",

@@ -325,13 +325,13 @@ def dtheta_identity_order_report(seed: int) -> BoundReport:
     x = np.cos(theta[:, None] + np.array(shifts)).ravel()
     y = orthonormal_sh_values(9, x, np.repeat(phi, 5)).reshape(6, 5, -1)
     y = y / np.sqrt(degree_order_arrays(9)[0] + 0.5)
-    # the literal map's rules, m-1 then m+1; each shifted term regains its exp(-i*dm*phi)
-    rules = st.dtheta_op_literal().rules
+    # the literal map's columns, m-1 then m+1; each shifted term regains its exp(-i*dm*phi)
+    columns = st.dtheta_op_literal()._columns(9)
     orders = []
     for l, m in [(2, 1), (5, -3), (7, 0), (9, 6)]:
         exact = sum(
-            rule.amplitude(l, m) * np.exp(-1j * rule.dm * phi) * y[:, 0, flat_index(l, m + rule.dm)]
-            for rule in rules if abs(m + rule.dm) <= l
+            column[flat_index(l, m)] * np.exp(-1j * dm * phi) * y[:, 0, flat_index(l, m + dm)]
+            for (_, dm), column in columns.items() if abs(m + dm) <= l
         )
         k = flat_index(l, m)
         errs = [
@@ -545,7 +545,7 @@ def cmd_apply(args) -> int:
     f = load_expansion(args.input)
     try:
         result = op.apply(f)
-    except RecursionError:  # each factor of a product nests one more amplitude call
+    except RecursionError:  # each factor of a product nests one more column call
         raise ExpressionError(_TOO_DEEP) from None
     save_expansion(result, args.out)
     return EXIT_OK

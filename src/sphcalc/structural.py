@@ -22,13 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import (
-    GENERATOR_NAMES,
-    Operator,
-    ShiftRule,
-    _sq,
-    generator,
-)
+from .algebra import GENERATOR_NAMES, Operator, _sq, generator
 from .expansions import HarmonicExpansion, as_index, degree_order_arrays, flat_index
 from .legendre import orthonormal_sh_values
 from .transform import SampledField, analyze, make_grid, synthesize
@@ -36,13 +30,10 @@ from .transform import SampledField, analyze, make_grid, synthesize
 
 def cos_theta_op() -> Operator:
     """Multiplication by ``cos(theta)`` as a banded map (dl = +-1, dm = 0)."""
-    return Operator(
-        "cosTheta",
-        (
-            ShiftRule(+1, 0, lambda l, m: _sq((l + m + 1) * (l - m + 1)) / (2 * l + 1)),
-            ShiftRule(-1, 0, lambda l, m: _sq((l + m) * (l - m)) / (2 * l + 1)),
-        ),
-    )
+    return Operator("cosTheta", {
+        (+1, 0): lambda l, m: _sq((l + m + 1) * (l - m + 1)) / (2 * l + 1),
+        (-1, 0): lambda l, m: _sq((l + m) * (l - m)) / (2 * l + 1),
+    })
 
 
 def sin_exp_op(sign: int) -> Operator:
@@ -52,17 +43,15 @@ def sin_exp_op(sign: int) -> Operator:
     with the transferred phase tracked, so the map is pointwise-correct.
     """
     if sign == +1:
-        rules = (
-            ShiftRule(+1, +1, lambda l, m: -_sq((l + m + 1) * (l + m + 2)) / (2 * l + 1)),
-            ShiftRule(-1, +1, lambda l, m: _sq((l - m) * (l - m - 1)) / (2 * l + 1)),
-        )
-        return Operator("sinExp+", rules)
+        return Operator("sinExp+", {
+            (+1, +1): lambda l, m: -_sq((l + m + 1) * (l + m + 2)) / (2 * l + 1),
+            (-1, +1): lambda l, m: _sq((l - m) * (l - m - 1)) / (2 * l + 1),
+        })
     if sign == -1:
-        rules = (
-            ShiftRule(+1, -1, lambda l, m: _sq((l - m + 1) * (l - m + 2)) / (2 * l + 1)),
-            ShiftRule(-1, -1, lambda l, m: -_sq((l + m) * (l + m - 1)) / (2 * l + 1)),
-        )
-        return Operator("sinExp-", rules)
+        return Operator("sinExp-", {
+            (+1, -1): lambda l, m: _sq((l - m + 1) * (l - m + 2)) / (2 * l + 1),
+            (-1, -1): lambda l, m: -_sq((l + m) * (l + m - 1)) / (2 * l + 1),
+        })
     raise ValueError("sign must be +1 or -1")
 
 
@@ -75,13 +64,10 @@ def inv_sin_op_literal() -> Operator:
     coefficient recurrence, not a pointwise multiplication: the two branches
     drop opposite ``exp(-+i*phi)`` phases.
     """
-    return Operator(
-        "invSinLit",
-        (
-            ShiftRule(+1, +1, lambda l, m: -_sq((l + m + 1) * (l + m + 2)) / (2.0 * m)),
-            ShiftRule(+1, -1, lambda l, m: -_sq((l - m + 1) * (l - m + 2)) / (2.0 * m)),
-        ),
-    )
+    return Operator("invSinLit", {
+        (+1, +1): lambda l, m: -_sq((l + m + 1) * (l + m + 2)) / (2.0 * m),
+        (+1, -1): lambda l, m: -_sq((l - m + 1) * (l - m + 2)) / (2.0 * m),
+    })
 
 
 def dtheta_op_literal() -> Operator:
@@ -91,21 +77,15 @@ def dtheta_op_literal() -> Operator:
     ``+(1/2) sqrt((l-m)(l+m+1))`` toward ``m+1``; the pointwise derivative
     carries extra ``exp(+-i*phi)`` phases on the shifted terms.
     """
-    return Operator(
-        "dThetaLit",
-        (
-            ShiftRule(0, -1, lambda l, m: -0.5 * _sq((l + m) * (l - m + 1))),
-            ShiftRule(0, +1, lambda l, m: 0.5 * _sq((l - m) * (l + m + 1))),
-        ),
-    )
+    return Operator("dThetaLit", {
+        (0, -1): lambda l, m: -0.5 * _sq((l + m) * (l - m + 1)),
+        (0, +1): lambda l, m: 0.5 * _sq((l - m) * (l + m + 1)),
+    })
 
 
 def dphi_op() -> Operator:
     """``d/dphi``: diagonal multiplication by ``i*m``."""
-    return Operator(
-        "dPhi",
-        (ShiftRule(0, 0, lambda l, m: 1j * np.asarray(m, dtype=np.float64)),),
-    )
+    return Operator("dPhi", {(0, 0): lambda l, m: 1j * np.asarray(m, dtype=np.float64)})
 
 
 def exp_iphi_composite() -> Operator:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -23,16 +24,15 @@ from sphcalc import (
     graded_norm,
     so3_casimir_check,
 )
-from sphcalc.algebra import ShiftRule
-from sphcalc.expansions import degree_order_arrays
+from sphcalc.expansions import degree_order_arrays, flat_index
 
 from reference import from_dict
 
 
 def amp_of(name, l, m):
-    """Plain-basis shift amplitude of a single-rule generator."""
-    rule = generator(name).rules[0]
-    return float(rule.amplitude(np.array([l]), np.array([m]))[0])
+    """Plain-basis shift amplitude of a single-shift generator."""
+    (column,) = generator(name)._columns(l).values()
+    return float(column[flat_index(l, m)].real)
 
 
 def test_generator_amplitudes_on_plain_basis():
@@ -259,7 +259,7 @@ def test_product_drops_intermediates_outside_the_triangle():
     # unit amplitudes do not vanish at the boundary: (l, l) -> (l-1, l) must
     # be dropped inside the product exactly as staged application drops it
     def flat(dl):
-        return Operator(f"flat{dl:+d}", (ShiftRule(dl, 0, lambda l, m: np.ones(l.shape)),))
+        return Operator(f"flat{dl:+d}", {(dl, 0): lambda l, m: np.ones(l.shape)})
 
     up, down = flat(+1), flat(-1)
     f = seeded_expansion(4, 11)
@@ -286,3 +286,75 @@ def test_singular_amplitude_raises_no_warning():
         assert np.all(np.isfinite(g.coeffs))
         with pytest.raises(DomainError):
             inv_sin.matrix(4)
+
+
+@pytest.mark.parametrize("expr, lmax", [
+    (lambda: OPERATORS["K-"]() * OPERATORS["K+"](), 3),
+    (lambda: OPERATORS["K+"]() * OPERATORS["K-"](), 3),
+    (lambda: commutator(OPERATORS["K+"](), OPERATORS["K-"]()), 3),
+    (lambda: OPERATORS["K+"]() * OPERATORS["K+"](), 5),
+    (lambda: OPERATORS["cosTheta"]() * OPERATORS["cosTheta"](), 5),
+], ids=["K-*K+", "K+*K-", "[K+,K-]", "K+*K+", "cosTheta*cosTheta"])
+def test_product_lmax_grows_by_the_net_shift(expr, lmax):
+    # the growth is the largest net dl, not the sum of the factors' growths
+    assert expr().apply(seeded_expansion(3, 5)).lmax == lmax
+
+
+def test_long_product_matches_staged_application():
+    cos = OPERATORS["cosTheta"]()
+    power = cos
+    for _ in range(29):
+        power = power * cos
+    f = seeded_expansion(16, 21)
+    staged = f
+    for _ in range(30):
+        staged = cos.apply(staged)
+    assert_same_expansion(power.apply(f), staged)
+    assert len(power._columns(16)) <= 31
+
+
+def _staged_commutator(ops, f, terms):
+    # [[..[ops[0], ops[1]], ..], ops[-1]] f, one factor at a time
+    if len(ops) == 1:
+        return ops[0].apply(f)
+    ab = _staged_commutator(ops[:-1], ops[-1].apply(f), terms)
+    ba = ops[-1].apply(_staged_commutator(ops[:-1], f, terms))
+    terms += [ab, ba]
+    return ab - ba
+
+
+def test_nested_commutator_matches_staged_application():
+    names = ["cosTheta", "dThetaLit", "sinExp+", "K+", "J-", "cosTheta", "sinExp-", "R+", "S-"]
+    ops = [OPERATORS[name]() for name in names]
+    nested = ops[0]
+    for op in ops[1:]:
+        nested = commutator(nested, op)
+    assert nested.name == "[[[[[[[[cosTheta,dThetaLit],sinExp+],K+],J-],cosTheta],sinExp-],R+],S-]"
+    f = seeded_expansion(8, 31)
+    terms = []
+    staged = _staged_commutator(ops, f, terms)
+    # inner levels cancel to roundoff, so the scale is the largest staged term
+    assert_same_expansion(nested.apply(f), staged, *terms)
+
+
+def test_shared_operator_is_deterministic_across_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    def make():
+        return commutator(OPERATORS["cosTheta"](), OPERATORS["dThetaLit"]())
+
+    inputs = [seeded_expansion(4 + i % 5, 40 + i) for i in range(16)]
+    reference = [make().apply(f).coeffs for f in inputs]
+    shared = make()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(shared.apply, f) for f in inputs]
+            results = [future.result(timeout=60).coeffs for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, reference):
+        np.testing.assert_array_equal(got, want)
+    stored = [c for columns in shared._cache.values() for c in columns.values()]
+    assert stored and not any(c.flags.writeable for c in stored)

@@ -116,7 +116,7 @@ def test_apply_non_finite_scalar_is_usage_error(tmp_path, capsys, token, nonzero
     "(" * 400 + "L" + ")" * 400,
     "-" * 3000 + "L",
     "[" * 600 + "L" + ",M]" * 600,
-    "*".join(["L"] * 1200),  # parses; each factor nests one amplitude call in apply
+    "*".join(["L"] * 1200),  # parses; each factor nests one column call in apply
 ], ids=["parentheses", "signs", "commutators", "product"])
 def test_apply_deep_expression_is_usage_error(tmp_path, capsys, op):
     # each once escaped as a RecursionError traceback with exit 1
@@ -124,6 +124,31 @@ def test_apply_deep_expression_is_usage_error(tmp_path, capsys, op):
     code = main(["apply", f"--op={op}", "--in", str(src), "--out", str(tmp_path / "o.json")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: operator expression nested too deeply\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_apply_long_product_returns_its_input(tmp_path):
+    # L is 1 on the (1,0) mode; a product costs one stack frame per factor,
+    # so 900 factors stay clear of the recursion limit
+    src = write_unit(tmp_path, 1, 0, 2)
+    out = tmp_path / "o.json"
+    assert main(["apply", "--op", "*".join(["L"] * 900), "--in", str(src), "--out", str(out)]) == EXIT_OK
+    np.testing.assert_array_equal(load_expansion(out).coeffs, load_expansion(src).coeffs)
+
+
+@pytest.mark.parametrize("op", ["L*1e300*1e300", "1e300*(1e300*L)", "(1e200*L)*(1e200*L)"])
+@pytest.mark.parametrize("nonzero", [False, True], ids=["zero-document", "unit-document"])
+def test_apply_overflowing_amplitude_is_usage_error(tmp_path, capsys, op, nonzero):
+    # a scalar applied as a separate factor, or a product of finite amplitudes,
+    # once overflowed into a numpy warning and exit 0 with zeros, or a blamed (1,0) mode
+    path = tmp_path / "in.json"
+    save_expansion(HarmonicExpansion.unit(1, 0, 1) if nonzero else HarmonicExpansion.zeros(1), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["apply", "--op", op, "--in", str(path), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: an amplitude of {parse_operator(op).name} overflows\n"
     assert not (tmp_path / "o.json").exists()
 
 
