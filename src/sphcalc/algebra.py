@@ -22,6 +22,7 @@ mode as outside the domain, and any input carrying that mode (any source, for
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
 from itertools import combinations
 
@@ -63,11 +64,9 @@ class Operator:
             parts = []
             for op, extra in self._operands:  # a loop, not a comprehension: one frame per factor
                 parts.append(op._columns(lmax + extra))
-            try:
-                with np.errstate(divide="ignore", invalid="ignore", over="raise"):
-                    columns = self._combine(lmax, *parts)
-            except FloatingPointError:
-                raise OverflowError(f"an amplitude of {self.name} overflows") from None
+            with _overflow(f"an amplitude of {self.name} overflows"), \
+                    np.errstate(divide="ignore", invalid="ignore"):
+                columns = self._combine(lmax, *parts)
             for column in columns.values():  # never written once stored: threads share them
                 column.flags.writeable = False
             self._cache[lmax] = columns
@@ -92,14 +91,17 @@ class Operator:
                 raise DomainError(f"{self.name} is undefined on the ({ls[hit[0]]},{ms[hit[0]]}) mode")
             amp[singular] = 0.0
             ratio = np.sqrt((2.0 * ls[src] + 1.0) / (2.0 * lt[src] + 1.0))
-            stencil.append((src, flat_index(lt[src], mt[src]), amp * ratio))
+            with _overflow(f"an amplitude of {self.name} overflows"):
+                stencil.append((src, flat_index(lt[src], mt[src]), amp * ratio))
         return stencil
 
     def _apply_table(self, coeffs: np.ndarray, lmax: int):
         out_lmax = lmax + self.band_growth
         out = np.zeros((coeffs.shape[0], (out_lmax + 1) ** 2), dtype=np.complex128)
-        for src, tgt, coef in self._stencil(lmax, (coeffs != 0).any(axis=0)):
-            out[:, tgt] += coef[None, :] * coeffs[:, src]
+        stencil = self._stencil(lmax, (coeffs != 0).any(axis=0))
+        with _overflow(f"{self.name} overflows on this input"):
+            for src, tgt, coef in stencil:
+                out[:, tgt] += coef[None, :] * coeffs[:, src]
         return out, out_lmax
 
     def matrix(self, lmax: int) -> np.ndarray:
@@ -137,6 +139,16 @@ class Operator:
 
     def __repr__(self):
         return f"Operator({self.name!r})"
+
+
+@contextmanager
+def _overflow(message: str):
+    """Raise ``OverflowError(message)`` where numpy would warn of an overflow."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise OverflowError(message) from None
 
 
 def _derived(name, shifts, operands, combine) -> Operator:

@@ -44,31 +44,35 @@ def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Newton iteration on the degree-``n`` Legendre polynomial, converged to
-    1e-15 in the node update.
+    Newton iteration on the degree-``n`` Legendre polynomial for the
+    ``ceil(n/2)`` nodes with ``x <= 0``, converged to 1e-15 in the node
+    update; the other nodes are their mirror images, so ``x == -x[::-1]`` and
+    ``w == w[::-1]`` hold exactly, and the centre node of odd ``n`` is ``0.0``.
     """
     if n < 1:
         raise ValueError("need at least one node")
-    k = np.arange(1, n + 1, dtype=np.float64)
-    x = np.cos(math.pi * (k - 0.25) / (n + 0.5))
+    k = np.arange(n // 2 + 1, n + 1, dtype=np.float64)
+    x = np.cos(math.pi * (k - 0.25) / (n + 0.5))  # descending from the centre
     for _ in range(100):
         p, dp = _legendre_and_slope(n, x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
+    if n % 2:
+        x[0] = 0.0
     _, dp = _legendre_and_slope(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return x[order], w[order]
+    return np.concatenate([x[::-1], -x[n % 2:]]), np.concatenate([w[::-1], w[n % 2:]])
 
 
 class SphereGrid:
     """Gauss-Legendre x equispaced-phi product grid of degree ``lmax``.
 
     The degree fixes everything: ``lmax + 1`` Gauss-Legendre nodes in ``x =
-    cos(theta)`` and ``2*lmax + 2`` phi nodes ``2*pi*j/n_phi`` from 0, the
-    nodes on which the transforms' phi stage is an FFT.
+    cos(theta)``, mirror images of each other about the equator, and
+    ``2*lmax + 2`` phi nodes ``2*pi*j/n_phi`` from 0, the nodes on which the
+    transforms' phi stage is an FFT.
     """
 
     __slots__ = ("lmax", "x", "w", "theta", "phi", "_tables")
@@ -96,10 +100,18 @@ class SphereGrid:
         return self.phi.size
 
     def basis_table(self, lmax: int) -> np.ndarray:
-        """Cached orthonormal Legendre table at the theta nodes."""
+        """Cached orthonormal Legendre table at the theta nodes with ``x >= 0``.
+
+        Column ``j`` holds node ``n_theta // 2 + j``.  The nodes are
+        antisymmetric, so the recurrence gives the mirrored node ``-x``
+        exactly ``(-1)^(l+m)`` times these values, and no column is stored
+        for ``x < 0``.  The cached entry also holds the degree's read-only
+        packed map and order blocks, which the transforms index with.
+        """
         if lmax not in self._tables:
-            self._tables[lmax] = orthonormal_legendre_table(lmax, self.x)
-        return self._tables[lmax]
+            table = orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:])
+            self._tables[lmax] = (table, *_packed_map(lmax), _order_blocks(lmax))
+        return self._tables[lmax][0]
 
     def __repr__(self):
         return f"SphereGrid(lmax={self.lmax}, n_theta={self.n_theta}, n_phi={self.n_phi})"
@@ -132,26 +144,37 @@ class SampledField:
 
 def _packed_map(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed row, slot (0 for ``+m``, 1 for ``-m``) and sign ``(-1)^m`` on the
-    ``-m`` slot, for every flat index up to degree ``L``."""
+    ``-m`` slot, for every flat index up to degree ``L``; read-only."""
     ls, ms = degree_order_arrays(L)
     neg = ms < 0
-    return packed_row(L, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0)
+    arrays = packed_row(L, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _order_blocks(L: int):
-    """``(m, rows)`` of each order's contiguous block in the packed table."""
-    orders = np.arange(L + 2)
-    off = packed_row(L, orders, orders)
-    return ((m, slice(off[m], off[m + 1])) for m in range(L + 1))
+def _order_blocks(L: int) -> tuple[slice, ...]:
+    """Rows of each order's contiguous block in the packed table, indexed by ``m``."""
+    off = packed_row(L, np.arange(L + 2), np.arange(L + 2)).tolist()
+    return tuple(slice(off[m], off[m + 1]) for m in range(L + 1))
+
+
+def _basis(grid: SphereGrid, L: int):
+    """The grid's cached ``(table, rows, slot, sign, blocks)`` at degree ``L``."""
+    grid.basis_table(L)
+    return grid._tables[L]
 
 
 def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     """Samples ``(B, n_theta, n_phi)`` of ``B`` coefficient rows ``(B, K)``.
 
-    Separable evaluation: per order ``m``, one real product of the order's
-    packed table block against the ``+m`` and ``-m`` coefficients of every
-    row, stacked as the float64 view of complex data; then order ``m`` goes
-    to FFT bin ``m mod n_phi`` and one unnormalised inverse FFT sums
+    Separable evaluation, folded at the equator: per order ``m``, the packed
+    table rows with even ``l+m`` and those with odd ``l+m`` each make one
+    real product against the ``+m`` and ``-m`` coefficients of every row
+    (stacked as the float64 view of complex data) at the nodes with ``x >=
+    0``.  Even plus odd part gives those nodes, even minus odd part their
+    mirror images, in one step over all orders.  Then order ``m`` goes to
+    FFT bin ``m mod n_phi`` and one unnormalised inverse FFT sums
     ``exp(i*m*phi_j)`` over the equispaced phi nodes.  Cubic cost in the
     degree, which is the intended envelope at desk scale.
     """
@@ -159,20 +182,25 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     L = math.isqrt(K) - 1
     if grid.lmax < L:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
-    N = grid.basis_table(L)
-    P = grid.n_theta
-    rows, slot, sign = _packed_map(L)
+    N, rows, slot, sign, blocks = _basis(grid, L)
+    P, h = grid.n_theta, N.shape[1]
+    s = P // 2  # nodes with x < 0; node i mirrors node P - 1 - i
     C = np.zeros((N.shape[0], 2, B), dtype=np.complex128)
     C[rows, slot] = sign[:, None] * coeffs.T
     Cr = C.reshape(-1, 2 * B).view(np.float64)
-    G = np.empty((L + 1, P, 2, B), dtype=np.complex128)  # [m, theta node, +m/-m, row]
-    Gr = G.reshape(L + 1, P, 2 * B).view(np.float64)
-    for m, block in _order_blocks(L):
-        np.matmul(N[block].T, Cr[block], out=Gr[m])
-    m = np.arange(L + 1)
+    EO = np.empty((2, L + 1, h, 2, B), dtype=np.complex128)  # [even/odd l+m, m, node x >= 0, +m/-m, row]
+    EOr = EO.reshape(2, L + 1, h, 2 * B).view(np.float64)
+    for m, block in enumerate(blocks):
+        Nb, Cb = N[block], Cr[block]
+        np.matmul(Nb[0::2].T, Cb[0::2], out=EOr[0, m])
+        np.matmul(Nb[1::2].T, Cb[1::2], out=EOr[1, m])
+    E, O = EO.transpose(0, 4, 2, 1, 3)  # [row, node x >= 0, m, +m/-m]
     F = np.zeros((B, P, grid.n_phi), dtype=np.complex128)  # [row, theta node, FFT bin]
-    F[..., m] = G[:, :, 0].transpose(2, 1, 0)
-    F[..., -m[1:]] = G[1:, :, 1].transpose(2, 1, 0)
+    # +m goes to bin m, -m (m >= 1) to bin n_phi - m
+    for bins, e, o in ((F[..., :L + 1], E[..., 0], O[..., 0]),
+                       (F[..., :-L - 1:-1], E[..., 1:, 1], O[..., 1:, 1])):
+        np.add(e, o, out=bins[:, s:])
+        np.subtract(e[:, h - s:], o[:, h - s:], out=bins[:, :s][:, ::-1])
     return np.fft.ifft(F, axis=-1, norm="forward")
 
 
@@ -181,8 +209,10 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
 
     The phi stage is one FFT over every batch row and theta node, whose bins
     ``m`` and ``-m mod n_phi`` are the trapezoid sums against
-    ``exp(-+i*m*phi_j)``; the per-order stage is one real product per order,
-    as in ``_synthesize_table``.
+    ``exp(-+i*m*phi_j)``.  The weighted sums at each node with ``x >= 0``
+    and at its mirror image are folded into their sum and difference, which
+    the packed table rows with even and with odd ``l+m`` read, one real
+    product each per order, as in ``_synthesize_table``.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
@@ -190,18 +220,25 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
     B = samples.shape[0]
-    P = grid.n_theta
-    N = grid.basis_table(L)
+    N, rows, slot, sign, blocks = _basis(grid, L)
+    P, h = grid.n_theta, N.shape[1]
+    s = P // 2  # nodes with x < 0
     scale = 2.0 * math.pi / grid.n_phi
     m = np.arange(L + 1)
     H = scale * np.fft.fft(samples, axis=-1)[..., np.stack([m, -m], axis=1)]
     W = (grid.w[:, None, None] * H).transpose(2, 1, 3, 0)  # [m, theta node, +m/-m, row]
-    Wr = np.ascontiguousarray(W).reshape(L + 1, P, 2 * B).view(np.float64)
+    north, south = W[:, s:], W[:, :s][:, ::-1]  # south[:, j] mirrors north[:, j + h - s]
+    SD = np.empty((2, L + 1, h, 2, B), dtype=np.complex128)  # [sum/difference, m, node x >= 0, +m/-m, row]
+    SD[:, :, :h - s] = north[:, :h - s]  # the centre node of odd n_theta is its own mirror
+    np.add(north[:, h - s:], south, out=SD[0, :, h - s:])
+    np.subtract(north[:, h - s:], south, out=SD[1, :, h - s:])
+    SDr = SD.reshape(2, L + 1, h, 2 * B).view(np.float64)
     C = np.empty((N.shape[0], 2, B), dtype=np.complex128)
     Cr = C.reshape(-1, 2 * B).view(np.float64)
-    for m, block in _order_blocks(L):
-        np.matmul(N[block], Wr[m], out=Cr[block])
-    rows, slot, sign = _packed_map(L)
+    for m, block in enumerate(blocks):
+        Nb, Cb = N[block], Cr[block]
+        np.matmul(Nb[0::2], SDr[0, m], out=Cb[0::2])
+        np.matmul(Nb[1::2], SDr[1, m], out=Cb[1::2])
     return (sign[:, None] * C[rows, slot]).T
 
 
@@ -250,15 +287,19 @@ def quadrature_inner_product(fa: SampledField, fb: SampledField) -> complex:
 def orthonormality_check(lmax: int) -> BoundReport:
     """Gram matrix of the orthonormal basis by quadrature, against identity.
 
-    The theta factor of every Gram entry comes from the grid's table; the
-    phi factor is the trapezoid sum ``sum_j exp(i*(m'-m)*phi_j)``, computed
-    for each order difference, so the reported deviation is the true
-    quadrature deviation.
+    The theta factor of every Gram entry comes from the grid's table,
+    mirrored back to the nodes with ``x < 0`` by each row's parity
+    ``(-1)^(l+m)``; the phi factor is the trapezoid sum ``sum_j
+    exp(i*(m'-m)*phi_j)``, computed for each order difference, so the
+    reported deviation is the true quadrature deviation at every node.
     """
     grid = make_grid(lmax)
-    rows, _, sign = _packed_map(lmax)
+    N, rows, _, sign, _ = _basis(grid, lmax)
+    ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
+    parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)
+    full = np.concatenate([parity[:, None] * N[:, ::-1][:, :grid.n_theta // 2], N], axis=1)
     # T[i, k] = basis function k at theta node i and phi = 0: its real theta factor
-    T = (sign[:, None] * grid.basis_table(lmax)[rows]).T
+    T = (sign[:, None] * full[rows]).T
     theta_gram = T.T @ (grid.w[:, None] * T)
     scale = 2.0 * math.pi / grid.n_phi
     d = np.arange(-2 * lmax, 2 * lmax + 1)

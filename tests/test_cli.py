@@ -152,6 +152,23 @@ def test_apply_overflowing_amplitude_is_usage_error(tmp_path, capsys, op, nonzer
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("op, value, message", [
+    ("1.5e308*K-", 1.0, "an amplitude of {} overflows"),
+    ("1e308*L", 2.0, "{} overflows on this input"),
+], ids=["basis-ratio", "coefficient"])
+def test_apply_overflowing_image_is_usage_error(tmp_path, capsys, op, value, message):
+    # finite amplitudes times the basis ratio sqrt(3), or times a coefficient
+    # of 2, once overflowed into numpy warnings and "coefficients must be finite"
+    path = tmp_path / "in.json"
+    save_expansion(value * HarmonicExpansion.unit(1, 0, 1), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["apply", "--op", op, "--in", str(path), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: " + message.format(parse_operator(op).name) + "\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_transform_round_trip(tmp_path):
     from sphcalc.bounds import random_expansion
 

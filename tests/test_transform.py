@@ -20,6 +20,7 @@ from sphcalc import (
     inner_product,
     load_field,
     make_grid,
+    orthonormal_legendre_table,
     orthonormal_sh_values,
     orthonormality_check,
     packed_row,
@@ -52,6 +53,16 @@ def test_gauss_legendre_against_numpy(n):
     np.testing.assert_allclose(x, xr, atol=1e-14)
     np.testing.assert_allclose(w, wr, atol=1e-14)
     assert abs(w.sum() - 2.0) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 64, 65, 129, 257, 513])
+def test_gauss_legendre_is_exactly_antisymmetric(n):
+    # the half-node table relies on node -x being exactly the mirror of x
+    x, w = gauss_legendre(n)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
 
 
 def test_make_grid_shape():
@@ -215,11 +226,13 @@ def _order_block(N, L, m):
 
 
 def _synthesize_per_order(f, grid):
-    # one expansion, order by order: the real block against the +m and -m
-    # coefficients stacked as float64 re/im into FFT bins m and -m, then the
-    # inverse FFT over phi
+    # one expansion, order by order: the even- and odd-(l+m) rows of the
+    # half-node block against the +m and -m coefficients stacked as float64
+    # re/im; even plus odd part at the nodes x >= 0, even minus odd part at
+    # their mirror images, into FFT bins m and -m, then the inverse FFT over phi
     L = f.lmax
     N = grid.basis_table(L)
+    s = grid.n_theta // 2
     C = f.to_matrix()
     F = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
     for m in range(L + 1):
@@ -227,7 +240,9 @@ def _synthesize_per_order(f, grid):
         rhs[:, 0] = C[m:, L + m]
         if m > 0:
             rhs[:, 1] = (-1) ** m * C[m:, L - m]
-        out = (_order_block(N, L, m).T @ rhs.view(np.float64)).view(np.complex128)
+        block = _order_block(N, L, m)
+        even, odd = ((block[p::2].T @ rhs[p::2].view(np.float64)).view(np.complex128) for p in (0, 1))
+        out = np.concatenate([(even - odd)[::-1][:s], even + odd])
         F[:, m] = out[:, 0]
         if m > 0:
             F[:, -m] = out[:, 1]
@@ -241,10 +256,20 @@ def _analyze_per_order(field, L):
     H = scale * np.fft.fft(field.samples, axis=-1)
     N = grid.basis_table(L)
     wH = grid.w[:, None] * H
+    # each node x >= 0 folded with its mirror image; the centre node of odd
+    # n_theta is its own mirror
+    s = grid.n_theta // 2
+    north, south = wH[s:], wH[:s][::-1]
+    S, D = north.copy(), north.copy()
+    S[N.shape[1] - s:] += south
+    D[N.shape[1] - s:] -= south
     C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
     for m in range(L + 1):
-        rhs = np.stack([wH[:, m], wH[:, -m]], axis=1)
-        out = (_order_block(N, L, m) @ rhs.view(np.float64)).view(np.complex128)
+        block = _order_block(N, L, m)
+        out = np.empty((L + 1 - m, 2), dtype=np.complex128)
+        for p, folded in ((0, S), (1, D)):
+            rhs = np.stack([folded[:, m], folded[:, -m]], axis=1)
+            out[p::2] = (block[p::2] @ rhs.view(np.float64)).view(np.complex128)
         C[m:, L + m] = out[:, 0]
         if m > 0:
             C[m:, L - m] = (-1) ** m * out[:, 1]
@@ -263,10 +288,10 @@ def test_one_row_transforms_equal_per_order_loops(lmax):
 
 
 def _dense_table(grid, L):
-    # the packed table spread over [theta node, l, m], zeros for m > l
+    # the packed table at every node, spread over [theta node, l, m], zeros for m > l
     ms, ls = np.triu_indices(L + 1)
     D = np.zeros((grid.n_theta, L + 1, L + 1))
-    D[:, ls, ms] = grid.basis_table(L).T
+    D[:, ls, ms] = orthonormal_legendre_table(L, grid.x).T
     return D
 
 
@@ -318,16 +343,37 @@ def test_transforms_match_complex_upcast_loops(lmax, grid_lmax):
     assert np.max(np.abs(back - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_round_trip_and_parseval_at_l256():
-    lmax = 256
+@pytest.mark.parametrize("L", [16, 17, 64])
+def test_half_table_mirrors_to_the_full_table(L):
+    # the nodes x < 0 carry (-1)^(l+m) times the values at their mirror images
+    grid = make_grid(L)
+    half = grid.basis_table(L)
+    ms, ls = np.triu_indices(L + 1)
+    parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)[:, None]
+    s = grid.n_theta // 2
+    assert half.shape[1] == grid.n_theta - s
+    mirrored = np.concatenate([parity * half[:, ::-1][:, :s], half], axis=1)
+    np.testing.assert_array_equal(mirrored, orthonormal_legendre_table(L, grid.x))
+
+
+def _round_trip_and_parseval(lmax):
     grid = make_grid(lmax)
-    # packed m-major: (L+1)(L+2)/2 rows of n_theta doubles
-    assert grid.basis_table(lmax).nbytes == 68_162_568
-    f = random_expansion(256, lmax, decay=1.0)
+    # packed m-major: (L+1)(L+2)/2 rows of the ceil(n_theta/2) nodes with x >= 0
+    nbytes = grid.basis_table(lmax).nbytes
+    f = random_expansion(lmax, lmax, decay=1.0)
     field = synthesize(f, grid)
     assert np.max(np.abs(analyze(field, lmax).coeffs - f.coeffs)) <= 1e-12
     quad = quadrature_inner_product(field, field).real
     assert abs(quad - hilbert_norm(f) ** 2) <= 1e-10 * hilbert_norm(f) ** 2
+    return nbytes
+
+
+def test_round_trip_and_parseval_at_l256():
+    assert _round_trip_and_parseval(256) == 34_213_896
+
+
+def test_round_trip_and_parseval_at_l512():
+    assert _round_trip_and_parseval(512) == 271_065_096
 
 
 def test_transform_tables_match_one_row_calls():
