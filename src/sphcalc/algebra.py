@@ -81,17 +81,17 @@ class Operator:
         """
         ls, ms = degree_order_arrays(lmax)
         stencil = []
-        for (dl, dm), column in self._columns(lmax).items():
-            lt, mt = ls + dl, ms + dm
-            src = np.nonzero((lt >= 0) & (np.abs(mt) <= lt))[0]
-            amp = column[src]
-            singular = ~np.isfinite(amp)
-            hit = src[singular & support[src]]
-            if hit.size:
-                raise DomainError(f"{self.name} is undefined on the ({ls[hit[0]]},{ms[hit[0]]}) mode")
-            amp[singular] = 0.0
-            ratio = np.sqrt((2.0 * ls[src] + 1.0) / (2.0 * lt[src] + 1.0))
-            with _overflow(f"an amplitude of {self.name} overflows"):
+        with _overflow(f"an amplitude of {self.name} overflows"):
+            for (dl, dm), column in self._columns(lmax).items():
+                lt, mt = ls + dl, ms + dm
+                src = np.nonzero((lt >= 0) & (np.abs(mt) <= lt))[0]
+                amp = column[src]
+                singular = ~np.isfinite(amp)
+                hit = src[singular & support[src]]
+                if hit.size:
+                    raise DomainError(f"{self.name} is undefined on the ({ls[hit[0]]},{ms[hit[0]]}) mode")
+                amp[singular] = 0.0
+                ratio = np.sqrt((2.0 * ls[src] + 1.0) / (2.0 * lt[src] + 1.0))
                 stencil.append((src, flat_index(lt[src], mt[src]), amp * ratio))
         return stencil
 
