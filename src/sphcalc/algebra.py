@@ -22,7 +22,6 @@ mode as outside the domain, and any input carrying that mode (any source, for
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import partial
 from itertools import combinations
 
@@ -64,8 +63,7 @@ class Operator:
             parts = []
             for op, extra in self._operands:  # a loop, not a comprehension: one frame per factor
                 parts.append(op._columns(lmax + extra))
-            with _overflow(f"an amplitude of {self.name} overflows"), \
-                    np.errstate(divide="ignore", invalid="ignore"):
+            with _overflow(f"an amplitude of {self.name} overflows", divide="ignore", invalid="ignore"):
                 columns = self._combine(lmax, *parts)
             for column in columns.values():  # never written once stored: threads share them
                 column.flags.writeable = False
@@ -141,14 +139,18 @@ class Operator:
         return f"Operator({self.name!r})"
 
 
-@contextmanager
-def _overflow(message: str):
-    """Raise ``OverflowError(message)`` where numpy would warn of an overflow."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise OverflowError(message) from None
+class _overflow(np.errstate):
+    """``np.errstate`` that raises ``OverflowError(message)`` where numpy would
+    warn of an overflow; other error settings pass through."""
+
+    def __init__(self, message: str, **settings):
+        super().__init__(over="raise", **settings)
+        self.message = message
+
+    def __exit__(self, kind, value, traceback):
+        super().__exit__(kind, value, traceback)
+        if kind is FloatingPointError:
+            raise OverflowError(self.message) from None
 
 
 def _derived(name, shifts, operands, combine) -> Operator:
