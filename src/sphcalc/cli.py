@@ -419,9 +419,9 @@ def exp_iphi_gap_report(seed: int) -> BoundReport:
     composite = st.exp_iphi_composite().apply(f)
     total = hilbert_norm(f) ** 2
     # amplification |C g|_n / |g|_{n+2} over the other 16 rows: reported, not asserted
-    amplification = bnd.BoundClaim(lambda n: 1.0, lambda n: (n + 2,), 3)
-    lhs, rhs = bnd.claim_margins("expIPhi", rows[1:], lmax, amplification)
-    ratios = (lhs / rhs).max(axis=0)
+    out, out_lmax = st.exp_iphi_composite()._apply_table(rows[1:], lmax)
+    ratios = [max(graded_norms(out, out_lmax, n) / graded_norms(rows[1:], lmax, n + 2))
+              for n in range(4)]
     deltas = list(range(0, 7))
     tails = []
     for delta in deltas:

@@ -10,8 +10,9 @@ use ``P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m``, equivalently ``Y_l^{-m} =
 Every harmonic value comes from one fully-normalised recurrence,
 ``orthonormal_legendre_table``: point values (``orthonormal_sh_values``,
 ``sh_eval``), the transforms' basis tables and the sup-bound scan.  It is the
-library's only Legendre recurrence; the plain ``P_l^m`` recurrence it is
-tested against is ``assoc_legendre`` in ``tests/reference.py``.
+only recurrence for harmonic values (the Gauss node solve in ``transform``
+runs a plain ``P_n`` recurrence of its own); the plain ``P_l^m`` recurrence
+it is tested against is ``assoc_legendre`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations

@@ -41,13 +41,15 @@ def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
     Newton iteration on the degree-``n`` Legendre polynomial for the
     ``ceil(n/2)`` nodes with ``x <= 0``, converged to 1e-15 in the node
     update; the other nodes are their mirror images, so ``x == -x[::-1]`` and
     ``w == w[::-1]`` hold exactly, and the centre node of odd ``n`` is ``0.0``.
+    Solved once per node count; every grid of that count shares the arrays.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -63,7 +65,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         x[0] = 0.0
     _, dp = _legendre_and_slope(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return np.concatenate([x[::-1], -x[n % 2:]]), np.concatenate([w[::-1], w[n % 2:]])
+    nodes = np.concatenate([x[::-1], -x[n % 2:]]), np.concatenate([w[::-1], w[n % 2:]])
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
 
 
 class SphereGrid:
@@ -72,10 +77,10 @@ class SphereGrid:
     The degree fixes everything: ``lmax + 1`` Gauss-Legendre nodes in ``x =
     cos(theta)``, mirror images of each other about the equator, and
     ``2*lmax + 2`` phi nodes ``2*pi*j/n_phi`` from 0, the nodes on which the
-    transforms' phi stage is an FFT.
+    transforms' phi stage is an FFT, each of weight ``dphi = 2*pi/n_phi``.
     """
 
-    __slots__ = ("lmax", "x", "w", "theta", "phi", "_tables")
+    __slots__ = ("lmax", "x", "w", "theta", "phi", "dphi", "_tables")
 
     def __init__(self, lmax: int):
         if lmax < 0:
@@ -84,6 +89,7 @@ class SphereGrid:
         n_theta, n_phi = _grid_shape(self.lmax)
         self.x, self.w = gauss_legendre(n_theta)
         self.phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        self.dphi = 2.0 * math.pi / n_phi
         self.theta = np.arccos(np.clip(self.x, -1.0, 1.0))
         self._tables = {}
         if abs(self.w.sum() - 2.0) > 1e-13:
@@ -223,9 +229,8 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     N, rows, slot, sign, blocks = _basis(grid, L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0
-    scale = 2.0 * math.pi / grid.n_phi
     m = np.arange(L + 1)
-    H = scale * np.fft.fft(samples, axis=-1)[..., np.stack([m, -m], axis=1)]
+    H = grid.dphi * np.fft.fft(samples, axis=-1)[..., np.stack([m, -m], axis=1)]
     W = (grid.w[:, None, None] * H).transpose(2, 1, 3, 0)  # [m, theta node, +m/-m, row]
     north, south = W[:, s:], W[:, :s][:, ::-1]  # south[:, j] mirrors north[:, j + h - s]
     SD = np.empty((2, L + 1, h, 2, B), dtype=np.complex128)  # [sum/difference, m, node x >= 0, +m/-m, row]
@@ -270,40 +275,31 @@ def inner_product(f: HarmonicExpansion, g: HarmonicExpansion) -> complex:
 
 def quadrature_integral(field: SampledField) -> complex:
     """Integral of the samples against the product measure."""
-    scale = 2.0 * math.pi / field.grid.n_phi
-    return complex(scale * (field.grid.w @ field.samples.sum(axis=1)))
+    return complex(field.grid.dphi * (field.grid.w @ field.samples.sum(axis=1)))
 
 
 def quadrature_inner_product(fa: SampledField, fb: SampledField) -> complex:
-    if fa.grid is not fb.grid and (
-        fa.grid.n_theta != fb.grid.n_theta or fa.grid.n_phi != fb.grid.n_phi
-    ):
+    if fa.grid.lmax != fb.grid.lmax:
         raise ValueError("fields live on different grids")
-    scale = 2.0 * math.pi / fa.grid.n_phi
     inner = np.einsum("ij,ij->i", fa.samples.conj(), fb.samples)
-    return complex(scale * (fa.grid.w @ inner))
+    return complex(fa.grid.dphi * (fa.grid.w @ inner))
 
 
 def orthonormality_check(lmax: int) -> BoundReport:
     """Gram matrix of the orthonormal basis by quadrature, against identity.
 
-    The theta factor of every Gram entry comes from the grid's table,
-    mirrored back to the nodes with ``x < 0`` by each row's parity
-    ``(-1)^(l+m)``; the phi factor is the trapezoid sum ``sum_j
-    exp(i*(m'-m)*phi_j)``, computed for each order difference, so the
-    reported deviation is the true quadrature deviation at every node.
+    The theta factor of every Gram entry is the basis evaluated at every
+    Gauss node, so the check reads the quadrature and the recurrence, not
+    the transforms' equatorial fold; the phi factor is the trapezoid sum
+    ``sum_j exp(i*(m'-m)*phi_j)``, computed for each order difference, so
+    the reported deviation is the true quadrature deviation at every node.
     """
     grid = make_grid(lmax)
-    N, rows, _, sign, _ = _basis(grid, lmax)
-    ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
-    parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)
-    full = np.concatenate([parity[:, None] * N[:, ::-1][:, :grid.n_theta // 2], N], axis=1)
     # T[i, k] = basis function k at theta node i and phi = 0: its real theta factor
-    T = (sign[:, None] * full[rows]).T
+    T = orthonormal_sh_values(lmax, grid.x, 0.0).real
     theta_gram = T.T @ (grid.w[:, None] * T)
-    scale = 2.0 * math.pi / grid.n_phi
     d = np.arange(-2 * lmax, 2 * lmax + 1)
-    phi_sum = scale * np.exp(1j * np.outer(d, grid.phi)).sum(axis=1)  # [m' - m + 2*lmax]
+    phi_sum = grid.dphi * np.exp(1j * np.outer(d, grid.phi)).sum(axis=1)  # [m' - m + 2*lmax]
     _, ms = degree_order_arrays(lmax)
     gram = theta_gram * phi_sum[ms[None, :] - ms[:, None] + 2 * lmax]
     dev = float(np.max(np.abs(gram - np.eye(ms.size))))
@@ -365,10 +361,11 @@ def load_field(path) -> SampledField:
     per-line reference reader in ``tests/reference_io.py``, and loads the
     same bits.  After the leading ``#`` lines the body is parsed as one
     array by ``np.loadtxt``, which reads a subset of what ``float`` reads and
-    rounds the same way, and checked as whole columns; a document that fails
-    any bulk step is read again line by line, which accepts it as before or
-    names the first bad line.  Bytes that are not UTF-8 are reported with
-    the line they fall on (the path alone for a pipe).
+    rounds the same way; a body that parse refuses is read again line by
+    line, which accepts it as before or names the first bad line.  Either
+    way the rows meet the declared grid in ``_field_on_grid``.
+    Bytes that are not UTF-8 are reported with the line they fall on (the
+    path alone for a pipe).
     """
     # the bulk reader and the decode report read the file again, so a pipe
     # or other stream goes straight to the line loop, which reads it once
@@ -389,13 +386,14 @@ _LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _load_field_bulk(path) -> SampledField | None:
-    """The field read as one array, or ``None`` where the line loop must decide."""
+    """The field read as one array, or ``None`` where the body does not parse
+    into finite rows of four values, so that the line loop names the line."""
     with open(path, "rb") as raw:
         for block in iter(functools.partial(raw.read, 1 << 16), b""):
             if any(space in block for space in _LOADTXT_ONLY_SPACES):
                 return None
     lmax = None
-    body = None
+    body = np.empty((0, 4))
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -410,18 +408,9 @@ def _load_field_bulk(path) -> SampledField | None:
                 except ValueError:
                     return None
                 break
-    if body is None or lmax is None or lmax < 0:
+    if body.shape[1] != 4 or not np.all(np.isfinite(body)):
         return None
-    # make_grid costs O(lmax^2), so the header must first agree with the rows
-    n_theta, n_phi = _grid_shape(lmax)
-    if body.shape != (n_theta * n_phi, 4) or not np.all(np.isfinite(body)):
-        return None
-    grid = make_grid(lmax)
-    body = body.reshape(n_theta, n_phi, 4)
-    if (np.any(np.abs(body[..., 0] - grid.theta[:, None]) > 1e-9)
-            or np.any(np.abs(body[..., 1] - grid.phi[None, :]) > 1e-9)):
-        return None
-    return SampledField(grid, np.ascontiguousarray(body[..., 2:]).view(np.complex128)[..., 0])
+    return _field_on_grid(path, lmax, body)
 
 
 def _load_field_lines(path) -> SampledField:
@@ -446,22 +435,26 @@ def _load_field_lines(path) -> SampledField:
             if not all(math.isfinite(v) for v in row):
                 raise FieldFileError(f"{path}:{lineno}: non-finite value: {line!r}")
             rows.append(row)
+    return _field_on_grid(path, lmax, np.array(rows).reshape(-1, 4))
+
+
+def _field_on_grid(path, lmax, body: np.ndarray) -> SampledField:
+    """The ``(rows, 4)`` float body as samples on the declared grid, or the
+    first of: no header, a negative ``lmax``, a row count, an off-grid row."""
     if lmax is None:
         raise FieldFileError(f"{path}: missing grid metadata header")
     if lmax < 0:
         raise FieldFileError(f"{path}: grid lmax must be >= 0, got {lmax}")
     # make_grid costs O(lmax^2), so the header must first agree with the rows
     n_theta, n_phi = _grid_shape(lmax)
-    if len(rows) != n_theta * n_phi:
-        raise FieldFileError(f"{path}: expected {n_theta * n_phi} rows, got {len(rows)}")
+    if body.shape[0] != n_theta * n_phi:
+        raise FieldFileError(f"{path}: expected {n_theta * n_phi} rows, got {body.shape[0]}")
     grid = make_grid(lmax)
-    samples = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
-    for k, (theta, phi, re, im) in enumerate(rows):
-        i, j = divmod(k, grid.n_phi)
-        if abs(theta - grid.theta[i]) > 1e-9 or abs(phi - grid.phi[j]) > 1e-9:
-            raise FieldFileError(f"{path}: row {k} nodes do not match the declared grid")
-        samples[i, j] = complex(re, im)
-    return SampledField(grid, samples)
+    body = body.reshape(n_theta, n_phi, 4)
+    off = np.maximum(abs(body[..., 0] - grid.theta[:, None]), abs(body[..., 1] - grid.phi)) > 1e-9
+    if off.any():
+        raise FieldFileError(f"{path}: row {off.argmax()} nodes do not match the declared grid")
+    return SampledField(grid, np.ascontiguousarray(body[..., 2:]).view(np.complex128)[..., 0])
 
 
 def _undecodable_line(path) -> int:

@@ -6,7 +6,9 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
 
 * ``assoc_legendre``, the unnormalised ``P_l^m`` three-term recurrence;
 * ``clebsch_gordan``, the scalar Racah single sum over log-factorials;
-* ``from_dict``, an expansion built from a few ``(l, m) -> value`` entries.
+* ``from_dict``, an expansion built from a few ``(l, m) -> value`` entries;
+* ``mirrored_orthonormality_check``, the Gram check on the grid's half-node
+  table, mirrored to the nodes with ``x < 0`` by each row's parity.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import math
 
 import numpy as np
 
-from sphcalc import HarmonicExpansion, HarmonicIndex
-from sphcalc.expansions import flat_index
+from sphcalc import HarmonicExpansion, HarmonicIndex, make_grid
+from sphcalc.expansions import degree_order_arrays, flat_index
+from sphcalc.report import BoundReport
+from sphcalc.transform import _packed_map
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -109,3 +113,29 @@ def from_dict(lmax: int, entries: dict) -> HarmonicExpansion:
             raise ValueError(f"entry ({l},{m}) exceeds lmax={lmax}")
         c[flat_index(idx.l, idx.m)] = value
     return HarmonicExpansion(lmax, c)
+
+
+def mirrored_orthonormality_check(lmax: int) -> BoundReport:
+    """``orthonormality_check`` with its theta factor read from the grid's
+    table at the nodes with ``x >= 0``, mirrored back by ``(-1)^(l+m)``."""
+    grid = make_grid(lmax)
+    N = grid.basis_table(lmax)
+    rows, _, sign = _packed_map(lmax)
+    ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
+    parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)
+    full = np.concatenate([parity[:, None] * N[:, ::-1][:, :grid.n_theta // 2], N], axis=1)
+    T = (sign[:, None] * full[rows]).T
+    theta_gram = T.T @ (grid.w[:, None] * T)
+    scale = 2.0 * math.pi / grid.n_phi
+    d = np.arange(-2 * lmax, 2 * lmax + 1)
+    phi_sum = scale * np.exp(1j * np.outer(d, grid.phi)).sum(axis=1)
+    _, ms = degree_order_arrays(lmax)
+    gram = theta_gram * phi_sum[ms[None, :] - ms[:, None] + 2 * lmax]
+    dev = float(np.max(np.abs(gram - np.eye(ms.size))))
+    return BoundReport(
+        check="orthonormality",
+        anchor="integral of conj(Y_l^m) (l+1/2) Y_l'^m' over the sphere = delta_ll' delta_mm'",
+        lhs=dev,
+        rhs=1e-10,
+        lmax=lmax,
+    )

@@ -35,6 +35,7 @@ from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 
 import reference_io
+from reference import mirrored_orthonormality_check
 
 
 def test_gauss_legendre_small_closed_forms():
@@ -63,6 +64,14 @@ def test_gauss_legendre_is_exactly_antisymmetric(n):
     np.testing.assert_array_equal(w, w[::-1])
     if n % 2:
         assert x[n // 2] == 0.0
+
+
+def test_gauss_nodes_are_solved_once_per_node_count():
+    a, b = make_grid(16), make_grid(16)
+    assert a.x is b.x and a.w is b.w
+    assert not a.x.flags.writeable and not a.w.flags.writeable
+    x, w = gauss_legendre.__wrapped__(17)
+    assert a.x.tobytes() == x.tobytes() and a.w.tobytes() == w.tobytes()
 
 
 def test_make_grid_shape():
@@ -168,6 +177,12 @@ def test_orthonormality_small():
     assert r.lhs <= 1e-12
     r = orthonormality_check(8)
     assert r.passed
+
+
+@pytest.mark.parametrize("lmax", [1, 2, 16, 47, 48])
+def test_orthonormality_check_equals_the_mirrored_half_table(lmax):
+    # every node read directly gives the same record as the fold's mirror, bit for bit
+    assert repr(orthonormality_check(lmax)) == repr(mirrored_orthonormality_check(lmax))
 
 
 def test_completeness_kernel_values():
@@ -574,6 +589,9 @@ FIELD_VARIANTS = {
     "phi-off-grid": lambda t: _set(t, 6, 1, "0.5"),
     "theta-off-grid": lambda t: _shift(t, 5, 0, 2e-9),
     "theta-within-tolerance": lambda t: _shift(t, 5, 0, 5e-10),
+    # np.loadtxt refuses 1_0, so these grid errors come from the line loop
+    "value-1_0-then-phi-off-grid": lambda t: _set(_set(t, 2, 3, "1_0"), 6, 1, "0.5"),
+    "value-1_0-no-header": lambda t: _lines(lambda h, b: b)(_set(t, 2, 3, "1_0")),
     **{f"value-{token!r}": functools.partial(_set, row=2, column=3, value=token)
        for token in ["+1e0", "1.", ".5", "1_0", "1e-400", "-0.0", "5e-324", "1e999", "0x1p3", "",
                      " ", "1e", "١", "1.0\x00", "Infinity", "1 0"]},
@@ -642,6 +660,22 @@ def test_clean_field_document_skips_the_line_loop(tmp_path, monkeypatch, field_t
     path = tmp_path / "field.csv"
     path.write_text(field_text, encoding="utf-8")
     expected = reference_io.outcome(reference_io.load_field, path)
+    assert reference_io.outcome(load_field, path) == expected
+
+
+@pytest.mark.parametrize(
+    "variant", ["phi-off-grid", "theta-off-grid", "one-row-short", "no-header",
+                "header-lmax-negative"])
+def test_grid_errors_skip_the_line_loop(tmp_path, monkeypatch, field_text, variant):
+    # a body that parses meets the grid once, in the bulk reader
+    def no_loop(path):
+        raise AssertionError("line loop ran for a document whose body parses")
+
+    monkeypatch.setattr("sphcalc.transform._load_field_lines", no_loop)
+    path = tmp_path / "field.csv"
+    path.write_bytes(FIELD_VARIANTS[variant](field_text).encode("utf-8"))
+    expected = reference_io.outcome(reference_io.load_field, path)
+    assert expected[0] == "error"
     assert reference_io.outcome(load_field, path) == expected
 
 
