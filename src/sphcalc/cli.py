@@ -28,7 +28,6 @@ from .algebra import (
     so3_casimir_check,
 )
 from .expansions import (
-    CoefficientFileError,
     HarmonicExpansion,
     SpherePoint,
     degree_order_arrays,
@@ -41,8 +40,6 @@ from .expansions import (
 from .legendre import orthonormal_sh_values, uniform_bound_check
 from .report import BoundReport
 from .transform import (
-    FieldFileError,
-    GridTooCoarseError,
     SampledField,
     _analyze_table,
     _synthesize_table,
@@ -651,8 +648,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ExpressionError, CoefficientFileError, FieldFileError, GridTooCoarseError,
-            DomainError, ValueError, OverflowError, KeyError) as exc:
+    except (ValueError, OverflowError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

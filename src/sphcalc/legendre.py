@@ -12,7 +12,9 @@ Every harmonic value comes from one fully-normalised recurrence,
 ``sh_eval``), the transforms' basis tables and the sup-bound scan.  It is the
 only recurrence for harmonic values (the Gauss node solve in ``transform``
 runs a plain ``P_n`` recurrence of its own); the plain ``P_l^m`` recurrence
-it is tested against is ``assoc_legendre`` in ``tests/reference.py``.
+it is tested against is ``assoc_legendre`` in ``tests/reference.py``.  Its
+diagonal seed ``N(m,m) ~ sin(theta)^m`` underflows at high order, so a degree
+past ``MAX_LMAX`` is refused (``check_lmax``, also run by ``SphereGrid``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ from .report import BoundReport
 
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
 _SUP_SCAN_NODES = 2048
+MAX_LMAX = 1850  # 50 below the last degree where sum_m N(l,m)^2 held to 1e-12
+
+
+def check_lmax(lmax: int) -> None:
+    """Refuse a degree past ``MAX_LMAX``, the recurrence's validated range."""
+    if lmax > MAX_LMAX:
+        raise ValueError(f"lmax={lmax} exceeds the recurrence's validated range, lmax <= {MAX_LMAX}")
 
 
 def packed_row(lmax: int, l, m):
@@ -37,6 +46,19 @@ def packed_row(lmax: int, l, m):
     """
     m = np.abs(m)
     return m * (2 * lmax + 3 - m) // 2 + l - m
+
+
+def _packed_map(lmax: int):
+    """Per flat index up to degree ``lmax``: packed row, slot (0 for ``+m``, 1
+    for ``-m``) and sign (``(-1)^m`` for ``m < 0``, else 1), read-only; then
+    each order's row block ``off[m]:off[m+1]``, indexed by ``m``."""
+    ls, ms = degree_order_arrays(lmax)
+    neg = ms < 0
+    arrays = packed_row(lmax, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0)
+    for a in arrays:
+        a.flags.writeable = False
+    off = packed_row(lmax, np.arange(lmax + 2), np.arange(lmax + 2)).tolist()
+    return (*arrays, tuple(slice(off[m], off[m + 1]) for m in range(lmax + 1)))
 
 
 def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
@@ -52,6 +74,7 @@ def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
     ``m <= l-2``; every entry takes the same arithmetic as the order-by-order
     recurrence, so the values are bit-identical to it.
     """
+    check_lmax(lmax)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument out of range: |x| > 1")
@@ -92,9 +115,8 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     phi = np.asarray(phi, dtype=np.float64)[..., None]
     N = orthonormal_legendre_table(lmax, x)
-    ls, ms = degree_order_arrays(lmax)
-    mags = N[packed_row(lmax, ls, ms)].T * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
-    return mags * np.exp(1j * ms * phi)
+    rows, _, sign, _ = _packed_map(lmax)
+    return N[rows].T * sign * np.exp(1j * degree_order_arrays(lmax)[1] * phi)
 
 
 def sh_eval(idx, p) -> complex:

@@ -20,7 +20,7 @@ from .expansions import (
     as_point,
     degree_order_arrays,
 )
-from .legendre import orthonormal_legendre_table, orthonormal_sh_values, packed_row
+from .legendre import _packed_map, check_lmax, orthonormal_legendre_table, orthonormal_sh_values
 from .report import BoundReport
 
 
@@ -85,6 +85,7 @@ class SphereGrid:
     def __init__(self, lmax: int):
         if lmax < 0:
             raise ValueError("lmax must be >= 0")
+        check_lmax(lmax)
         self.lmax = int(lmax)
         n_theta, n_phi = _grid_shape(self.lmax)
         self.x, self.w = gauss_legendre(n_theta)
@@ -111,12 +112,13 @@ class SphereGrid:
         Column ``j`` holds node ``n_theta // 2 + j``.  The nodes are
         antisymmetric, so the recurrence gives the mirrored node ``-x``
         exactly ``(-1)^(l+m)`` times these values, and no column is stored
-        for ``x < 0``.  The cached entry also holds the degree's read-only
-        packed map and order blocks, which the transforms index with.
+        for ``x < 0``.  The cached entry ``_tables[lmax]`` is ``(table, rows,
+        slot, sign, blocks)``: the table and ``legendre._packed_map(lmax)``,
+        the flat-to-packed map the transforms index with.
         """
         if lmax not in self._tables:
             table = orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:])
-            self._tables[lmax] = (table, *_packed_map(lmax), _order_blocks(lmax))
+            self._tables[lmax] = (table, *_packed_map(lmax))
         return self._tables[lmax][0]
 
     def __repr__(self):
@@ -148,29 +150,6 @@ class SampledField:
         self.samples = arr
 
 
-def _packed_map(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed row, slot (0 for ``+m``, 1 for ``-m``) and sign ``(-1)^m`` on the
-    ``-m`` slot, for every flat index up to degree ``L``; read-only."""
-    ls, ms = degree_order_arrays(L)
-    neg = ms < 0
-    arrays = packed_row(L, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _order_blocks(L: int) -> tuple[slice, ...]:
-    """Rows of each order's contiguous block in the packed table, indexed by ``m``."""
-    off = packed_row(L, np.arange(L + 2), np.arange(L + 2)).tolist()
-    return tuple(slice(off[m], off[m + 1]) for m in range(L + 1))
-
-
-def _basis(grid: SphereGrid, L: int):
-    """The grid's cached ``(table, rows, slot, sign, blocks)`` at degree ``L``."""
-    grid.basis_table(L)
-    return grid._tables[L]
-
-
 def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     """Samples ``(B, n_theta, n_phi)`` of ``B`` coefficient rows ``(B, K)``.
 
@@ -188,7 +167,8 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     L = math.isqrt(K) - 1
     if grid.lmax < L:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
-    N, rows, slot, sign, blocks = _basis(grid, L)
+    grid.basis_table(L)
+    N, rows, slot, sign, blocks = grid._tables[L]
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0; node i mirrors node P - 1 - i
     C = np.zeros((N.shape[0], 2, B), dtype=np.complex128)
@@ -226,7 +206,8 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
     B = samples.shape[0]
-    N, rows, slot, sign, blocks = _basis(grid, L)
+    grid.basis_table(L)
+    N, rows, slot, sign, blocks = grid._tables[L]
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0
     m = np.arange(L + 1)

@@ -7,6 +7,8 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
 * ``assoc_legendre``, the unnormalised ``P_l^m`` three-term recurrence;
 * ``clebsch_gordan``, the scalar Racah single sum over log-factorials;
 * ``from_dict``, an expansion built from a few ``(l, m) -> value`` entries;
+* ``orthonormal_sh_values_reference``, point values gathered from the packed
+  table through ``packed_row`` and a ``(-1) ** |m|`` sign of their own;
 * ``mirrored_orthonormality_check``, the Gram check on the grid's half-node
   table, mirrored to the nodes with ``x < 0`` by each row's parity.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from sphcalc import HarmonicExpansion, HarmonicIndex, make_grid
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.report import BoundReport
-from sphcalc.transform import _packed_map
+from sphcalc.legendre import _packed_map, orthonormal_legendre_table, packed_row
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -115,12 +117,23 @@ def from_dict(lmax: int, entries: dict) -> HarmonicExpansion:
     return HarmonicExpansion(lmax, c)
 
 
+def orthonormal_sh_values_reference(lmax: int, x, phi) -> np.ndarray:
+    """``orthonormal_sh_values`` with the gather it had before the packed map
+    moved into ``legendre``: rows from ``packed_row``, sign ``(-1.0) ** |m|``."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    phi = np.asarray(phi, dtype=np.float64)[..., None]
+    N = orthonormal_legendre_table(lmax, x)
+    ls, ms = degree_order_arrays(lmax)
+    mags = N[packed_row(lmax, ls, ms)].T * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
+    return mags * np.exp(1j * ms * phi)
+
+
 def mirrored_orthonormality_check(lmax: int) -> BoundReport:
     """``orthonormality_check`` with its theta factor read from the grid's
     table at the nodes with ``x >= 0``, mirrored back by ``(-1)^(l+m)``."""
     grid = make_grid(lmax)
     N = grid.basis_table(lmax)
-    rows, _, sign = _packed_map(lmax)
+    rows, _, sign, _ = _packed_map(lmax)
     ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
     parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)
     full = np.concatenate([parity[:, None] * N[:, ::-1][:, :grid.n_theta // 2], N], axis=1)

@@ -487,6 +487,20 @@ def test_memory_exhaustion_is_usage_error(monkeypatch, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "synthesize", "--lmax", "5000"],
+    ["verify", "--suite", "transforms", "--lmax", "5000"],
+], ids=["transform-synthesize", "verify-transforms"])
+def test_degree_past_the_validated_range_is_usage_error(tmp_path, argv):
+    # refused before any large allocation; both once ended on the out-of-memory line
+    if argv[0] == "transform":
+        argv = argv + ["--in", str(write_unit(tmp_path, 0, 0)), "--out", str(tmp_path / "f.csv")]
+    code, err = _cli_error(argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: lmax=5000 ") and "1850" in err and err.count("\n") == 1
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_missing_file_is_io_error(tmp_path):
     out = tmp_path / "o.json"
     code = main(["apply", "--op", "L", "--in", str(tmp_path / "absent.json"), "--out", str(out)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,8 +15,9 @@ from sphcalc import (
     uniform_bound_check,
 )
 from sphcalc.expansions import flat_index
+from sphcalc.legendre import MAX_LMAX, _packed_map
 
-from reference import assoc_legendre
+from reference import assoc_legendre, orthonormal_sh_values_reference
 
 RNG = np.random.default_rng(2024)
 
@@ -249,3 +251,64 @@ def test_table_equals_per_order_recurrence(lmax):
     ms, ls = np.triu_indices(lmax + 1)
     np.testing.assert_array_equal(packed_row(lmax, ls, ms), np.arange(table.shape[0]))
     np.testing.assert_array_equal(table, _table_per_order(lmax, x)[:, ls, ms].T)
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 16, 47])
+@pytest.mark.parametrize("phi_kind", ["scalar", "array"])
+def test_point_values_equal_the_reference_gather(lmax, phi_kind):
+    # one packed map in legendre replaced a second gather with its own sign formula
+    rng = np.random.default_rng(1000 + lmax)
+    x = rng.uniform(-1.0, 1.0, 20)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 20) if phi_kind == "array" else 0.7
+    got = orthonormal_sh_values(lmax, x, phi)
+    want = orthonormal_sh_values_reference(lmax, x, phi)
+    # bit for bit, signed zeros included; the scalar-phi product is not C-contiguous
+    assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 16])
+def test_packed_map_is_read_only_and_matches_the_layout(lmax):
+    rows, slot, sign, blocks = _packed_map(lmax)
+    assert not rows.flags.writeable and not slot.flags.writeable and not sign.flags.writeable
+    for l in range(lmax + 1):
+        for m in range(-l, l + 1):
+            k = flat_index(l, m)
+            assert rows[k] == packed_row(lmax, l, m)
+            assert slot[k] == (m < 0)
+            assert sign[k] == ((-1.0) ** m if m < 0 else 1.0)
+    assert [b.stop - b.start for b in blocks] == [lmax + 1 - m for m in range(lmax + 1)]
+    assert blocks[0].start == 0 and all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+
+def _refused_peak(call):
+    """tracemalloc peak of a call that must raise the range error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"lmax={MAX_LMAX + 1} .*{MAX_LMAX}"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: orthonormal_legendre_table(MAX_LMAX + 1, [0.37]),
+    lambda: orthonormal_sh_values(MAX_LMAX + 1, 0.37, 0.0),
+    lambda: sh_eval((MAX_LMAX + 1, 0), (0.3767, 0.0)),
+], ids=["table", "point-values", "sh_eval"])
+def test_degrees_past_the_validated_range_are_refused_before_allocation(call):
+    # the diagonal seed underflows past L~1,900: the addition theorem's deficit
+    # was 9.7e-2 at L=2048 with no error, from a 17 MB one-point table
+    assert MAX_LMAX == 1850
+    assert _refused_peak(call) < 1 << 20
+
+
+def test_addition_theorem_holds_at_the_ceiling():
+    # sum over m = -L..L of N(L,m)^2 is (2L+1)/(4 pi) at every x
+    L = MAX_LMAX
+    table = orthonormal_legendre_table(L, np.cos([0.15, 0.3767, 0.6]))
+    top = table[[packed_row(L, L, m) for m in range(L + 1)]]
+    total = top[0] ** 2 + 2.0 * np.sum(top[1:] ** 2, axis=0)
+    exact = (2 * L + 1) / (4.0 * math.pi)
+    assert np.max(np.abs(total - exact)) / exact <= 1e-12

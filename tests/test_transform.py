@@ -32,6 +32,7 @@ from sphcalc import (
 from sphcalc.bounds import random_expansion
 from sphcalc.cli import suite_transforms
 from sphcalc.expansions import degree_order_arrays, flat_index
+from sphcalc.legendre import MAX_LMAX, _packed_map
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 
 import reference_io
@@ -64,6 +65,40 @@ def test_gauss_legendre_is_exactly_antisymmetric(n):
     np.testing.assert_array_equal(w, w[::-1])
     if n % 2:
         assert x[n // 2] == 0.0
+
+
+def test_grid_entry_holds_legendres_packed_map():
+    # the transforms read legendre's flat-to-packed map from the grid's entry,
+    # built with the table; repeated calls reuse that entry, not a new map
+    grid = make_grid(12)
+    f = random_expansion(3, 12)
+    field = synthesize(f, grid)
+    entry = grid._tables[12]
+    for _ in range(2):
+        analyze(synthesize(f, grid), 12)
+        analyze(field, 12)
+    assert grid._tables[12] is entry and list(grid._tables) == [12]
+    table, rows, slot, sign, blocks = entry
+    assert table is grid.basis_table(12)
+    assert not rows.flags.writeable and not slot.flags.writeable and not sign.flags.writeable
+    want = _packed_map(12)
+    for got, ref in zip((rows, slot, sign), want[:3]):
+        assert got.tobytes() == ref.tobytes()
+    assert blocks == want[3]
+
+
+def test_grid_past_the_validated_range_is_refused_before_the_node_solve():
+    # a grid past the recurrence's range could only carry wrong harmonic values
+    misses = gauss_legendre.cache_info().misses
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"lmax={MAX_LMAX + 1} .*{MAX_LMAX}"):
+            make_grid(MAX_LMAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert gauss_legendre.cache_info().misses == misses
 
 
 def test_gauss_nodes_are_solved_once_per_node_count():
