@@ -23,6 +23,7 @@ from .bounds import (
     continuity_criterion_check,
     functional_constant,
     random_expansion,
+    single_mode_margins,
     substream,
     weak_eigen_cos,
 )

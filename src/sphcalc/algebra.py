@@ -104,7 +104,11 @@ class Operator:
 
     def matrix(self, lmax: int) -> np.ndarray:
         """Dense matrix on flat triangular layouts, columns = inputs."""
-        return self._apply_table(np.eye((lmax + 1) ** 2, dtype=np.complex128), lmax)[0].T
+        K = (lmax + 1) ** 2
+        out = np.zeros(((lmax + self.band_growth + 1) ** 2, K), dtype=np.complex128)
+        for src, tgt, coef in self._stencil(lmax, np.ones(K, dtype=bool)):
+            out[tgt, src] += coef
+        return out
 
     def _band(self, lmax: int):
         """``(shift, column)``: each source mode's coefficient, for a map with one shift."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,12 +24,14 @@ from .expansions import (
     flat_index,
     graded_norm,
     graded_norms,
+    norm_weights,
 )
 from .report import BoundReport
 from .structural import OPERATORS, cos_theta_op
 from .transform import point_eval
 
 DEFAULT_DECAY = 6.0
+_TRIAL_BLOCK = 256  # smooth falsifier trials drawn and measured together
 
 
 def _seed_entropy(seed):
@@ -145,16 +148,48 @@ def claim_margins(op_name: str, rows: np.ndarray, lmax: int, claim: BoundClaim |
     """Both sides of a claimed bound for every row of a ``(trials, K)`` block.
 
     Returns ``(lhs, rhs)``, each of shape ``(trials, max_n + 1)``:
-    ``lhs[t, n] = |A f_t|_n`` and ``rhs[t, n] = K_n * sum_q |f_t|_q``.  Identity
-    rows give the exhaustive single-mode sweep.
+    ``lhs[t, n] = |A f_t|_n`` and ``rhs[t, n] = K_n * sum_q |f_t|_q``.
+    ``single_mode_margins`` gives the rows of the identity block.
     """
     if claim is None:
         claim = _CLAIMS[op_name]
     out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
+    return _sides(claim, partial(graded_norms, rows, lmax), partial(graded_norms, out, out_lmax))
+
+
+def single_mode_margins(op_name: str, lmax: int, claim: BoundClaim | None = None):
+    """``claim_margins(op_name, np.eye(K), lmax, claim)``, bit for bit, from the stencil.
+
+    A unit mode's image holds one stencil entry per shift, so each of its
+    norms is the root of one term per shift.  Adding zeros is exact and a
+    sum of two terms does not depend on their order, so for operators with at
+    most two shifts this equals the row sum over the identity block's image;
+    wider operators take that identity block.
+    """
+    if claim is None:
+        claim = _CLAIMS[op_name]
+    op = OPERATORS[op_name]()
+    K = (lmax + 1) ** 2
+    if len(op.shifts) > 2:
+        return claim_margins(op_name, np.eye(K, dtype=np.complex128), lmax, claim)
+    stencil = op._stencil(lmax, np.ones(K, dtype=bool))
+
+    def image_norms(n):
+        weights = norm_weights(lmax + op.band_growth, n)
+        terms = np.zeros((2, K))
+        for term, (src, tgt, coef) in zip(terms, stencil):
+            term[src] = weights[tgt] * (coef.real**2 + coef.imag**2)
+        return np.sqrt(terms[0] + terms[1])
+
+    # a unit row's order-q norm is the root of its one weight
+    return _sides(claim, lambda q: np.sqrt(norm_weights(lmax, q)), image_norms)
+
+
+def _sides(claim: BoundClaim, source_norms, image_norms):
+    # (lhs, rhs) columns n = 0..max_n from the input's and the image's norms of order q
     ns = range(claim.max_n + 1)
-    orders = {q for n in ns for q in claim.indices(n)}
-    source = {q: graded_norms(rows, lmax, q) for q in orders}
-    lhs = np.column_stack([graded_norms(out, out_lmax, n) for n in ns])
+    source = {q: source_norms(q) for q in {q for n in ns for q in claim.indices(n)}}
+    lhs = np.column_stack([image_norms(n) for n in ns])
     rhs = np.column_stack(
         [claim.constant(n) * sum(source[q] for q in claim.indices(n)) for n in ns]
     )
@@ -174,16 +209,20 @@ def continuity_criterion_check(
     (``t % 8 == 7``) is a single high-degree mode instead of the smooth
     ensemble; those are the inputs that break over-optimistic claims.  The
     report's ``lhs``/``rhs`` are the first worst margin in ``(trial, n)`` order.
+    Smooth trials are drawn and measured ``_TRIAL_BLOCK`` at a time, so memory
+    beyond the two ``(trials, max_n + 1)`` margin arrays does not grow with
+    ``trials``.
     """
     if claim is None:
         claim = _CLAIMS[op_name]
     lhs = np.empty((trials, claim.max_n + 1))
     rhs = np.empty_like(lhs)
-    smooth = [t for t in range(trials) if t % 8 != 7]
-    rows = _random_rows([(seed, t) for t in smooth], lmax)
-    lhs[smooth], rhs[smooth] = claim_margins(op_name, rows, lmax, claim)
-    # probes of degree l share a block at lmax = l: the row length of the
-    # single-mode expansion, and no block padded to the highest probe degree
+    smooth = np.flatnonzero(np.arange(trials) % 8 != 7)
+    for start in range(0, smooth.size, _TRIAL_BLOCK):
+        at = smooth[start:start + _TRIAL_BLOCK]
+        rows = _random_rows([(seed, t) for t in at.tolist()], lmax)
+        lhs[at], rhs[at] = claim_margins(op_name, rows, lmax, claim)
+    # each probe of degree l is one row of the single-mode margins at lmax = l
     probes = {}
     for t in range(7, trials, 8):
         rng = substream(seed, t)
@@ -191,9 +230,9 @@ def continuity_criterion_check(
         probes.setdefault(l, []).append((t, int(rng.integers(-l, l + 1))))
     for l, group in probes.items():
         at, ms = (np.array(column) for column in zip(*group))
-        units = np.zeros((at.size, (l + 1) ** 2), dtype=np.complex128)
-        units[np.arange(at.size), flat_index(l, ms)] = 1.0
-        lhs[at], rhs[at] = claim_margins(op_name, units, l, claim)
+        modes = flat_index(l, ms)
+        unit_lhs, unit_rhs = single_mode_margins(op_name, l, claim)
+        lhs[at], rhs[at] = unit_lhs[modes], unit_rhs[modes]
     t, n = np.unravel_index(np.argmin(rhs - lhs), lhs.shape)
     return BoundReport(
         check=f"{op_name}_claimed_bound",

@@ -189,19 +189,27 @@ def degree_weights(lmax: int) -> np.ndarray:
     return (ls + np.abs(ms) + 1).astype(np.float64)
 
 
-def graded_norms(table: np.ndarray, lmax: int, n: int) -> np.ndarray:
-    """Order-``n`` graded norm of every row of a ``(..., K)`` coefficient table.
+def norm_weights(lmax: int, n: int) -> np.ndarray:
+    """Order-``n`` norm weights ``(l+|m|+1)^(2n)`` in flat order.
 
-    Row ``r`` gives sqrt of sum of ``(l+|m|+1)^(2n) |table[r, k]|^2``.  Orders
-    whose largest weight ``(2*lmax+1)^(2n)`` leaves the double range raise
-    ``OverflowError``.
+    Orders whose largest weight ``(2*lmax+1)^(2n)`` leaves the double range
+    raise ``OverflowError``.
     """
     if n < 0:
         raise ValueError(f"norm order must be >= 0, got n={n}")
     if 2 * n * math.log(2 * lmax + 1) > _FLOAT_MAX_LOG:
         raise OverflowError(f"norm order n={n} overflows at lmax={lmax}")
+    return degree_weights(lmax) ** (2 * n)
+
+
+def graded_norms(table: np.ndarray, lmax: int, n: int) -> np.ndarray:
+    """Order-``n`` graded norm of every row of a ``(..., K)`` coefficient table.
+
+    Row ``r`` gives sqrt of sum of ``norm_weights(lmax, n)[k] * |table[r, k]|^2``.
+    """
+    weights = norm_weights(lmax, n)
     mag2 = table.real**2 + table.imag**2
-    return np.sqrt(np.sum(degree_weights(lmax) ** (2 * n) * mag2, axis=-1))
+    return np.sqrt(np.sum(weights * mag2, axis=-1))
 
 
 def graded_norm(f: HarmonicExpansion, n: int) -> float:

@@ -138,9 +138,11 @@ def uniform_bound_check(lmax: int) -> BoundReport:
     theta = np.linspace(0.0, math.pi, _SUP_SCAN_NODES)
     N = orthonormal_legendre_table(lmax, np.cos(theta))
     _, degs = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
-    # |Y_l^m| = N[row] / sqrt(l + 1/2); phase factors drop out of the modulus
-    scaled = np.abs(N) / np.sqrt(degs + 0.5)[:, None]
-    worst = float(scaled.max())
+    # |Y_l^m| = N[row] / sqrt(l + 1/2); phase factors drop out of the modulus.
+    # In place: the table is the scan's one large array
+    np.abs(N, out=N)
+    N /= np.sqrt(degs + 0.5)[:, None]
+    worst = float(N.max())
     return BoundReport(
         check="uniform_sup_bound",
         anchor="|Y_l^m(theta,phi)| <= 1/sqrt(2*pi)",

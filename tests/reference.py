@@ -10,7 +10,9 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
 * ``orthonormal_sh_values_reference``, point values gathered from the packed
   table through ``packed_row`` and a ``(-1) ** |m|`` sign of their own;
 * ``mirrored_orthonormality_check``, the Gram check on the grid's half-node
-  table, mirrored to the nodes with ``x < 0`` by each row's parity.
+  table, mirrored to the nodes with ``x < 0`` by each row's parity;
+* ``suite_bounds_reference``, the bounds suite with one ``weak_eigen_cos``
+  certificate per function instead of the batched screen.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import math
 
 import numpy as np
 
-from sphcalc import HarmonicExpansion, HarmonicIndex, make_grid
-from sphcalc.expansions import degree_order_arrays, flat_index
+from sphcalc import HarmonicExpansion, HarmonicIndex, SpherePoint, make_grid
+from sphcalc import bounds as bnd
+from sphcalc.expansions import degree_order_arrays, flat_index, graded_norms
 from sphcalc.report import BoundReport
-from sphcalc.legendre import _packed_map, orthonormal_legendre_table, packed_row
+from sphcalc.legendre import _packed_map, orthonormal_legendre_table, orthonormal_sh_values, packed_row
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -152,3 +155,33 @@ def mirrored_orthonormality_check(lmax: int) -> BoundReport:
         rhs=1e-10,
         lmax=lmax,
     )
+
+
+def suite_bounds_reference(lmax: int, trials: int, seed: int) -> list[BoundReport]:
+    """``cli.suite_bounds`` certifying the weak eigenrelation once per function,
+    each with its own ``apply`` and one-point tables."""
+    lmax = min(lmax, 16)
+    reports = [
+        bnd.continuity_criterion_check(name, trials=trials, seed=seed, lmax=lmax)
+        for name in ("K+", "L", "M", "cosTheta", "dThetaLit")
+    ]
+    n_funcs = max(4, min(trials, 100))
+    draws = bnd.substream(seed, "points").uniform([-1, 0], [1, 2 * math.pi], size=(n_funcs, 10, 2))
+    theta, phi = np.arccos(draws[..., 0]), draws[..., 1]
+    rows = bnd._random_rows([(seed, t) for t in range(n_funcs)], lmax)
+    E = orthonormal_sh_values(lmax, np.cos(theta).ravel(), phi.ravel()).reshape(n_funcs, 10, -1)
+    values = np.einsum("tpk,tk->tp", E, rows)
+    margins = bnd.functional_constant(3) * graded_norms(rows, lmax, 3)[:, None] - np.abs(values)
+    for t in range(n_funcs):
+        last = SpherePoint(float(theta[t, -1]), float(phi[t, -1]))
+        r = bnd.weak_eigen_cos(HarmonicExpansion(lmax, rows[t]), last, seed=seed)
+        if r.margin < 0:
+            reports.append(r)
+    t, j = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = SpherePoint(float(theta[t, j]), float(phi[t, j]))
+    f = HarmonicExpansion(lmax, rows[t])
+    reports.append(bnd.bound_point_functional(f, worst, 3, seed=seed))
+    reports.append(
+        bnd.weak_eigen_cos(HarmonicExpansion(lmax, rows[0]), SpherePoint(math.pi / 3, 0.0), seed=seed)
+    )
+    return reports

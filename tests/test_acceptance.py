@@ -33,9 +33,9 @@ from sphcalc import (
     uniform_bound_check,
 )
 from sphcalc.bounds import (
-    claim_margins,
     continuity_criterion_check,
     random_expansion,
+    single_mode_margins,
     substream,
 )
 from sphcalc.cli import exp_iphi_gap_report, product_law_report
@@ -121,11 +121,10 @@ def test_criterion_07_continuity_bounds():
     trials = 10_000
     results = {}
     sweeps = {}
-    identity = np.eye(49 * 49, dtype=np.complex128)
     for name in ("K+", "L", "cosTheta", "dThetaLit"):
         report = continuity_criterion_check(name, trials=trials, seed=SEED, lmax=10)
         results[name] = report.margin
-        lhs, rhs = claim_margins(name, identity, 48)
+        lhs, rhs = single_mode_margins(name, 48)
         sweeps[name] = float(np.min(rhs - lhs))
     ok = all(m >= 0.0 for m in results.values()) and all(m >= 0.0 for m in sweeps.values())
     summary = ", ".join(f"{k}: {v:.3e}" for k, v in results.items())

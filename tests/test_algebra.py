@@ -114,6 +114,30 @@ def test_matrix_matches_apply():
     np.testing.assert_allclose(via_apply.coeffs, via_mat, atol=1e-14)
 
 
+MATRIX_OPERATORS = {
+    **OPERATORS,
+    "(-1j)*dPhi": lambda: (-1j) * OPERATORS["dPhi"](),
+    "J+*J-": lambda: generator("J+") * generator("J-"),
+}
+
+
+@pytest.mark.parametrize("lmax", [1, 8, 16, 32])
+@pytest.mark.parametrize("name", list(MATRIX_OPERATORS))
+def test_matrix_scatter_equals_identity_image(name, lmax):
+    # the matrix once was the image of the identity block; scattering the
+    # stencil gives the same bytes, zeros' signs included, or the same error
+    op = MATRIX_OPERATORS[name]()
+    identity = np.eye((lmax + 1) ** 2, dtype=np.complex128)
+    try:
+        expected = op._apply_table(identity, lmax)[0].T
+    except DomainError as err:
+        with pytest.raises(DomainError, match=re.escape(str(err))):
+            MATRIX_OPERATORS[name]().matrix(lmax)
+        return
+    got = MATRIX_OPERATORS[name]().matrix(lmax)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def test_closure_and_derived_constants():
     constants, resid = derive_structure_constants(8)
     assert resid <= 1e-10

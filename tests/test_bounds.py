@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from scipy.special import zeta
 
 from sphcalc import (
     OPERATORS,
+    DomainError,
     HarmonicExpansion,
     SpherePoint,
     bound_point_functional,
@@ -17,9 +20,18 @@ from sphcalc import (
     point_eval,
     weak_eigen_cos,
 )
-from sphcalc import bounds
-from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, substream
+from sphcalc import bounds, cli, structural
+from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, single_mode_margins, substream
 from sphcalc.cli import suite_bounds
+
+from reference import suite_bounds_reference
+
+# claims the registered ones do not make: the first fails on high-degree
+# single modes, the second on the constant mode at n = 2
+FALSE_CLAIMS = [
+    ("K+", BoundClaim(lambda n: 1.0, lambda n: (n,), 1)),
+    ("cosTheta", BoundClaim(lambda n: 2.0, lambda n: (n + 1,), 4)),
+]
 
 
 def margins_at(op_name, f, n):
@@ -236,15 +248,76 @@ def reference_falsifier(name, trials, seed, lmax, claim):
 
 def test_batched_scan_matches_per_trial():
     cases = [(name, 200, 5, 8, claim) for name, claim in _CLAIMS.items()]
-    cases += [
-        ("K+", 64, 11, 10, BoundClaim(lambda n: 1.0, lambda n: (n,), 1)),
-        ("cosTheta", 64, 13, 8, BoundClaim(lambda n: 2.0, lambda n: (n + 1,), 4)),
-    ]
+    cases += [(name, 64, seed, lmax, claim) for (name, claim), seed, lmax in zip(FALSE_CLAIMS, (11, 13), (10, 8))]
+    # 525 smooth trials: three blocks of the falsifier's draws
+    assert bounds._TRIAL_BLOCK < 525 <= 3 * bounds._TRIAL_BLOCK
+    cases += [("cosTheta", 600, 17, 6, _CLAIMS["cosTheta"])]
     for name, trials, seed, lmax, claim in cases:
         r = continuity_criterion_check(name, trials=trials, seed=seed, lmax=lmax, claim=claim)
         expected = reference_falsifier(name, trials, seed, lmax, claim)
         assert (r.lhs, r.rhs, r.n, r.details["worst_trial"]) == expected, name
         assert r.passed == (claim is _CLAIMS.get(name)), name
+
+
+def test_falsifier_memory_does_not_grow_with_trials():
+    # smooth trials are drawn and measured in fixed blocks: only the two
+    # (trials, max_n + 1) margin arrays grow, 40 bytes a trial each
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            continuity_criterion_check("cosTheta", trials=trials, seed=3, lmax=16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= 1.5 * peak(500)
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 2, 10, 24, 48])
+def test_single_mode_margins_equal_identity_rows(lmax):
+    K = (lmax + 1) ** 2
+    identity = np.eye(K, dtype=np.complex128)
+    for name, claim in [*_CLAIMS.items(), *FALSE_CLAIMS]:
+        got = single_mode_margins(name, lmax, claim)
+        # the identity block in slices of 16 rows: rows are measured
+        # independently, and at l = 48 the whole block's image is 100 MB
+        slices = [claim_margins(name, identity[a:a + 16], lmax, claim) for a in range(0, K, 16)]
+        for side, expected in zip(got, zip(*slices)):
+            assert np.array_equal(side, np.concatenate(expected)), (name, lmax)
+
+
+def test_single_mode_margins_defaults_and_wider_operators():
+    for name, claim in _CLAIMS.items():
+        for side, expected in zip(single_mode_margins(name, 6), single_mode_margins(name, 6, claim)):
+            assert np.array_equal(side, expected)
+    with pytest.raises(KeyError):
+        single_mode_margins("J+", 3)  # registered operator, no registered claim
+    # expIPhi has four shifts, so its unit images are measured as identity rows
+    claim = BoundClaim(lambda n: 1.0, lambda n: (n,), 2)
+    identity = np.eye(1, dtype=np.complex128)
+    for side, expected in zip(single_mode_margins("expIPhi", 0, claim), claim_margins("expIPhi", identity, 0, claim)):
+        assert np.array_equal(side, expected)
+    with pytest.raises(DomainError, match=re.escape("(1,-1)")):
+        single_mode_margins("expIPhi", 1, claim)
+
+
+@pytest.mark.parametrize("lmax,trials,seed", [(16, 50, 42), (8, 200, 5), (4, 7, 5), (1, 8, 3), (16, 120, 123456)])
+def test_suite_bounds_matches_per_function_loop(lmax, trials, seed):
+    got = suite_bounds(lmax, trials, seed)
+    assert [repr(r) for r in got] == [repr(r) for r in suite_bounds_reference(lmax, trials, seed)]
+
+
+def test_weak_eigen_screen_passes_every_failure_through(monkeypatch):
+    # a perturbed cos(Theta) fails the eigenrelation for every function: the
+    # screen must hand each pair to the one-point certificate
+    original = structural.cos_theta_op
+    monkeypatch.setattr(cli.st, "cos_theta_op", lambda: 1.000001 * original())
+    monkeypatch.setattr(bounds, "cos_theta_op", lambda: 1.000001 * original())
+    for lmax, trials, seed in [(16, 50, 42), (6, 9, 5)]:
+        got = suite_bounds(lmax, trials, seed)
+        weak = [r for r in got if r.check == "weak_eigen_cos"]
+        assert len(weak) == max(4, min(trials, 100)) + 1 and not any(r.passed for r in weak)
+        assert [repr(r) for r in got] == [repr(r) for r in suite_bounds_reference(lmax, trials, seed)]
 
 
 def reference_point_functional(trials, seed, lmax):

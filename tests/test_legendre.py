@@ -196,6 +196,18 @@ def test_uniform_bound_dense_scan():
     assert r.lhs <= SH_SUP_BOUND + 1e-12
 
 
+def test_uniform_bound_scan_holds_one_table():
+    # the modulus and the 1/sqrt(l+1/2) scaling once made two more copies of
+    # the 2.5 MB scan table at lmax 16, a 7.6 MB tracemalloc peak
+    tracemalloc.start()
+    try:
+        assert uniform_bound_check(16).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_pole_values():
     # at theta = 0 only m = 0 survives and sits exactly on the bound
     for l in range(9):
