@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -154,17 +153,16 @@ def claim_margins(op_name: str, rows: np.ndarray, lmax: int, claim: BoundClaim |
     if claim is None:
         claim = _CLAIMS[op_name]
     out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
-    return _sides(claim, partial(graded_norms, rows, lmax), partial(graded_norms, out, out_lmax))
+    return _sides(claim, lambda q: graded_norms(rows, lmax, q), lambda n: graded_norms(out, out_lmax, n))
 
 
 def single_mode_margins(op_name: str, lmax: int, claim: BoundClaim | None = None):
     """``claim_margins(op_name, np.eye(K), lmax, claim)``, bit for bit, from the stencil.
 
-    A unit mode's image holds one stencil entry per shift, so each of its
-    norms is the root of one term per shift.  Adding zeros is exact and a
-    sum of two terms does not depend on their order, so for operators with at
-    most two shifts this equals the row sum over the identity block's image;
-    wider operators take that identity block.
+    A unit mode's image holds one stencil entry per shift.  Adding zeros is
+    exact and a sum of two terms does not depend on their order, so with at
+    most two shifts each norm is the root of the per-shift terms' sum;
+    operators with more shifts take the identity block.
     """
     if claim is None:
         claim = _CLAIMS[op_name]
