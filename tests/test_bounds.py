@@ -248,7 +248,8 @@ def reference_falsifier(name, trials, seed, lmax, claim):
 
 def test_batched_scan_matches_per_trial():
     cases = [(name, 200, 5, 8, claim) for name, claim in _CLAIMS.items()]
-    cases += [(name, 64, seed, lmax, claim) for (name, claim), seed, lmax in zip(FALSE_CLAIMS, (11, 13), (10, 8))]
+    (kplus, kplus_claim), (cos, cos_claim) = FALSE_CLAIMS
+    cases += [(kplus, 64, 11, 10, kplus_claim), (cos, 64, 13, 8, cos_claim)]
     # 525 smooth trials: three blocks of the falsifier's draws
     assert bounds._TRIAL_BLOCK < 525 <= 3 * bounds._TRIAL_BLOCK
     cases += [("cosTheta", 600, 17, 6, _CLAIMS["cosTheta"])]
@@ -294,14 +295,16 @@ def test_single_mode_margins_defaults_and_wider_operators():
         single_mode_margins("J+", 3)  # registered operator, no registered claim
     # expIPhi has four shifts, so its unit images are measured as identity rows
     claim = BoundClaim(lambda n: 1.0, lambda n: (n,), 2)
-    identity = np.eye(1, dtype=np.complex128)
-    for side, expected in zip(single_mode_margins("expIPhi", 0, claim), claim_margins("expIPhi", identity, 0, claim)):
-        assert np.array_equal(side, expected)
+    expected = claim_margins("expIPhi", np.eye(1, dtype=np.complex128), 0, claim)
+    for side, reference in zip(single_mode_margins("expIPhi", 0, claim), expected):
+        assert np.array_equal(side, reference)
     with pytest.raises(DomainError, match=re.escape("(1,-1)")):
         single_mode_margins("expIPhi", 1, claim)
 
 
-@pytest.mark.parametrize("lmax,trials,seed", [(16, 50, 42), (8, 200, 5), (4, 7, 5), (1, 8, 3), (16, 120, 123456)])
+@pytest.mark.parametrize(
+    "lmax,trials,seed", [(16, 50, 42), (8, 200, 5), (4, 7, 5), (1, 8, 3), (16, 120, 123456)]
+)
 def test_suite_bounds_matches_per_function_loop(lmax, trials, seed):
     got = suite_bounds(lmax, trials, seed)
     assert [repr(r) for r in got] == [repr(r) for r in suite_bounds_reference(lmax, trials, seed)]
