@@ -21,6 +21,7 @@ from .bounds import (
     bound_point_functional,
     claim_margins,
     continuity_criterion_check,
+    continuity_criterion_checks,
     functional_constant,
     random_expansion,
     single_mode_margins,

@@ -209,36 +209,60 @@ def continuity_criterion_check(
     report's ``lhs``/``rhs`` are the first worst margin in ``(trial, n)`` order.
     Smooth trials are drawn and measured ``_TRIAL_BLOCK`` at a time, so memory
     beyond the two ``(trials, max_n + 1)`` margin arrays does not grow with
-    ``trials``.
+    ``trials``.  A probe of degree ``l`` is row ``flat_index(l, m)`` of one
+    ``single_mode_margins`` table at the highest probe degree: a unit mode's
+    margins do not depend on the table's degree.  The one-name case of
+    ``continuity_criterion_checks``.
     """
-    if claim is None:
-        claim = _CLAIMS[op_name]
-    lhs = np.empty((trials, claim.max_n + 1))
-    rhs = np.empty_like(lhs)
+    return continuity_criterion_checks([op_name], trials, seed, lmax, [claim])[0]
+
+
+def continuity_criterion_checks(
+    op_names,
+    trials: int = 100,
+    seed: int = 42,
+    lmax: int = 12,
+    claims=None,
+) -> list[BoundReport]:
+    """``continuity_criterion_check`` for each name, all over one set of draws.
+
+    ``claims``, if given, runs parallel to ``op_names``; a ``None`` entry
+    takes the registered claim.  Each smooth block and each probe is drawn
+    once and measured against every claim, so each report equals the
+    one-name call's.
+    """
+    if claims is None:
+        claims = [None] * len(op_names)
+    claims = [_CLAIMS[name] if claim is None else claim for name, claim in zip(op_names, claims)]
+    lhs = [np.empty((trials, claim.max_n + 1)) for claim in claims]
+    rhs = [np.empty_like(a) for a in lhs]
     smooth = np.flatnonzero(np.arange(trials) % 8 != 7)
     for start in range(0, smooth.size, _TRIAL_BLOCK):
         at = smooth[start:start + _TRIAL_BLOCK]
         rows = _random_rows([(seed, t) for t in at.tolist()], lmax)
-        lhs[at], rhs[at] = claim_margins(op_name, rows, lmax, claim)
-    # each probe of degree l is one row of the single-mode margins at lmax = l
-    probes = {}
-    for t in range(7, trials, 8):
-        rng = substream(seed, t)
-        l = int(rng.integers(lmax, 4 * lmax + 8))
-        probes.setdefault(l, []).append((t, int(rng.integers(-l, l + 1))))
-    for l, group in probes.items():
-        at, ms = (np.array(column) for column in zip(*group))
-        modes = flat_index(l, ms)
-        unit_lhs, unit_rhs = single_mode_margins(op_name, l, claim)
-        lhs[at], rhs[at] = unit_lhs[modes], unit_rhs[modes]
-    t, n = np.unravel_index(np.argmin(rhs - lhs), lhs.shape)
-    return BoundReport(
-        check=f"{op_name}_claimed_bound",
-        anchor=f"|{op_name} f|_n <= K_n * sum of claimed right-side norms",
-        lhs=float(lhs[t, n]),
-        rhs=float(rhs[t, n]),
-        seed=seed,
-        lmax=lmax,
-        n=int(n),
-        details={"trials": trials, "worst_trial": int(t)},
-    )
+        for name, claim, lhs_n, rhs_n in zip(op_names, claims, lhs, rhs):
+            lhs_n[at], rhs_n[at] = claim_margins(name, rows, lmax, claim)
+    # each rng draws its probe's degree, then its order
+    rngs = [substream(seed, t) for t in range(7, trials, 8)]
+    degrees = [int(rng.integers(lmax, 4 * lmax + 8)) for rng in rngs]
+    modes = [flat_index(l, int(rng.integers(-l, l + 1))) for rng, l in zip(rngs, degrees)]
+    for name, claim, lhs_n, rhs_n in zip(op_names, claims, lhs, rhs):
+        if degrees:
+            unit_lhs, unit_rhs = single_mode_margins(name, max(degrees), claim)
+            lhs_n[7::8], rhs_n[7::8] = unit_lhs[modes], unit_rhs[modes]
+    reports = []
+    for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):
+        t, n = np.unravel_index(np.argmin(rhs_n - lhs_n), lhs_n.shape)
+        reports.append(
+            BoundReport(
+                check=f"{name}_claimed_bound",
+                anchor=f"|{name} f|_n <= K_n * sum of claimed right-side norms",
+                lhs=float(lhs_n[t, n]),
+                rhs=float(rhs_n[t, n]),
+                seed=seed,
+                lmax=lmax,
+                n=int(n),
+                details={"trials": trials, "worst_trial": int(t)},
+            )
+        )
+    return reports

@@ -450,10 +450,7 @@ def exp_iphi_gap_report(seed: int) -> BoundReport:
 
 def suite_bounds(lmax: int, trials: int, seed: int) -> list[BoundReport]:
     lmax = min(lmax, 16)
-    reports = [
-        bnd.continuity_criterion_check(name, trials=trials, seed=seed, lmax=lmax)
-        for name in ("K+", "L", "M", "cosTheta", "dThetaLit")
-    ]
+    reports = bnd.continuity_criterion_checks(("K+", "L", "M", "cosTheta", "dThetaLit"), trials, seed, lmax)
     # each function is certified at its own ten points from one table; the
     # worst pair is certified again alone, so its record has one-point bits
     n_funcs = max(4, min(trials, 100))

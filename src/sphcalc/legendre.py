@@ -110,13 +110,16 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     ``phi``, a scalar or an array of the same length; columns follow the flat
     triangular order of
     ``degree_order_arrays(lmax)``.  At ``phi = 0`` the values are real: the
-    theta factor alone.
+    theta factor alone.  The phase ``exp(i*m*phi)`` is computed once per order
+    and point and gathered to the flat columns, each from the same argument as
+    a per-mode exponential, so the values are the same bits.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     phi = np.asarray(phi, dtype=np.float64)[..., None]
     N = orthonormal_legendre_table(lmax, x)
     rows, _, sign, _ = _packed_map(lmax)
-    return N[rows].T * sign * np.exp(1j * degree_order_arrays(lmax)[1] * phi)
+    phase = np.exp(1j * np.arange(-lmax, lmax + 1) * phi)
+    return N[rows].T * sign * phase[..., degree_order_arrays(lmax)[1] + lmax]
 
 
 def sh_eval(idx, p) -> complex:

@@ -287,6 +287,48 @@ def test_single_mode_margins_equal_identity_rows(lmax):
             assert np.array_equal(side, np.concatenate(expected)), (name, lmax)
 
 
+@pytest.mark.parametrize("lmax", [0, 1, 16, 47])
+def test_single_mode_margins_do_not_depend_on_the_table_degree(lmax):
+    # the falsifier reads every probe from one table at its highest probe
+    # degree; 71 is the highest it reaches at lmax 16
+    K = (lmax + 1) ** 2
+    for name in _CLAIMS:
+        for top, own in zip(single_mode_margins(name, 71), single_mode_margins(name, lmax)):
+            assert top[:K].tobytes() == own.tobytes(), name
+
+
+def test_falsifiers_over_one_draw_match_per_trial():
+    names, claims = zip(*_CLAIMS.items(), *FALSE_CLAIMS)
+    for r, name, claim in zip(bounds.continuity_criterion_checks(names, 200, 5, 8, claims), names, claims):
+        expected = reference_falsifier(name, 200, 5, 8, claim)
+        assert (r.lhs, r.rhs, r.n, r.details["worst_trial"]) == expected, name
+    registered = bounds.continuity_criterion_checks(list(_CLAIMS), 50, 42, 16)
+    assert [repr(r) for r in registered] == [
+        repr(continuity_criterion_check(name, trials=50, seed=42, lmax=16)) for name in _CLAIMS
+    ]
+
+
+def test_suite_bounds_draws_once_and_builds_one_probe_table_per_operator(monkeypatch):
+    calls = {"rows": 0, "tables": []}
+    draw, table = bounds._random_rows, bounds.single_mode_margins
+
+    def counted_draw(*args, **kwargs):
+        calls["rows"] += 1
+        return draw(*args, **kwargs)
+
+    def counted_table(name, lmax, claim=None):
+        calls["tables"].append((name, lmax))
+        return table(name, lmax, claim)
+
+    monkeypatch.setattr(bounds, "_random_rows", counted_draw)
+    monkeypatch.setattr(bounds, "single_mode_margins", counted_table)
+    suite_bounds(16, 50, 42)
+    # one smooth block for the five falsifiers, one for the point functionals
+    assert calls["rows"] == 2
+    assert [name for name, _ in calls["tables"]] == list(_CLAIMS)
+    assert len({lmax for _, lmax in calls["tables"]}) == 1
+
+
 def test_single_mode_margins_defaults_and_wider_operators():
     for name, claim in _CLAIMS.items():
         for side, expected in zip(single_mode_margins(name, 6), single_mode_margins(name, 6, claim)):
@@ -303,7 +345,8 @@ def test_single_mode_margins_defaults_and_wider_operators():
 
 
 @pytest.mark.parametrize(
-    "lmax,trials,seed", [(16, 50, 42), (8, 200, 5), (4, 7, 5), (1, 8, 3), (16, 120, 123456)]
+    "lmax,trials,seed",
+    [(16, 50, 42), (8, 200, 5), (4, 7, 5), (1, 8, 3), (16, 120, 123456), (16, 7, 3), (16, 8, 3)],
 )
 def test_suite_bounds_matches_per_function_loop(lmax, trials, seed):
     got = suite_bounds(lmax, trials, seed)

@@ -265,7 +265,7 @@ def test_table_equals_per_order_recurrence(lmax):
     np.testing.assert_array_equal(table, _table_per_order(lmax, x)[:, ls, ms].T)
 
 
-@pytest.mark.parametrize("lmax", [0, 1, 16, 47])
+@pytest.mark.parametrize("lmax", [0, 1, 16, 47, 128])
 @pytest.mark.parametrize("phi_kind", ["scalar", "array"])
 def test_point_values_equal_the_reference_gather(lmax, phi_kind):
     # one packed map in legendre replaced a second gather with its own sign formula
