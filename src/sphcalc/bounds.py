@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,11 +219,11 @@ def continuity_criterion_check(
 
 
 def continuity_criterion_checks(
-    op_names,
+    op_names: Sequence[str],
     trials: int = 100,
     seed: int = 42,
     lmax: int = 12,
-    claims=None,
+    claims: Sequence[BoundClaim | None] | None = None,
 ) -> list[BoundReport]:
     """``continuity_criterion_check`` for each name, all over one set of draws.
 
@@ -231,8 +232,7 @@ def continuity_criterion_checks(
     once and measured against every claim, so each report equals the
     one-name call's.
     """
-    if claims is None:
-        claims = [None] * len(op_names)
+    claims = claims or [None] * len(op_names)
     claims = [_CLAIMS[name] if claim is None else claim for name, claim in zip(op_names, claims)]
     lhs = [np.empty((trials, claim.max_n + 1)) for claim in claims]
     rhs = [np.empty_like(a) for a in lhs]
@@ -246,8 +246,8 @@ def continuity_criterion_checks(
     rngs = [substream(seed, t) for t in range(7, trials, 8)]
     degrees = [int(rng.integers(lmax, 4 * lmax + 8)) for rng in rngs]
     modes = [flat_index(l, int(rng.integers(-l, l + 1))) for rng, l in zip(rngs, degrees)]
-    for name, claim, lhs_n, rhs_n in zip(op_names, claims, lhs, rhs):
-        if degrees:
+    if degrees:
+        for name, claim, lhs_n, rhs_n in zip(op_names, claims, lhs, rhs):
             unit_lhs, unit_rhs = single_mode_margins(name, max(degrees), claim)
             lhs_n[7::8], rhs_n[7::8] = unit_lhs[modes], unit_rhs[modes]
     reports = []
