@@ -108,11 +108,9 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
 
     Points are given by ``x = cos(theta)``, a 1-D array or a scalar, and
     ``phi``, a scalar or an array of the same length; columns follow the flat
-    triangular order of
-    ``degree_order_arrays(lmax)``.  At ``phi = 0`` the values are real: the
-    theta factor alone.  The phase ``exp(i*m*phi)`` is computed once per order
-    and point and gathered to the flat columns, each from the same argument as
-    a per-mode exponential, so the values are the same bits.
+    triangular order of ``degree_order_arrays(lmax)``.  At ``phi = 0`` the
+    values are real: the theta factor alone.  Each phase ``exp(i*m*phi)`` is
+    computed once per order and point and gathered to the flat columns.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     phi = np.asarray(phi, dtype=np.float64)[..., None]
