@@ -158,7 +158,7 @@ def mirrored_orthonormality_check(lmax: int) -> BoundReport:
 
 
 def suite_bounds_reference(lmax: int, trials: int, seed: int) -> list[BoundReport]:
-    """``cli.suite_bounds`` certifying the weak eigenrelation once per function,
+    """``verify.suite_bounds`` certifying the weak eigenrelation once per function,
     each with its own ``apply`` and one-point tables."""
     lmax = min(lmax, 16)
     reports = [

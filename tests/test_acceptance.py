@@ -38,8 +38,8 @@ from sphcalc.bounds import (
     single_mode_margins,
     substream,
 )
-from sphcalc.cli import exp_iphi_gap_report, product_law_report
 from sphcalc.expansions import degree_order_arrays, flat_index
+from sphcalc.verify import exp_iphi_gap_report, product_law_report
 
 SEED = 42
 

@@ -21,9 +21,9 @@ from sphcalc import (
     point_eval,
     weak_eigen_cos,
 )
-from sphcalc import bounds, cli, structural
+from sphcalc import bounds, structural
 from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, single_mode_margins, substream
-from sphcalc.cli import suite_bounds
+from sphcalc.verify import suite_bounds
 
 from reference import suite_bounds_reference
 
@@ -359,7 +359,7 @@ def test_weak_eigen_screen_passes_every_failure_through(monkeypatch):
     # a perturbed cos(Theta) fails the eigenrelation for every function: the
     # screen must hand each pair to the one-point certificate
     original = structural.cos_theta_op
-    monkeypatch.setattr(cli.st, "cos_theta_op", lambda: 1.000001 * original())
+    monkeypatch.setattr(structural, "cos_theta_op", lambda: 1.000001 * original())
     monkeypatch.setattr(bounds, "cos_theta_op", lambda: 1.000001 * original())
     for lmax, trials, seed in [(16, 50, 42), (6, 9, 5)]:
         got = suite_bounds(lmax, trials, seed)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from sphcalc import OPERATORS, HarmonicExpansion, load_expansion, save_expansion
-from sphcalc import cli
+from sphcalc import cli, verify
 from sphcalc.bounds import _CLAIMS
 from sphcalc.cli import (
     EXIT_IO,
@@ -610,6 +610,25 @@ def test_verify_all_suites(tmp_path):
     assert gap["informational"] is True
     assert len(gap["details"]["truncation_tail"]) >= 5
     assert set(gap["details"]["norm_ratio_to_order_plus_2"]) == {"0", "1", "2", "3"}
+
+
+def test_cli_binds_the_traced_suites():
+    # span tracing patches cli.suite_* and the entries of cli.SUITES; a copied
+    # dict would leave those spans empty while every report still passes
+    assert cli.SUITES is verify.SUITES
+    for name in verify.SUITES:
+        assert getattr(cli, f"suite_{name}") is verify.SUITES[name]
+
+
+def test_verify_all_equals_the_single_suites_in_order(tmp_path):
+    def records(suite):
+        report = tmp_path / f"{suite}.json"
+        argv = ["verify", "--suite", suite, "--lmax", "8", "--trials", "20", "--seed", "3"]
+        assert main(argv + ["--out", str(report)]) == EXIT_OK
+        # compared as JSON text: NaN fields never compare equal as floats
+        return [json.dumps(r, sort_keys=True) for r in json.loads(report.read_text())["reports"]]
+
+    assert records("all") == [r for name in verify.SUITES for r in records(name)]
 
 
 def test_verify_all_suites_at_low_lmax(tmp_path):

@@ -23,9 +23,9 @@ from sphcalc import (
     sin_exp_op,
 )
 from sphcalc.bounds import random_expansion, substream
-from sphcalc.cli import dtheta_identity_order_report, product_law_report
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.transform import SampledField, analyze, make_grid, point_eval, synthesize
+from sphcalc.verify import dtheta_identity_order_report, product_law_report
 
 import reference
 from reference import from_dict

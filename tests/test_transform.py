@@ -30,10 +30,10 @@ from sphcalc import (
     synthesize,
 )
 from sphcalc.bounds import random_expansion
-from sphcalc.cli import suite_transforms
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.legendre import MAX_LMAX, _packed_map
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
+from sphcalc.verify import suite_transforms
 
 import reference_io
 from reference import mirrored_orthonormality_check
