@@ -202,19 +202,7 @@ def continuity_criterion_check(
     lmax: int = 12,
     claim: BoundClaim | None = None,
 ) -> BoundReport:
-    """Randomized falsification attempt against a claimed bound shape.
-
-    Trial ``t`` draws from substream ``(seed, t)``.  Every eighth trial
-    (``t % 8 == 7``) is a single high-degree mode instead of the smooth
-    ensemble; those are the inputs that break over-optimistic claims.  The
-    report's ``lhs``/``rhs`` are the first worst margin in ``(trial, n)`` order.
-    Smooth trials are drawn and measured ``_TRIAL_BLOCK`` at a time, so memory
-    beyond the two ``(trials, max_n + 1)`` margin arrays does not grow with
-    ``trials``.  A probe of degree ``l`` is row ``flat_index(l, m)`` of one
-    ``single_mode_margins`` table at the highest probe degree: a unit mode's
-    margins do not depend on the table's degree.  The one-name case of
-    ``continuity_criterion_checks``.
-    """
+    """The one-name case of ``continuity_criterion_checks``."""
     return continuity_criterion_checks([op_name], trials, seed, lmax, [claim])[0]
 
 
@@ -225,8 +213,17 @@ def continuity_criterion_checks(
     lmax: int = 12,
     claims: Sequence[BoundClaim | None] | None = None,
 ) -> list[BoundReport]:
-    """``continuity_criterion_check`` for each name, all over one set of draws.
+    """Randomized falsification attempts against claimed bound shapes, one per name.
 
+    Trial ``t`` draws from substream ``(seed, t)``.  Every eighth trial
+    (``t % 8 == 7``) is a single high-degree mode instead of the smooth
+    ensemble; those are the inputs that break over-optimistic claims.  Each
+    report's ``lhs``/``rhs`` are the first worst margin in ``(trial, n)``
+    order.  Smooth trials are drawn and measured ``_TRIAL_BLOCK`` at a time,
+    so memory beyond the two ``(trials, max_n + 1)`` margin arrays per name
+    does not grow with ``trials``.  A probe of degree ``l`` is row
+    ``flat_index(l, m)`` of one ``single_mode_margins`` table at the highest
+    probe degree: a unit mode's margins do not depend on the table's degree.
     ``claims``, if given, runs parallel to ``op_names``; a ``None`` entry
     takes the registered claim.  Each smooth block and each probe is drawn
     once and measured against every claim, so each report equals the

@@ -50,15 +50,15 @@ def packed_row(lmax: int, l, m):
 
 def _packed_map(lmax: int):
     """Per flat index up to degree ``lmax``: packed row, slot (0 for ``+m``, 1
-    for ``-m``) and sign (``(-1)^m`` for ``m < 0``, else 1), read-only; then
-    each order's row block ``off[m]:off[m+1]``, indexed by ``m``."""
+    for ``-m``) and sign (``(-1)^m`` for ``m < 0``, else 1); then the order
+    offsets ``off``, order ``m`` being rows ``off[m]:off[m+1]``.  Read-only."""
     ls, ms = degree_order_arrays(lmax)
-    neg = ms < 0
-    arrays = packed_row(lmax, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0)
+    neg, orders = ms < 0, np.arange(lmax + 2)
+    arrays = (packed_row(lmax, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0),
+              packed_row(lmax, orders, orders))
     for a in arrays:
         a.flags.writeable = False
-    off = packed_row(lmax, np.arange(lmax + 2), np.arange(lmax + 2)).tolist()
-    return (*arrays, tuple(slice(off[m], off[m + 1]) for m in range(lmax + 1)))
+    return arrays
 
 
 def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:

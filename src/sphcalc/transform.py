@@ -80,7 +80,7 @@ class SphereGrid:
     transforms' phi stage is an FFT, each of weight ``dphi = 2*pi/n_phi``.
     """
 
-    __slots__ = ("lmax", "x", "w", "theta", "phi", "dphi", "_tables")
+    __slots__ = ("lmax", "x", "w", "theta", "phi", "dphi", "_entry")
 
     def __init__(self, lmax: int):
         if lmax < 0:
@@ -92,7 +92,7 @@ class SphereGrid:
         self.phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         self.dphi = 2.0 * math.pi / n_phi
         self.theta = np.arccos(np.clip(self.x, -1.0, 1.0))
-        self._tables = {}
+        self._entry = None
         if abs(self.w.sum() - 2.0) > 1e-13:
             raise ValueError("quadrature weights must sum to 2")
         if np.any(np.diff(self.x) <= 0.0):
@@ -106,20 +106,22 @@ class SphereGrid:
     def n_phi(self) -> int:
         return self.phi.size
 
-    def basis_table(self, lmax: int) -> np.ndarray:
-        """Cached orthonormal Legendre table at the theta nodes with ``x >= 0``.
+    def basis_table(self, lmax: int):
+        """The grid's one entry ``(table, rows, slot, sign, off)``, of degree G >= ``lmax``.
 
-        Column ``j`` holds node ``n_theta // 2 + j``.  The nodes are
-        antisymmetric, so the recurrence gives the mirrored node ``-x``
-        exactly ``(-1)^(l+m)`` times these values, and no column is stored
-        for ``x < 0``.  The cached entry ``_tables[lmax]`` is ``(table, rows,
-        slot, sign, blocks)``: the table and ``legendre._packed_map(lmax)``,
-        the flat-to-packed map the transforms index with.
+        ``orthonormal_legendre_table`` at the nodes with ``x >= 0`` (column
+        ``j`` is node ``n_theta // 2 + j``; node ``-x`` holds ``(-1)^(l+m)``
+        times its values) and ``legendre._packed_map(G)``.  A row has the same
+        bits at every degree, so degree ``L < G`` reads the first ``(L+1)^2``
+        map entries and rows ``off[m]:off[m]+L+1-m``.  A degree above G
+        replaces the entry; callers keep the one they read or built, even if
+        a concurrent call stores a lower one.  No stored array is written.
         """
-        if lmax not in self._tables:
-            table = orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:])
-            self._tables[lmax] = (table, *_packed_map(lmax))
-        return self._tables[lmax][0]
+        entry = self._entry
+        if entry is None or entry[1].size < (lmax + 1) ** 2:
+            entry = (orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]), *_packed_map(lmax))
+            self._entry = entry
+        return entry
 
     def __repr__(self):
         return f"SphereGrid(lmax={self.lmax}, n_theta={self.n_theta}, n_phi={self.n_phi})"
@@ -167,17 +169,16 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     L = math.isqrt(K) - 1
     if grid.lmax < L:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
-    grid.basis_table(L)
-    N, rows, slot, sign, blocks = grid._tables[L]
+    N, rows, slot, sign, off = grid.basis_table(L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0; node i mirrors node P - 1 - i
-    C = np.zeros((N.shape[0], 2, B), dtype=np.complex128)
-    C[rows, slot] = sign[:, None] * coeffs.T
+    C = np.zeros((off[L] + 1, 2, B), dtype=np.complex128)
+    C[rows[:K], slot[:K]] = sign[:K, None] * coeffs.T
     Cr = C.reshape(-1, 2 * B).view(np.float64)
     EO = np.empty((2, L + 1, h, 2, B), dtype=np.complex128)  # [even/odd l+m, m, node x >= 0, +m/-m, row]
     EOr = EO.reshape(2, L + 1, h, 2 * B).view(np.float64)
-    for m, block in enumerate(blocks):
-        Nb, Cb = N[block], Cr[block]
+    for m, o in enumerate(off[:L + 1].tolist()):
+        Nb, Cb = N[o:o + L + 1 - m], Cr[o:o + L + 1 - m]
         np.matmul(Nb[0::2].T, Cb[0::2], out=EOr[0, m])
         np.matmul(Nb[1::2].T, Cb[1::2], out=EOr[1, m])
     E, O = EO.transpose(0, 4, 2, 1, 3)  # [row, node x >= 0, m, +m/-m]
@@ -205,9 +206,8 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     if grid.lmax < lmax:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
-    B = samples.shape[0]
-    grid.basis_table(L)
-    N, rows, slot, sign, blocks = grid._tables[L]
+    B, K = samples.shape[0], (L + 1) ** 2
+    N, rows, slot, sign, off = grid.basis_table(L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0
     m = np.arange(L + 1)
@@ -219,13 +219,13 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     np.add(north[:, h - s:], south, out=SD[0, :, h - s:])
     np.subtract(north[:, h - s:], south, out=SD[1, :, h - s:])
     SDr = SD.reshape(2, L + 1, h, 2 * B).view(np.float64)
-    C = np.empty((N.shape[0], 2, B), dtype=np.complex128)
+    C = np.empty((off[L] + 1, 2, B), dtype=np.complex128)
     Cr = C.reshape(-1, 2 * B).view(np.float64)
-    for m, block in enumerate(blocks):
-        Nb, Cb = N[block], Cr[block]
+    for m, o in enumerate(off[:L + 1].tolist()):
+        Nb, Cb = N[o:o + L + 1 - m], Cr[o:o + L + 1 - m]
         np.matmul(Nb[0::2], SDr[0, m], out=Cb[0::2])
         np.matmul(Nb[1::2], SDr[1, m], out=Cb[1::2])
-    return (sign[:, None] * C[rows, slot]).T
+    return (sign[:K, None] * C[rows[:K], slot[:K]]).T
 
 
 def synthesize(f: HarmonicExpansion, grid: SphereGrid) -> SampledField:

@@ -254,11 +254,11 @@ def exp_iphi_gap_report(seed: int) -> BoundReport:
     # zero the m = -1 column so the composite's domain condition holds
     rows[:, degree_order_arrays(lmax)[1] == -1] = 0.0
     f = HarmonicExpansion(lmax, rows[0])
-    composite = st.exp_iphi_composite().apply(f)
     total = hilbert_norm(f) ** 2
-    # amplification |C g|_n / |g|_{n+2} over the other 16 rows: reported, not asserted
-    out, out_lmax = st.exp_iphi_composite()._apply_table(rows[1:], lmax)
-    ratios = [max(graded_norms(out, out_lmax, n) / graded_norms(rows[1:], lmax, n + 2))
+    # row 0 is f's image; rows 1-16 give the amplification |C g|_n / |g|_{n+2}, not asserted
+    out, out_lmax = st.exp_iphi_composite()._apply_table(rows, lmax)
+    composite = HarmonicExpansion(out_lmax, out[0])
+    ratios = [max(graded_norms(out[1:], out_lmax, n) / graded_norms(rows[1:], lmax, n + 2))
               for n in range(4)]
     deltas = list(range(0, 7))
     tails = []

@@ -135,7 +135,7 @@ def mirrored_orthonormality_check(lmax: int) -> BoundReport:
     """``orthonormality_check`` with its theta factor read from the grid's
     table at the nodes with ``x >= 0``, mirrored back by ``(-1)^(l+m)``."""
     grid = make_grid(lmax)
-    N = grid.basis_table(lmax)
+    N = grid.basis_table(lmax)[0]
     rows, _, sign, _ = _packed_map(lmax)
     ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
     parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)

@@ -552,6 +552,15 @@ def test_version(capsys):
     assert capsys.readouterr().out == f"sphcalc {sphcalc.__version__}\n"
 
 
+def test_package_metadata_reads_the_version_from_the_package():
+    # the version is typed once, in sphcalc/__init__.py
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "sphcalc.__version__"}
+
+
 def test_usage_error_exit_code():
     assert main(["transform", "sideways", "--in", "x", "--out", "y"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

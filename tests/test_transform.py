@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,8 @@ from sphcalc import (
 from sphcalc.bounds import random_expansion
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.legendre import MAX_LMAX, _packed_map
+from sphcalc import transform
+from sphcalc.cli import main
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 from sphcalc.verify import suite_transforms
 
@@ -67,24 +70,131 @@ def test_gauss_legendre_is_exactly_antisymmetric(n):
         assert x[n // 2] == 0.0
 
 
-def test_grid_entry_holds_legendres_packed_map():
-    # the transforms read legendre's flat-to-packed map from the grid's entry,
-    # built with the table; repeated calls reuse that entry, not a new map
+def _counting_table_builds(monkeypatch):
+    """A list that gains each degree a grid builds a Legendre table at."""
+    builds = []
+    build = transform.orthonormal_legendre_table
+
+    def counted(lmax, x):
+        builds.append(lmax)
+        return build(lmax, x)
+
+    monkeypatch.setattr(transform, "orthonormal_legendre_table", counted)
+    return builds
+
+
+def test_grid_entry_holds_legendres_packed_map(monkeypatch):
+    # the transforms read legendre's flat-to-packed map from the grid's one
+    # entry, built with the table; a higher degree replaces the entry, and
+    # calls at its degree and below reuse it
+    builds = _counting_table_builds(monkeypatch)
     grid = make_grid(12)
+    low = grid.basis_table(5)
+    assert grid.basis_table(3) is low
     f = random_expansion(3, 12)
     field = synthesize(f, grid)
-    entry = grid._tables[12]
+    entry = grid.basis_table(12)
     for _ in range(2):
         analyze(synthesize(f, grid), 12)
         analyze(field, 12)
-    assert grid._tables[12] is entry and list(grid._tables) == [12]
-    table, rows, slot, sign, blocks = entry
-    assert table is grid.basis_table(12)
-    assert not rows.flags.writeable and not slot.flags.writeable and not sign.flags.writeable
-    want = _packed_map(12)
-    for got, ref in zip((rows, slot, sign), want[:3]):
+        analyze(field, 5)
+    assert grid.basis_table(12) is entry and grid.basis_table(0) is entry
+    assert builds == [5, 12]
+    table, rows, slot, sign, off = entry
+    assert table.shape == (13 * 14 // 2, 7)
+    assert np.array_equal(table[:6], low[0][:6])  # order 0, degrees 0..5
+    assert not any(a.flags.writeable for a in (rows, slot, sign, off))
+    for got, ref in zip(entry[1:], _packed_map(12)):
         assert got.tobytes() == ref.tobytes()
-    assert blocks == want[3]
+
+
+def _transforms_at(grid, L):
+    f = random_expansion(L + 7, L, decay=1.0)
+    field = synthesize(f, grid)
+    return field.samples.tobytes(), analyze(field, L).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("G", [18, 129, 256])
+def test_lower_degrees_read_the_grid_tables_prefix(G, monkeypatch):
+    # a row has the same bits at every table degree, so a degree-L transform
+    # on the degree-G table gives the bytes of a grid whose table is degree L
+    grid = make_grid(G)
+    synthesize(random_expansion(G, G, decay=1.0), grid)
+    entry = grid.basis_table(G)
+    builds = _counting_table_builds(monkeypatch)
+    for L in (0, G // 2, G - 1):
+        assert _transforms_at(grid, L) == _transforms_at(make_grid(G), L)
+    assert grid.basis_table(G) is entry
+    assert builds == [0, G // 2, G - 1]  # the fresh grids' tables only
+
+
+def test_threads_alternating_degrees_on_one_grid_are_deterministic(monkeypatch):
+    # two threads on a fresh grid, paced so that the lower degree stores its
+    # entry after the higher one: the higher caller must still transform with
+    # an entry of its own degree, and every call gives the single-thread bytes
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    G = 24
+    orders = ((G, G - 1, G, 3), (G - 1, G, 3, G - 1))
+    want = {L: _transforms_at(make_grid(G), L) for L in orders[1]}
+    low_building, high_stored, low_stored = threading.Event(), threading.Event(), threading.Event()
+    build, basis_table = transform.orthonormal_legendre_table, transform.SphereGrid.basis_table
+
+    def paced_build(lmax, x):
+        if lmax == G:
+            low_building.wait(10)
+        else:
+            low_building.set()
+            high_stored.wait(10)
+        return build(lmax, x)
+
+    def paced_basis_table(grid, lmax):
+        entry = basis_table(grid, lmax)
+        (high_stored if lmax == G else low_stored).set()
+        if lmax == G:
+            low_stored.wait(10)
+        return entry
+
+    monkeypatch.setattr(transform, "orthonormal_legendre_table", paced_build)
+    monkeypatch.setattr(transform.SphereGrid, "basis_table", paced_basis_table)
+    grid = make_grid(G)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda order: [(L, _transforms_at(grid, L)) for L in order], orders))
+    assert low_building.is_set() and high_stored.is_set() and low_stored.is_set()
+    for L, got in results[0] + results[1]:
+        assert got == want[L]
+
+
+def test_threads_sharing_grids_across_degrees_are_deterministic():
+    # more threads than cores, switching often, each on fresh grids shared
+    # by all: every transform gives the single-thread bytes
+    from concurrent.futures import ThreadPoolExecutor
+
+    G = 24
+    orders = [(G, 3, G - 1, 11), (3, G, 11, G - 1), (G - 1, 11, G, 3), (11, G - 1, 3, G)]
+    want = {L: _transforms_at(make_grid(G), L) for L in orders[0]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(10):
+                grid = make_grid(G)
+                results = pool.map(lambda order: [(L, _transforms_at(grid, L)) for L in order], orders,
+                                   timeout=60)
+                for L, got in (pair for result in results for pair in result):
+                    assert got == want[L]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_verify_all_builds_one_table_per_grid(monkeypatch, capsys):
+    # each of the structural suite's quadrature-oracle grids used to build a
+    # table at its synthesis degree and another at its analysis degree: 25
+    builds = _counting_table_builds(monkeypatch)
+    assert main(["verify", "--suite", "all", "--seed", "42"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 14
 
 
 def test_grid_past_the_validated_range_is_refused_before_the_node_solve():
@@ -281,7 +391,7 @@ def _synthesize_per_order(f, grid):
     # re/im; even plus odd part at the nodes x >= 0, even minus odd part at
     # their mirror images, into FFT bins m and -m, then the inverse FFT over phi
     L = f.lmax
-    N = grid.basis_table(L)
+    N = grid.basis_table(L)[0]
     s = grid.n_theta // 2
     C = f.to_matrix()
     F = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
@@ -304,7 +414,7 @@ def _analyze_per_order(field, L):
     scale = 2.0 * math.pi / grid.n_phi
     # FFT bin m holds the trapezoid sum against exp(-i*m*phi), bin -m the +m one
     H = scale * np.fft.fft(field.samples, axis=-1)
-    N = grid.basis_table(L)
+    N = grid.basis_table(L)[0]
     wH = grid.w[:, None] * H
     # each node x >= 0 folded with its mirror image; the centre node of odd
     # n_theta is its own mirror
@@ -397,7 +507,7 @@ def test_transforms_match_complex_upcast_loops(lmax, grid_lmax):
 def test_half_table_mirrors_to_the_full_table(L):
     # the nodes x < 0 carry (-1)^(l+m) times the values at their mirror images
     grid = make_grid(L)
-    half = grid.basis_table(L)
+    half = grid.basis_table(L)[0]
     ms, ls = np.triu_indices(L + 1)
     parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)[:, None]
     s = grid.n_theta // 2
@@ -409,7 +519,7 @@ def test_half_table_mirrors_to_the_full_table(L):
 def _round_trip_and_parseval(lmax):
     grid = make_grid(lmax)
     # packed m-major: (L+1)(L+2)/2 rows of the ceil(n_theta/2) nodes with x >= 0
-    nbytes = grid.basis_table(lmax).nbytes
+    nbytes = grid.basis_table(lmax)[0].nbytes
     f = random_expansion(lmax, lmax, decay=1.0)
     field = synthesize(f, grid)
     assert np.max(np.abs(analyze(field, lmax).coeffs - f.coeffs)) <= 1e-12
