@@ -29,6 +29,7 @@ from .report import BoundReport
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
 _SUP_SCAN_NODES = 2048
 MAX_LMAX = 1850  # 50 below the last degree where sum_m N(l,m)^2 held to 1e-12
+GROUP = 8  # orders per block of the stacked layout (``_stacked_map``)
 
 
 def check_lmax(lmax: int) -> None:
@@ -61,18 +62,49 @@ def _packed_map(lmax: int):
     return arrays
 
 
-def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
+def _stacked_map(lmax: int):
+    """The stacked layout of degree ``lmax``, in which the transforms' grids
+    keep their table.  Read-only.
+
+    Orders go in groups of ``GROUP``; per group and parity ``p`` of ``l+m``
+    one zero-padded block of shape ``(orders, R, nodes)`` holds, at block row
+    ``(j, i)``, degree ``l = m + p + 2i`` of order ``m = m0 + j``, where
+    ``m0`` is the group's first order and ``R`` its row count of parity
+    ``p``.  Blocks run group-major, even parity first.  Returns the table row
+    of each packed row followed by the table's row count (the ``rows``
+    argument of ``orthonormal_legendre_table``, and through ``_packed_map``
+    the table row of each flat index), and per block its first order, order
+    count, parity, first table row and ``R``.
+    """
+    m0 = np.repeat(np.arange(0, lmax + 1, GROUP), 2)
+    p = np.arange(m0.size) % 2
+    k = np.minimum(GROUP, lmax + 1 - m0)
+    R = (lmax - m0 - p) // 2 + 1
+    start = np.concatenate([[0], np.cumsum(k * R)])
+    ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
+    b = 2 * (ms // GROUP) + (ls - ms) % 2
+    build = np.append(start[b] + (ms - m0[b]) * R[b] + (ls - ms) // 2, start[-1])
+    arrays = (build, np.stack([m0, k, p, start[:-1], R], axis=1))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def orthonormal_legendre_table(lmax: int, x, rows=None) -> np.ndarray:
     """Packed m-major table ``N[row, i]`` of orthonormal-harmonic magnitudes.
 
     Shape ``((lmax+1)(lmax+2)/2, x.size)``: row ``packed_row(lmax, l, m)``
     holds ``(l, m)`` for ``0 <= m <= l``, and no row is stored for ``m > l``.
     ``N[row, i] * exp(i*m*phi)`` equals ``sqrt(l+1/2) * Y_l^m(theta, phi)``
     at ``x_i = cos(theta)``; for negative orders multiply by ``(-1)^m``.
+    Given ``rows``, the table row of each packed row followed by the row
+    count (``_stacked_map``'s first array), ``(l, m)`` goes to table row
+    ``rows[packed_row(lmax, l, m)]`` instead and the other rows stay zero.
     Fully-normalised recurrence, stable for degrees well beyond the plain
     ``P_l^m`` overflow point.  The diagonal and sub-diagonal seeds come
     first, then each degree is one two-term step over its orders
     ``m <= l-2``; every entry takes the same arithmetic as the order-by-order
-    recurrence, so the values are bit-identical to it.
+    recurrence, so the values are bit-identical to it in either layout.
     """
     check_lmax(lmax)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -80,26 +112,28 @@ def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
         raise ValueError("argument out of range: |x| > 1")
     orders = np.arange(lmax + 2)
     off = packed_row(lmax, orders, orders)
-    N = np.zeros((off[-1], x.size))
+    if rows is None:
+        rows = np.arange(off[-1] + 1)
+    N = np.zeros((rows[-1], x.size))
     s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product
     deg = orders[1:-1]
     diag = np.empty((lmax + 1, x.size))
     diag[0] = 1.0 / math.sqrt(4.0 * math.pi)
     diag[1:] = -np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None] * s
-    N[off[:-1]] = np.cumprod(diag, axis=0)
+    N[rows[off[:-1]]] = np.cumprod(diag, axis=0)
     # N[l, l-1] = (sqrt(2l+1) * x) * N[l-1, l-1]
-    N[off[:-2] + 1] = (np.sqrt(2 * deg + 1.0)[:, None] * x) * N[off[:-2]]
+    N[rows[off[:-2] + 1]] = (np.sqrt(2 * deg + 1.0)[:, None] * x) * N[rows[off[:-2]]]
     # two-term steps, degree-major: degree l holds entries [(l-1)(l-2)/2, l(l-1)/2)
     l, m = np.tril_indices(max(lmax - 1, 0))
     l += 2
     a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
     b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-    rows = packed_row(lmax, l, m)
+    packed = packed_row(lmax, l, m)
+    r0, r1, r2 = rows[packed], rows[packed - 1], rows[packed - 2]
     for k in range(2, lmax + 1):
         j = slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
-        r = rows[j]
-        N[r] = a[j] * (x * N[r - 1] - b[j] * N[r - 2])
+        N[r0[j]] = a[j] * (x * N[r1[j]] - b[j] * N[r2[j]])
     return N
 
 

@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .expansions import (
     as_point,
     degree_order_arrays,
 )
-from .legendre import _packed_map, check_lmax, orthonormal_legendre_table, orthonormal_sh_values
+from .legendre import _packed_map, _stacked_map, check_lmax, orthonormal_legendre_table, orthonormal_sh_values
 from .report import BoundReport
 
 
@@ -107,20 +108,31 @@ class SphereGrid:
         return self.phi.size
 
     def basis_table(self, lmax: int):
-        """The grid's one entry ``(table, rows, slot, sign, off)``, of degree G >= ``lmax``.
+        """The grid's one entry ``(table, rows, slot, sign, blocks)``, of degree G >= ``lmax``.
 
         ``orthonormal_legendre_table`` at the nodes with ``x >= 0`` (column
         ``j`` is node ``n_theta // 2 + j``; node ``-x`` holds ``(-1)^(l+m)``
-        times its values) and ``legendre._packed_map(G)``.  A row has the same
-        bits at every degree, so degree ``L < G`` reads the first ``(L+1)^2``
-        map entries and rows ``off[m]:off[m]+L+1-m``.  A degree above G
-        replaces the entry; callers keep the one they read or built, even if
-        a concurrent call stores a lower one.  No stored array is written.
+        times its values), built in the stacked layout of
+        ``legendre._stacked_map(G)``; each flat index's table row (its packed
+        row in that layout), ``legendre._packed_map(G)``'s slot and sign, and
+        the layout's block records.  A row has the same bits at
+        every degree, so degree ``L < G`` reads the first ``(L+1)^2`` map
+        entries and, of each block of a group with orders up to L, its first
+        ``L+1-m0`` orders and the rows of its first order up to degree L.  A
+        degree above G replaces the entry; callers keep the one they read or
+        built, even if a concurrent call stores a lower one.  No stored array
+        is written.
         """
         entry = self._entry
         if entry is None or entry[1].size < (lmax + 1) ** 2:
-            entry = (orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]), *_packed_map(lmax))
-            self._entry = entry
+            # the flat maps are made after the table, so that their temporaries
+            # and the recurrence's never add up to the peak memory
+            build, blocks = _stacked_map(lmax)
+            table = orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:], build)
+            packed, slot, sign, _ = _packed_map(lmax)
+            rows = build[packed]
+            rows.flags.writeable = False
+            entry = self._entry = (table, rows, slot, sign, blocks)
         return entry
 
     def __repr__(self):
@@ -152,35 +164,117 @@ class SampledField:
         self.samples = arr
 
 
+# samples per worker: a transform of at least twice this many deals its block
+# products and its phi-stage FFT rows to one thread per this many, at most one
+# per usable core; below that the threads' hand-offs cost more than they save
+SPLIT_SAMPLES = 65_536
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(samples: int) -> int:
+    """Threads for a transform of ``samples`` samples (``B * n_theta * n_phi``)."""
+    n = samples // SPLIT_SAMPLES
+    return 1 if n < 2 else min(n, _usable_cores())
+
+
+def _pool():
+    """The module's worker pool, created at the first split transform; only a
+    process that splits pays the executor's import (0.7 MB and 6 ms on a
+    2-core x86 host)."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="sphcalc-transform")
+        return _POOL
+
+
+def _deal(tasks: list, workers: int) -> None:
+    """Run every task, share ``k`` of ``workers`` taking tasks ``k, k + workers, ...``.
+
+    Share 0 runs in the calling thread and the others on the pool.  A task
+    writes only its own output, so the result does not depend on the split.
+    """
+    def share(k):
+        for task in tasks[k::workers]:
+            task()
+
+    if workers == 1:
+        return share(0)
+    pool = _pool()
+    futures = [pool.submit(share, k) for k in range(1, workers)]
+    try:
+        share(0)
+    finally:
+        for future in futures:
+            future.exception()  # waits: the shares write to the caller's arrays
+    for future in futures:
+        future.result()
+
+
+def _fft_rows(fft, a: np.ndarray, workers: int) -> np.ndarray:
+    """``fft(a, axis=-1)`` of the 2-D ``a``, one block of rows per worker.
+
+    The result is allocated here, in the calling thread: an array allocated
+    in a pool thread would grow that thread's own heap, and with it the
+    process's peak memory.
+    """
+    out = np.empty(a.shape, dtype=np.complex128)
+    n = a.shape[0]
+    blocks = [slice(k * n // workers, (k + 1) * n // workers) for k in range(workers)]
+    _deal([functools.partial(fft, a[r], axis=-1, out=out[r]) for r in blocks], workers)
+    return out
+
+
+def _block_views(table: np.ndarray, blocks: np.ndarray, L: int, columns: np.ndarray):
+    """Per block of a group with orders up to ``L``: its first order, its parity,
+    and the degree-``L`` prefix of the block in ``table`` and in ``columns``,
+    an array laid out by the same table rows, shape ``(orders, R, width)``."""
+    for m0, k, p, start, R in blocks.tolist():
+        if m0 > L:
+            break
+        prefix = slice(L + 1 - m0), slice((L - m0 - p) // 2 + 1)
+        yield m0, p, *(a[start:start + k * R].reshape(k, R, a.shape[1])[prefix] for a in (table, columns))
+
+
 def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     """Samples ``(B, n_theta, n_phi)`` of ``B`` coefficient rows ``(B, K)``.
 
-    Separable evaluation, folded at the equator: per order ``m``, the packed
-    table rows with even ``l+m`` and those with odd ``l+m`` each make one
-    real product against the ``+m`` and ``-m`` coefficients of every row
-    (stacked as the float64 view of complex data) at the nodes with ``x >=
-    0``.  Even plus odd part gives those nodes, even minus odd part their
-    mirror images, in one step over all orders.  Then order ``m`` goes to
-    FFT bin ``m mod n_phi`` and one unnormalised inverse FFT sums
-    ``exp(i*m*phi_j)`` over the equispaced phi nodes.  Cubic cost in the
-    degree, which is the intended envelope at desk scale.
+    Separable evaluation, folded at the equator: per group of orders and
+    parity of ``l+m``, one stacked real product of the table block against
+    the ``+m`` and ``-m`` coefficients of every row (stacked as the float64
+    view of complex data, zero where the block is padded) at the nodes with
+    ``x >= 0``.  Even plus odd part gives those nodes, even minus odd part
+    their mirror images, in one step over all orders.  Then order ``m`` goes
+    to FFT bin ``m mod n_phi`` and one unnormalised inverse FFT sums
+    ``exp(i*m*phi_j)`` over the equispaced phi nodes.  A large transform
+    deals the products and blocks of FFT rows to ``_workers`` threads.
+    Cubic cost in the degree, which is the intended envelope at desk scale.
     """
     B, K = coeffs.shape
     L = math.isqrt(K) - 1
     if grid.lmax < L:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
-    N, rows, slot, sign, off = grid.basis_table(L)
+    N, rows, slot, sign, blocks = grid.basis_table(L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0; node i mirrors node P - 1 - i
-    C = np.zeros((off[L] + 1, 2, B), dtype=np.complex128)
+    workers = _workers(B * P * grid.n_phi)
+    C = np.zeros((N.shape[0], 2, B), dtype=np.complex128)
     C[rows[:K], slot[:K]] = sign[:K, None] * coeffs.T
     Cr = C.reshape(-1, 2 * B).view(np.float64)
     EO = np.empty((2, L + 1, h, 2, B), dtype=np.complex128)  # [even/odd l+m, m, node x >= 0, +m/-m, row]
     EOr = EO.reshape(2, L + 1, h, 2 * B).view(np.float64)
-    for m, o in enumerate(off[:L + 1].tolist()):
-        Nb, Cb = N[o:o + L + 1 - m], Cr[o:o + L + 1 - m]
-        np.matmul(Nb[0::2].T, Cb[0::2], out=EOr[0, m])
-        np.matmul(Nb[1::2].T, Cb[1::2], out=EOr[1, m])
+    _deal([functools.partial(np.matmul, Nb.transpose(0, 2, 1), Cb, out=EOr[p, m0:m0 + len(Nb)])
+           for m0, p, Nb, Cb in _block_views(N, blocks, L, Cr)], workers)
     E, O = EO.transpose(0, 4, 2, 1, 3)  # [row, node x >= 0, m, +m/-m]
     F = np.zeros((B, P, grid.n_phi), dtype=np.complex128)  # [row, theta node, FFT bin]
     # +m goes to bin m, -m (m >= 1) to bin n_phi - m
@@ -188,7 +282,8 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
                        (F[..., :-L - 1:-1], E[..., 1:, 1], O[..., 1:, 1])):
         np.add(e, o, out=bins[:, s:])
         np.subtract(e[:, h - s:], o[:, h - s:], out=bins[:, :s][:, ::-1])
-    return np.fft.ifft(F, axis=-1, norm="forward")
+    ifft = functools.partial(np.fft.ifft, norm="forward")
+    return _fft_rows(ifft, F.reshape(B * P, -1), workers).reshape(B, P, -1)
 
 
 def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarray:
@@ -198,8 +293,9 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     ``m`` and ``-m mod n_phi`` are the trapezoid sums against
     ``exp(-+i*m*phi_j)``.  The weighted sums at each node with ``x >= 0``
     and at its mirror image are folded into their sum and difference, which
-    the packed table rows with even and with odd ``l+m`` read, one real
-    product each per order, as in ``_synthesize_table``.
+    the table blocks of even and of odd ``l+m`` read, one stacked real
+    product each per group of orders, as in ``_synthesize_table``, which
+    also splits a large transform the same way.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
@@ -207,24 +303,23 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
     B, K = samples.shape[0], (L + 1) ** 2
-    N, rows, slot, sign, off = grid.basis_table(L)
+    N, rows, slot, sign, blocks = grid.basis_table(L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0
+    workers = _workers(B * P * grid.n_phi)
     m = np.arange(L + 1)
-    H = grid.dphi * np.fft.fft(samples, axis=-1)[..., np.stack([m, -m], axis=1)]
-    W = (grid.w[:, None, None] * H).transpose(2, 1, 3, 0)  # [m, theta node, +m/-m, row]
+    H = grid.dphi * _fft_rows(np.fft.fft, samples.reshape(B * P, -1), workers)[:, np.stack([m, -m], axis=1)]
+    W = (grid.w[:, None, None] * H.reshape(B, P, L + 1, 2)).transpose(2, 1, 3, 0)  # [m, theta node, +m/-m, row]
     north, south = W[:, s:], W[:, :s][:, ::-1]  # south[:, j] mirrors north[:, j + h - s]
     SD = np.empty((2, L + 1, h, 2, B), dtype=np.complex128)  # [sum/difference, m, node x >= 0, +m/-m, row]
     SD[:, :, :h - s] = north[:, :h - s]  # the centre node of odd n_theta is its own mirror
     np.add(north[:, h - s:], south, out=SD[0, :, h - s:])
     np.subtract(north[:, h - s:], south, out=SD[1, :, h - s:])
     SDr = SD.reshape(2, L + 1, h, 2 * B).view(np.float64)
-    C = np.empty((off[L] + 1, 2, B), dtype=np.complex128)
+    C = np.empty((N.shape[0], 2, B), dtype=np.complex128)
     Cr = C.reshape(-1, 2 * B).view(np.float64)
-    for m, o in enumerate(off[:L + 1].tolist()):
-        Nb, Cb = N[o:o + L + 1 - m], Cr[o:o + L + 1 - m]
-        np.matmul(Nb[0::2], SDr[0, m], out=Cb[0::2])
-        np.matmul(Nb[1::2], SDr[1, m], out=Cb[1::2])
+    _deal([functools.partial(np.matmul, Nb, SDr[p, m0:m0 + len(Nb)], out=Cb)
+           for m0, p, Nb, Cb in _block_views(N, blocks, L, Cr)], workers)
     return (sign[:K, None] * C[rows[:K], slot[:K]]).T
 
 

@@ -9,8 +9,9 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
 * ``from_dict``, an expansion built from a few ``(l, m) -> value`` entries;
 * ``orthonormal_sh_values_reference``, point values gathered from the packed
   table through ``packed_row`` and a ``(-1) ** |m|`` sign of their own;
-* ``mirrored_orthonormality_check``, the Gram check on the grid's half-node
-  table, mirrored to the nodes with ``x < 0`` by each row's parity;
+* ``mirrored_orthonormality_check``, the Gram check on the packed table at
+  the grid's nodes with ``x >= 0``, mirrored to the nodes with ``x < 0`` by
+  each row's parity;
 * ``suite_bounds_reference``, the bounds suite with one ``weak_eigen_cos``
   certificate per function instead of the batched screen.
 """
@@ -132,10 +133,10 @@ def orthonormal_sh_values_reference(lmax: int, x, phi) -> np.ndarray:
 
 
 def mirrored_orthonormality_check(lmax: int) -> BoundReport:
-    """``orthonormality_check`` with its theta factor read from the grid's
-    table at the nodes with ``x >= 0``, mirrored back by ``(-1)^(l+m)``."""
+    """``orthonormality_check`` with its theta factor read from the packed
+    table at the grid's nodes with ``x >= 0``, mirrored back by ``(-1)^(l+m)``."""
     grid = make_grid(lmax)
-    N = grid.basis_table(lmax)[0]
+    N = orthonormal_legendre_table(lmax, grid.x[grid.n_theta // 2:])
     rows, _, sign, _ = _packed_map(lmax)
     ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
     parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)

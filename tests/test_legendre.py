@@ -15,7 +15,7 @@ from sphcalc import (
     uniform_bound_check,
 )
 from sphcalc.expansions import flat_index
-from sphcalc.legendre import MAX_LMAX, _packed_map
+from sphcalc.legendre import GROUP, MAX_LMAX, _packed_map, _stacked_map
 
 from reference import assoc_legendre, orthonormal_sh_values_reference
 
@@ -292,6 +292,35 @@ def test_packed_map_is_read_only_and_matches_the_layout(lmax):
             assert sign[k] == ((-1.0) ** m if m < 0 else 1.0)
     assert np.diff(off).tolist() == [lmax + 1 - m for m in range(lmax + 1)]
     assert off[0] == 0
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 7, 8, 9, 16, 256])
+def test_stacked_table_holds_the_packed_rows(lmax):
+    # the grids' layout: every (l, m) at its block row with the packed table's
+    # bits, computed in place with no packed copy, and zeros in the padding
+    x = np.concatenate([np.random.default_rng(lmax).uniform(-1, 1, 5), [-1.0, 1.0, 0.0]])
+    build, blocks = _stacked_map(lmax)
+    assert not build.flags.writeable and not blocks.flags.writeable
+    stacked = orthonormal_legendre_table(lmax, x, build)
+    assert stacked.shape == (build[-1], x.size)
+    assert stacked[build[:-1]].tobytes() == orthonormal_legendre_table(lmax, x).tobytes()
+    padding = np.ones(stacked.shape[0], dtype=bool)
+    padding[build[:-1]] = False
+    assert not stacked[padding].any()
+    # per group of GROUP orders from m0 and parity p, a block of k orders x R
+    # rows, R the first order's row count: degree m + p + 2i of order m0 + j
+    # at row start + j*R + i
+    want, start = [], 0
+    for m0 in range(0, lmax + 1, GROUP):
+        k = min(GROUP, lmax + 1 - m0)
+        for p in (0, 1):
+            R = (lmax - m0 - p) // 2 + 1
+            want.append([m0, k, p, start, R])
+            for j in range(k):
+                for i, l in enumerate(range(m0 + j + p, lmax + 1, 2)):
+                    assert build[packed_row(lmax, l, m0 + j)] == start + j * R + i
+            start += k * R
+    assert blocks.tolist() == want and build[-1] == start
 
 
 def _refused_peak(call):

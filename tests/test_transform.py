@@ -27,12 +27,13 @@ from sphcalc import (
     packed_row,
     point_eval,
     quadrature_inner_product,
+    save_expansion,
     save_field,
     synthesize,
 )
 from sphcalc.bounds import random_expansion
 from sphcalc.expansions import degree_order_arrays, flat_index
-from sphcalc.legendre import MAX_LMAX, _packed_map
+from sphcalc.legendre import GROUP, MAX_LMAX, _packed_map, _stacked_map
 from sphcalc import transform
 from sphcalc.cli import main
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
@@ -75,18 +76,19 @@ def _counting_table_builds(monkeypatch):
     builds = []
     build = transform.orthonormal_legendre_table
 
-    def counted(lmax, x):
+    def counted(lmax, x, rows=None):
         builds.append(lmax)
-        return build(lmax, x)
+        return build(lmax, x, rows)
 
     monkeypatch.setattr(transform, "orthonormal_legendre_table", counted)
     return builds
 
 
 def test_grid_entry_holds_legendres_packed_map(monkeypatch):
-    # the transforms read legendre's flat-to-packed map from the grid's one
-    # entry, built with the table; a higher degree replaces the entry, and
-    # calls at its degree and below reuse it
+    # the transforms read legendre's stacked map, which sends each flat index
+    # of the packed map to its table row, from the grid's one entry, built
+    # with the table; a higher degree replaces the entry, and calls at its
+    # degree and below reuse it
     builds = _counting_table_builds(monkeypatch)
     grid = make_grid(12)
     low = grid.basis_table(5)
@@ -100,12 +102,17 @@ def test_grid_entry_holds_legendres_packed_map(monkeypatch):
         analyze(field, 5)
     assert grid.basis_table(12) is entry and grid.basis_table(0) is entry
     assert builds == [5, 12]
-    table, rows, slot, sign, off = entry
-    assert table.shape == (13 * 14 // 2, 7)
-    assert np.array_equal(table[:6], low[0][:6])  # order 0, degrees 0..5
-    assert not any(a.flags.writeable for a in (rows, slot, sign, off))
-    for got, ref in zip(entry[1:], _packed_map(12)):
+    table, rows, slot, sign, blocks = entry
+    # orders 0..7 hold 7 even and 6 odd rows each, orders 8..12 hold 3 and 2
+    assert table.shape == (8 * 13 + 5 * 5, 7)
+    order0 = flat_index(np.arange(6), 0)  # order 0, degrees 0..5
+    assert np.array_equal(table[rows[order0]], low[0][low[1][order0]])
+    assert not any(a.flags.writeable for a in (rows, slot, sign, blocks))
+    build, stacked_blocks = _stacked_map(12)
+    packed, packed_slot, packed_sign, _ = _packed_map(12)
+    for got, ref in zip(entry[1:], (build[packed], packed_slot, packed_sign, stacked_blocks)):
         assert got.tobytes() == ref.tobytes()
+    assert table[rows].tobytes() == orthonormal_legendre_table(12, grid.x[6:])[packed].tobytes()
 
 
 def _transforms_at(grid, L):
@@ -141,13 +148,13 @@ def test_threads_alternating_degrees_on_one_grid_are_deterministic(monkeypatch):
     low_building, high_stored, low_stored = threading.Event(), threading.Event(), threading.Event()
     build, basis_table = transform.orthonormal_legendre_table, transform.SphereGrid.basis_table
 
-    def paced_build(lmax, x):
+    def paced_build(lmax, x, rows=None):
         if lmax == G:
             low_building.wait(10)
         else:
             low_building.set()
             high_stored.wait(10)
-        return build(lmax, x)
+        return build(lmax, x, rows)
 
     def paced_basis_table(grid, lmax):
         entry = basis_table(grid, lmax)
@@ -186,6 +193,104 @@ def test_threads_sharing_grids_across_degrees_are_deterministic():
                     assert got == want[L]
     finally:
         sys.setswitchinterval(interval)
+
+
+def _split_across(monkeypatch, workers):
+    """Every transform split across ``workers`` threads (1: none), whatever its size and the host."""
+    monkeypatch.setattr(transform, "SPLIT_SAMPLES", 1 if workers > 1 else 1 << 62)
+    monkeypatch.setattr(transform, "_usable_cores", lambda: workers)
+
+
+def _counting_pool(monkeypatch):
+    """A list that gains an entry each time a transform deals work to the pool."""
+    pooled = []
+    pool = transform._pool
+
+    def counted():
+        pooled.append(1)
+        return pool()
+
+    monkeypatch.setattr(transform, "_pool", counted)
+    return pooled
+
+
+@pytest.mark.parametrize("G, L", [(24, 24), (129, 129), (256, 256), (256, 129)],
+                         ids=["24", "129", "256", "129-on-256"])
+@pytest.mark.parametrize("B", [1, 3])
+def test_worker_count_does_not_change_the_bytes(G, L, B, monkeypatch):
+    # each stacked product and each block of FFT rows is one task, whichever
+    # thread runs it, so one and two workers give the same bytes
+    grid = make_grid(G)
+    inputs = [random_expansion(L + b, L, decay=1.0) for b in range(B)]
+    pooled = _counting_pool(monkeypatch)
+
+    def transforms():
+        if B == 1:
+            field = synthesize(inputs[0], grid)
+            return field.samples.tobytes(), analyze(field, L).coeffs.tobytes()
+        samples = _synthesize_table(np.stack([f.coeffs for f in inputs]), grid)
+        return samples.tobytes(), _analyze_table(samples, grid, L).tobytes()
+
+    _split_across(monkeypatch, 1)
+    one = transforms()
+    assert pooled == []
+    _split_across(monkeypatch, 2)
+    assert transforms() == one
+    assert len(pooled) == 4  # the products and the FFT rows, in each direction
+
+
+def test_verify_and_an_lmax_128_round_trip_start_no_worker_thread(monkeypatch, tmp_path, capsys):
+    # their largest sample tables stay below two workers' SPLIT_SAMPLES each
+    pooled = _counting_pool(monkeypatch)
+    sizes, workers = [], transform._workers
+    monkeypatch.setattr(transform, "_workers", lambda samples: sizes.append(samples) or workers(samples))
+    assert main(["verify", "--suite", "all"]) == 0
+    assert max(sizes) == 28_900
+    sizes.clear()
+    doc, field, back = (str(tmp_path / name) for name in ("doc.json", "field.csv", "back.json"))
+    save_expansion(random_expansion(5, 128), doc)
+    assert main(["transform", "synthesize", "--in", doc, "--out", field]) == 0
+    assert main(["transform", "analyze", "--in", field, "--out", back]) == 0
+    capsys.readouterr()
+    assert sizes == [33_282, 33_282]
+    assert pooled == []
+
+
+def test_user_threads_share_the_pool_without_deadlock(monkeypatch):
+    # two user threads split transforms on one L=256 grid over the one module
+    # pool, whose tasks never wait on it: both finish with the single-thread bytes
+    import threading
+
+    G = 256
+    grid = make_grid(G)
+    inputs = [random_expansion(seed, G, decay=1.0) for seed in (1, 2)]
+
+    def transforms(f):
+        field = synthesize(f, grid)
+        return field.samples.tobytes(), analyze(field, G).coeffs.tobytes()
+
+    _split_across(monkeypatch, 1)
+    want = [transforms(f) for f in inputs]
+    _split_across(monkeypatch, 2)
+    pooled = _counting_pool(monkeypatch)
+    results = ([], [])
+
+    def user(k):
+        results[k].extend(transforms(inputs[k]) for _ in range(3))
+
+    threads = [threading.Thread(target=user, args=(k,), daemon=True) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == ([want[0]] * 3, [want[1]] * 3)
+    assert len(pooled) == 2 * 3 * 4
 
 
 def test_verify_all_builds_one_table_per_grid(monkeypatch, capsys):
@@ -385,13 +490,18 @@ def _order_block(N, L, m):
     return N[packed_row(L, m, m) : packed_row(L, m + 1, m + 1)]
 
 
+def _half_table(grid, L):
+    # the packed table at the nodes x >= 0
+    return orthonormal_legendre_table(L, grid.x[grid.n_theta // 2:])
+
+
 def _synthesize_per_order(f, grid):
     # one expansion, order by order: the even- and odd-(l+m) rows of the
     # half-node block against the +m and -m coefficients stacked as float64
     # re/im; even plus odd part at the nodes x >= 0, even minus odd part at
     # their mirror images, into FFT bins m and -m, then the inverse FFT over phi
     L = f.lmax
-    N = grid.basis_table(L)[0]
+    N = _half_table(grid, L)
     s = grid.n_theta // 2
     C = f.to_matrix()
     F = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)
@@ -414,7 +524,7 @@ def _analyze_per_order(field, L):
     scale = 2.0 * math.pi / grid.n_phi
     # FFT bin m holds the trapezoid sum against exp(-i*m*phi), bin -m the +m one
     H = scale * np.fft.fft(field.samples, axis=-1)
-    N = grid.basis_table(L)[0]
+    N = _half_table(grid, L)
     wH = grid.w[:, None] * H
     # each node x >= 0 folded with its mirror image; the centre node of odd
     # n_theta is its own mirror
@@ -423,13 +533,19 @@ def _analyze_per_order(field, L):
     S, D = north.copy(), north.copy()
     S[N.shape[1] - s:] += south
     D[N.shape[1] - s:] -= south
+    # the rows of each parity are padded with zero rows to the count of the
+    # first order of the order's group of GROUP, the shape of its product in
+    # the stacked table: a single row alone would go to gemv, which rounds
+    # differently from gemm
     C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
     for m in range(L + 1):
         block = _order_block(N, L, m)
         out = np.empty((L + 1 - m, 2), dtype=np.complex128)
         for p, folded in ((0, S), (1, D)):
             rhs = np.stack([folded[:, m], folded[:, -m]], axis=1)
-            out[p::2] = (block[p::2] @ rhs.view(np.float64)).view(np.complex128)
+            rows = np.zeros(((L - m // GROUP * GROUP - p) // 2 + 1, N.shape[1]))
+            rows[:len(block[p::2])] = block[p::2]
+            out[p::2] = (rows @ rhs.view(np.float64)).view(np.complex128)[:len(block[p::2])]
         C[m:, L + m] = out[:, 0]
         if m > 0:
             C[m:, L - m] = (-1) ** m * out[:, 1]
@@ -507,7 +623,7 @@ def test_transforms_match_complex_upcast_loops(lmax, grid_lmax):
 def test_half_table_mirrors_to_the_full_table(L):
     # the nodes x < 0 carry (-1)^(l+m) times the values at their mirror images
     grid = make_grid(L)
-    half = grid.basis_table(L)[0]
+    half = _half_table(grid, L)
     ms, ls = np.triu_indices(L + 1)
     parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)[:, None]
     s = grid.n_theta // 2
@@ -518,7 +634,8 @@ def test_half_table_mirrors_to_the_full_table(L):
 
 def _round_trip_and_parseval(lmax):
     grid = make_grid(lmax)
-    # packed m-major: (L+1)(L+2)/2 rows of the ceil(n_theta/2) nodes with x >= 0
+    # stacked: the (L+1)(L+2)/2 packed rows and each block's zero padding, of
+    # the ceil(n_theta/2) nodes with x >= 0
     nbytes = grid.basis_table(lmax)[0].nbytes
     f = random_expansion(lmax, lmax, decay=1.0)
     field = synthesize(f, grid)
@@ -529,11 +646,11 @@ def _round_trip_and_parseval(lmax):
 
 
 def test_round_trip_and_parseval_at_l256():
-    assert _round_trip_and_parseval(256) == 34_213_896
+    assert _round_trip_and_parseval(256) == 35_138_568
 
 
 def test_round_trip_and_parseval_at_l512():
-    assert _round_trip_and_parseval(512) == 271_065_096
+    assert _round_trip_and_parseval(512) == 274_749_448
 
 
 def test_transform_tables_match_one_row_calls():
