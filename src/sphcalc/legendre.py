@@ -51,12 +51,10 @@ def packed_row(lmax: int, l, m):
 
 def _packed_map(lmax: int):
     """Per flat index up to degree ``lmax``: packed row, slot (0 for ``+m``, 1
-    for ``-m``) and sign (``(-1)^m`` for ``m < 0``, else 1); then the order
-    offsets ``off``, order ``m`` being rows ``off[m]:off[m+1]``.  Read-only."""
+    for ``-m``) and sign (``(-1)^m`` for ``m < 0``, else 1).  Read-only."""
     ls, ms = degree_order_arrays(lmax)
-    neg, orders = ms < 0, np.arange(lmax + 2)
-    arrays = (packed_row(lmax, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0),
-              packed_row(lmax, orders, orders))
+    neg = ms < 0
+    arrays = (packed_row(lmax, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -149,7 +147,7 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     phi = np.asarray(phi, dtype=np.float64)[..., None]
     N = orthonormal_legendre_table(lmax, x)
-    rows, _, sign, _ = _packed_map(lmax)
+    rows, _, sign = _packed_map(lmax)
     phase = np.exp(1j * np.arange(-lmax, lmax + 1) * phi)
     return N[rows].T * sign * phase[..., degree_order_arrays(lmax)[1] + lmax]
 

@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -129,7 +128,7 @@ class SphereGrid:
             # and the recurrence's never add up to the peak memory
             build, blocks = _stacked_map(lmax)
             table = orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:], build)
-            packed, slot, sign, _ = _packed_map(lmax)
+            packed, slot, sign = _packed_map(lmax)
             rows = build[packed]
             rows.flags.writeable = False
             entry = self._entry = (table, rows, slot, sign, blocks)
@@ -166,10 +165,12 @@ class SampledField:
 
 # samples per worker: a transform of at least twice this many deals its block
 # products and its phi-stage FFT rows to one thread per this many, at most one
-# per usable core; below that the threads' hand-offs cost more than they save
-SPLIT_SAMPLES = 65_536
-_POOL = None
-_POOL_LOCK = threading.Lock()
+# per usable core.  On a 2-core x86 host two threads won every timing round
+# from one L=184 field (68,450 samples) up, broke even near one L=160 field
+# (51,842) and lost on two L=128 rows (66,564), where the element-wise stages
+# the caller runs alone grow with the rows
+SPLIT_SAMPLES = 36_000
+_POOL = (None, None)  # (pid of the process that made it, executor)
 
 
 def _usable_cores() -> int:
@@ -186,16 +187,24 @@ def _workers(samples: int) -> int:
 
 
 def _pool():
-    """The module's worker pool, created at the first split transform; only a
-    process that splits pays the executor's import (0.7 MB and 6 ms on a
-    2-core x86 host)."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
+    """The module's worker pool, created at a process's first split transform;
+    only a process that splits pays the executor's import (0.7 MB and 6 ms on
+    a 2-core x86 host).
 
-            _POOL = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="sphcalc-transform")
-        return _POOL
+    A child made by ``fork`` inherits the parent's pool but none of its
+    threads, so the pool is kept with the id of the process that made it and
+    a child makes its own.  No lock: a fork can land while another thread
+    holds one, and two threads that race here each get a working pool; the
+    one not kept is freed, and its threads end, once its caller is done.
+    """
+    global _POOL
+    pid, pool = _POOL
+    if pid != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="sphcalc-transform")
+        _POOL = os.getpid(), pool
+    return pool
 
 
 def _deal(tasks: list, workers: int) -> None:

@@ -137,7 +137,7 @@ def mirrored_orthonormality_check(lmax: int) -> BoundReport:
     table at the grid's nodes with ``x >= 0``, mirrored back by ``(-1)^(l+m)``."""
     grid = make_grid(lmax)
     N = orthonormal_legendre_table(lmax, grid.x[grid.n_theta // 2:])
-    rows, _, sign, _ = _packed_map(lmax)
+    rows, _, sign = _packed_map(lmax)
     ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
     parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)
     full = np.concatenate([parity[:, None] * N[:, ::-1][:, :grid.n_theta // 2], N], axis=1)

@@ -109,7 +109,7 @@ def test_grid_entry_holds_legendres_packed_map(monkeypatch):
     assert np.array_equal(table[rows[order0]], low[0][low[1][order0]])
     assert not any(a.flags.writeable for a in (rows, slot, sign, blocks))
     build, stacked_blocks = _stacked_map(12)
-    packed, packed_slot, packed_sign, _ = _packed_map(12)
+    packed, packed_slot, packed_sign = _packed_map(12)
     for got, ref in zip(entry[1:], (build[packed], packed_slot, packed_sign, stacked_blocks)):
         assert got.tobytes() == ref.tobytes()
     assert table[rows].tobytes() == orthonormal_legendre_table(12, grid.x[6:])[packed].tobytes()
@@ -291,6 +291,40 @@ def test_user_threads_share_the_pool_without_deadlock(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert results == ([want[0]] * 3, [want[1]] * 3)
     assert len(pooled) == 2 * 3 * 4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
+    # a child made by fork after a split transform inherits the pool but not
+    # its threads: its own split transform must not wait on them
+    import time
+
+    G = 256
+    grid = make_grid(G)
+    f = random_expansion(3, G, decay=1.0)
+    _split_across(monkeypatch, 2)
+    field = synthesize(f, grid)
+    want = field.samples.tobytes(), analyze(field, G).coeffs.tobytes()
+    parent_pool = transform._POOL
+    assert parent_pool[0] == os.getpid()
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit status only
+        status = 1
+        try:
+            child = synthesize(f, grid)
+            got = child.samples.tobytes(), analyze(child, G).coeffs.tobytes()
+            status = 0 if got == want and transform._POOL[0] == os.getpid() else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 120
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's split transform did not finish in 120 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert transform._POOL is parent_pool
 
 
 def test_verify_all_builds_one_table_per_grid(monkeypatch, capsys):
@@ -519,7 +553,7 @@ def _synthesize_per_order(f, grid):
     return np.fft.ifft(F, axis=-1, norm="forward")
 
 
-def _analyze_per_order(field, L):
+def _analyze_per_order(field, L, padded=False):
     grid = field.grid
     scale = 2.0 * math.pi / grid.n_phi
     # FFT bin m holds the trapezoid sum against exp(-i*m*phi), bin -m the +m one
@@ -533,18 +567,19 @@ def _analyze_per_order(field, L):
     S, D = north.copy(), north.copy()
     S[N.shape[1] - s:] += south
     D[N.shape[1] - s:] -= south
-    # the rows of each parity are padded with zero rows to the count of the
-    # first order of the order's group of GROUP, the shape of its product in
-    # the stacked table: a single row alone would go to gemv, which rounds
-    # differently from gemm
+    # padded: the rows of each parity are padded with zero rows to the count
+    # of the first order of the order's group of GROUP, the shape of its
+    # product in the stacked table
     C = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
     for m in range(L + 1):
         block = _order_block(N, L, m)
         out = np.empty((L + 1 - m, 2), dtype=np.complex128)
         for p, folded in ((0, S), (1, D)):
             rhs = np.stack([folded[:, m], folded[:, -m]], axis=1)
-            rows = np.zeros(((L - m // GROUP * GROUP - p) // 2 + 1, N.shape[1]))
-            rows[:len(block[p::2])] = block[p::2]
+            rows = block[p::2]
+            if padded:
+                rows = np.zeros(((L - m // GROUP * GROUP - p) // 2 + 1, N.shape[1]))
+                rows[:len(block[p::2])] = block[p::2]
             out[p::2] = (rows @ rhs.view(np.float64)).view(np.complex128)[:len(block[p::2])]
         C[m:, L + m] = out[:, 0]
         if m > 0:
@@ -560,7 +595,22 @@ def test_one_row_transforms_equal_per_order_loops(lmax):
     f = random_expansion(lmax + 3, lmax, decay=1.0)
     field = synthesize(f, grid)
     np.testing.assert_array_equal(field.samples, _synthesize_per_order(f, grid))
-    np.testing.assert_array_equal(analyze(field, lmax).coeffs, _analyze_per_order(field, lmax))
+    got, want = analyze(field, lmax).coeffs, _analyze_per_order(field, lmax)
+    # an order m >= lmax - 2 has a single row of one parity: a product of its
+    # own goes to gemv, its group's stacked product to gemm, and the two sum
+    # in different orders
+    single = np.abs(degree_order_arrays(lmax)[1]) >= lmax - 2
+    np.testing.assert_array_equal(got[~single], want[~single])
+    assert np.all(np.abs(got - want)[single] <= 4 * np.spacing(np.abs(want[single])))
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 16, 64])
+def test_one_row_analysis_equals_the_group_padded_per_order_loop(lmax):
+    # each order's rows padded to its group's first-order row count: the
+    # shapes of the stacked products, so the same BLAS calls and the same bytes
+    grid = make_grid(lmax)
+    field = synthesize(random_expansion(lmax + 3, lmax, decay=1.0), grid)
+    np.testing.assert_array_equal(analyze(field, lmax).coeffs, _analyze_per_order(field, lmax, padded=True))
 
 
 def _dense_table(grid, L):
