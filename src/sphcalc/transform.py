@@ -165,10 +165,10 @@ class SampledField:
 
 # samples per worker: a transform of at least twice this many deals its block
 # products and its phi-stage FFT rows to one thread per this many, at most one
-# per usable core.  On a 2-core x86 host two threads won every timing round
-# from one L=184 field (68,450 samples) up, broke even near one L=160 field
-# (51,842) and lost on two L=128 rows (66,564), where the element-wise stages
-# the caller runs alone grow with the rows
+# per usable core.  On a 2-core x86 host two threads won at least 7 of 8
+# timing rounds from one L=176 field (62,658 samples) up, broke even near one
+# L=160 field (51,842) and lost on two L=128 rows (66,564), whose element-wise
+# stages, run by the caller alone, grow with the rows
 SPLIT_SAMPLES = 36_000
 _POOL = (None, None)  # (pid of the process that made it, executor)
 
