@@ -46,8 +46,8 @@ from .legendre import (
     SH_SUP_BOUND,
     orthonormal_legendre_table,
     orthonormal_sh_values,
-    packed_row,
     sh_eval,
+    table_row,
     uniform_bound_check,
 )
 from .report import BoundReport

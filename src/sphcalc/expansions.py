@@ -77,6 +77,8 @@ def flat_index(l, m):
 @lru_cache(maxsize=None)
 def degree_order_arrays(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays ``(ls, ms)`` listing every stored index pair in flat order."""
+    if lmax < 0:
+        raise ValueError("lmax must be >= 0")
     ls = np.concatenate([np.full(2 * l + 1, l, dtype=np.int64) for l in range(lmax + 1)])
     ms = np.concatenate([np.arange(-l, l + 1, dtype=np.int64) for l in range(lmax + 1)])
     ls.flags.writeable = False

@@ -8,17 +8,21 @@ use ``P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m``, equivalently ``Y_l^{-m} =
 (-1)^m conj(Y_l^m)``.
 
 Every harmonic value comes from one fully-normalised recurrence,
-``orthonormal_legendre_table``: point values (``orthonormal_sh_values``,
-``sh_eval``), the transforms' basis tables and the sup-bound scan.  It is the
-only recurrence for harmonic values (the Gauss node solve in ``transform``
-runs a plain ``P_n`` recurrence of its own); the plain ``P_l^m`` recurrence
-it is tested against is ``assoc_legendre`` in ``tests/reference.py``.  Its
-diagonal seed ``N(m,m) ~ sin(theta)^m`` underflows at high order, so a degree
-past ``MAX_LMAX`` is refused (``check_lmax``, also run by ``SphereGrid``).
+``orthonormal_legendre_table``, into one table layout (``_table_map``: per
+group of ``GROUP`` orders and parity of ``l+m`` one zero-padded block), read
+through one per-flat-index map by point values (``orthonormal_sh_values``,
+``sh_eval``), the sup-bound scan and the transforms' grids.  It is the only
+recurrence for harmonic values (the Gauss node solve in ``transform`` runs a
+plain ``P_n`` recurrence of its own); the plain ``P_l^m`` recurrence it is
+tested against is ``assoc_legendre`` in ``tests/reference.py``.  Its
+diagonal seed ``N(m,m) ~ sin(theta)^m`` underflows at high order, so a
+degree past ``MAX_LMAX`` is refused (``check_lmax``, also run by
+``SphereGrid``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,109 +33,101 @@ from .report import BoundReport
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
 _SUP_SCAN_NODES = 2048
 MAX_LMAX = 1850  # 50 below the last degree where sum_m N(l,m)^2 held to 1e-12
-GROUP = 8  # orders per block of the stacked layout (``_stacked_map``)
+GROUP = 8  # orders per group of the table layout
 
 
 def check_lmax(lmax: int) -> None:
-    """Refuse a degree past ``MAX_LMAX``, the recurrence's validated range."""
+    """Refuse a negative degree, or one past ``MAX_LMAX``, the recurrence's validated range."""
+    if lmax < 0:
+        raise ValueError("lmax must be >= 0")
     if lmax > MAX_LMAX:
         raise ValueError(f"lmax={lmax} exceeds the recurrence's validated range, lmax <= {MAX_LMAX}")
 
 
-def packed_row(lmax: int, l, m):
-    """Row of degree ``l``, order ``|m|`` in the packed table of degree ``lmax``.
-
-    Rows run m-major, ``off[m] + l - m`` with ``off[m] = m*(2*lmax+3-m)/2``,
-    so order ``m`` is the contiguous block ``off[m]:off[m+1]`` and
-    ``packed_row(lmax, m, m)`` for ``m = 0..lmax+1`` gives those offsets.
-    """
-    m = np.abs(m)
-    return m * (2 * lmax + 3 - m) // 2 + l - m
-
-
-def _packed_map(lmax: int):
-    """Per flat index up to degree ``lmax``: packed row, slot (0 for ``+m``, 1
-    for ``-m``) and sign (``(-1)^m`` for ``m < 0``, else 1).  Read-only."""
-    ls, ms = degree_order_arrays(lmax)
-    neg = ms < 0
-    arrays = (packed_row(lmax, ls, ms), neg.astype(np.intp), np.where(neg & (ms % 2 == 1), -1.0, 1.0))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _stacked_map(lmax: int):
-    """The stacked layout of degree ``lmax``, in which the transforms' grids
-    keep their table.  Read-only.
+@functools.lru_cache(maxsize=None)
+def _table_map(lmax: int):
+    """The table layout of degree ``lmax``, made once per degree: per flat
+    index its table row, slot (0 for ``+m``, 1 for ``-m``) and sign
+    (``(-1)^m`` for ``m < 0``, else 1), both int8; then one record ``(m0, k,
+    p, start, R)`` per block, in table order.  Read-only.
 
     Orders go in groups of ``GROUP``; per group and parity ``p`` of ``l+m``
-    one zero-padded block of shape ``(orders, R, nodes)`` holds, at block row
-    ``(j, i)``, degree ``l = m + p + 2i`` of order ``m = m0 + j``, where
-    ``m0`` is the group's first order and ``R`` its row count of parity
-    ``p``.  Blocks run group-major, even parity first.  Returns the table row
-    of each packed row followed by the table's row count (the ``rows``
-    argument of ``orthonormal_legendre_table``, and through ``_packed_map``
-    the table row of each flat index), and per block its first order, order
-    count, parity, first table row and ``R``.
+    one zero-padded block of ``k`` orders x ``R`` rows holds, at block row
+    ``(j, i)``, table row ``start + j*R + i``, degree ``l = m + p + 2i`` of
+    order ``m = m0 + j``, where ``m0`` is the group's first order and ``R``
+    its row count of parity ``p``.  Blocks run group-major, even parity first.
     """
+    check_lmax(lmax)
     m0 = np.repeat(np.arange(0, lmax + 1, GROUP), 2)
     p = np.arange(m0.size) % 2
     k = np.minimum(GROUP, lmax + 1 - m0)
     R = (lmax - m0 - p) // 2 + 1
-    start = np.concatenate([[0], np.cumsum(k * R)])
-    ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
-    b = 2 * (ms // GROUP) + (ls - ms) % 2
-    build = np.append(start[b] + (ms - m0[b]) * R[b] + (ls - ms) // 2, start[-1])
-    arrays = (build, np.stack([m0, k, p, start[:-1], R], axis=1))
+    start = np.cumsum(k * R) - k * R
+    ls, ms = degree_order_arrays(lmax)
+    m, neg = np.abs(ms), ms < 0
+    b = 2 * (m // GROUP) + (ls - m) % 2
+    arrays = (start[b] + m % GROUP * R[b] + (ls - m) // 2, neg.astype(np.int8),
+              np.where(neg & (ms % 2 == 1), np.int8(-1), np.int8(1)), np.stack([m0, k, p, start, R], axis=1))
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def orthonormal_legendre_table(lmax: int, x, rows=None) -> np.ndarray:
-    """Packed m-major table ``N[row, i]`` of orthonormal-harmonic magnitudes.
+def table_row(lmax: int, l, m):
+    """Row of degree ``l``, order ``m`` or ``-m`` (``|m| <= l <= lmax``) in the table of degree ``lmax``."""
+    return _table_map(lmax)[0][flat_index(l, m)]
 
-    Shape ``((lmax+1)(lmax+2)/2, x.size)``: row ``packed_row(lmax, l, m)``
-    holds ``(l, m)`` for ``0 <= m <= l``, and no row is stored for ``m > l``.
-    ``N[row, i] * exp(i*m*phi)`` equals ``sqrt(l+1/2) * Y_l^m(theta, phi)``
-    at ``x_i = cos(theta)``; for negative orders multiply by ``(-1)^m``.
-    Given ``rows``, the table row of each packed row followed by the row
-    count (``_stacked_map``'s first array), ``(l, m)`` goes to table row
-    ``rows[packed_row(lmax, l, m)]`` instead and the other rows stay zero.
+
+def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
+    """Table ``N[row, i]`` of orthonormal-harmonic magnitudes at ``x_i``.
+
+    Row ``table_row(lmax, l, m)`` holds ``(l, m)`` for ``0 <= m <= l``, and
+    the layout's padding rows (``_table_map``) hold zeros.  ``N[row, i] *
+    exp(i*m*phi)`` equals ``sqrt(l+1/2) * Y_l^m(theta, phi)`` at ``x_i =
+    cos(theta)``; for negative orders multiply by ``(-1)^m``.
     Fully-normalised recurrence, stable for degrees well beyond the plain
     ``P_l^m`` overflow point.  The diagonal and sub-diagonal seeds come
     first, then each degree is one two-term step over its orders
     ``m <= l-2``; every entry takes the same arithmetic as the order-by-order
-    recurrence, so the values are bit-identical to it in either layout.
+    recurrence, so the values are bit-identical to it.  Beside the table the
+    build holds two work arrays of ``lmax + 1`` rows.
     """
-    check_lmax(lmax)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("argument out of range: |x| > 1")
-    orders = np.arange(lmax + 2)
-    off = packed_row(lmax, orders, orders)
-    if rows is None:
-        rows = np.arange(off[-1] + 1)
-    N = np.zeros((rows[-1], x.size))
-    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product
-    deg = orders[1:-1]
-    diag = np.empty((lmax + 1, x.size))
-    diag[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    diag[1:] = -np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None] * s
-    N[rows[off[:-1]]] = np.cumprod(diag, axis=0)
-    # N[l, l-1] = (sqrt(2l+1) * x) * N[l-1, l-1]
-    N[rows[off[:-2] + 1]] = (np.sqrt(2 * deg + 1.0)[:, None] * x) * N[rows[off[:-2]]]
+    rows, _, _, blocks = _table_map(lmax)
     # two-term steps, degree-major: degree l holds entries [(l-1)(l-2)/2, l(l-1)/2)
     l, m = np.tril_indices(max(lmax - 1, 0))
     l += 2
     a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
     b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-    packed = packed_row(lmax, l, m)
-    r0, r1, r2 = rows[packed], rows[packed - 1], rows[packed - 2]
+    del l, m  # before the table, beside which they would stay
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("argument out of range: |x| > 1")
+    N = np.zeros((blocks[:, 1] @ blocks[:, 4], x.size))  # k*R rows per block
+    work = np.empty((2, lmax + 1, x.size))
+    # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product;
+    # (l, l) is flat index (l+1)^2 - 1, and (l, l-1) the one before it
+    deg = np.arange(1, lmax + 1)
+    d, t = work[0], work[1, :lmax]
+    d[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    np.multiply(-np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None], np.sqrt(np.maximum(1.0 - x * x, 0.0)), out=d[1:])
+    N[rows[np.arange(1, lmax + 2) ** 2 - 1]] = np.cumprod(d, axis=0, out=d)
+    # N[l, l-1] = (sqrt(2l+1) * x) * N[l-1, l-1]
+    np.multiply(np.sqrt(2 * deg + 1.0)[:, None], x, out=t)
+    t *= d[:-1]
+    N[rows[(deg + 1) ** 2 - 2]] = t
     for k in range(2, lmax + 1):
+        # N[k, m] = a * (x * N[k-1, m] - b * N[k-2, m]), rounded as written, in
+        # the work rows; orders 0..k-2 of degree l are flat indices l^2 + l + m,
+        # one slice of the map ("clip" takes no buffer; no index is out of range)
         j = slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
-        N[r0[j]] = a[j] * (x * N[r1[j]] - b[j] * N[r2[j]])
+        t, u = work[0, :k - 1], work[1, :k - 1]
+        N.take(rows[k * k - k:k * k - 1], axis=0, out=t, mode="clip")
+        t *= x
+        N.take(rows[k * k - 3 * k + 2:k * k - 2 * k + 1], axis=0, out=u, mode="clip")
+        u *= b[j]
+        t -= u
+        t *= a[j]
+        N[rows[k * k + k:k * k + 2 * k - 1]] = t
     return N
 
 
@@ -147,7 +143,7 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     phi = np.asarray(phi, dtype=np.float64)[..., None]
     N = orthonormal_legendre_table(lmax, x)
-    rows, _, sign = _packed_map(lmax)
+    rows, _, sign, _ = _table_map(lmax)
     phase = np.exp(1j * np.arange(-lmax, lmax + 1) * phi)
     return N[rows].T * sign * phase[..., degree_order_arrays(lmax)[1] + lmax]
 
@@ -166,16 +162,16 @@ def uniform_bound_check(lmax: int) -> BoundReport:
     The supremum is attained (``m = 0`` at the poles), so the margin is zero
     up to roundoff; the report tolerance absorbs that.
     """
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
-    theta = np.linspace(0.0, math.pi, _SUP_SCAN_NODES)
-    N = orthonormal_legendre_table(lmax, np.cos(theta))
-    _, degs = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
-    # |Y_l^m| = N[row] / sqrt(l + 1/2); phase factors drop out of the modulus.
-    # In place: the table is the scan's one large array
-    np.abs(N, out=N)
-    N /= np.sqrt(degs + 0.5)[:, None]
-    worst = float(N.max())
+    # |Y_l^m| = |N[row]| / sqrt(l + 1/2): phase factors drop out of the modulus.
+    # Each row's largest modulus, then divided, gives the bits of the largest
+    # quotient, as division by a positive constant rounds monotonically; one
+    # table per half of the nodes, its modulus taken in place, bounds the memory
+    peaks = []
+    for x in np.split(np.cos(np.linspace(0.0, math.pi, _SUP_SCAN_NODES)), 2):
+        N = orthonormal_legendre_table(lmax, x)
+        peaks.append(np.abs(N, out=N).max(axis=1))
+        del N
+    worst = float((np.max(peaks, axis=0)[_table_map(lmax)[0]] / np.sqrt(degree_order_arrays(lmax)[0] + 0.5)).max())
     return BoundReport(
         check="uniform_sup_bound",
         anchor="|Y_l^m(theta,phi)| <= 1/sqrt(2*pi)",

@@ -20,7 +20,7 @@ from .expansions import (
     as_point,
     degree_order_arrays,
 )
-from .legendre import _packed_map, _stacked_map, check_lmax, orthonormal_legendre_table, orthonormal_sh_values
+from .legendre import _table_map, check_lmax, orthonormal_legendre_table, orthonormal_sh_values
 from .report import BoundReport
 
 
@@ -83,8 +83,6 @@ class SphereGrid:
     __slots__ = ("lmax", "x", "w", "theta", "phi", "dphi", "_entry")
 
     def __init__(self, lmax: int):
-        if lmax < 0:
-            raise ValueError("lmax must be >= 0")
         check_lmax(lmax)
         self.lmax = int(lmax)
         n_theta, n_phi = _grid_shape(self.lmax)
@@ -107,31 +105,21 @@ class SphereGrid:
         return self.phi.size
 
     def basis_table(self, lmax: int):
-        """The grid's one entry ``(table, rows, slot, sign, blocks)``, of degree G >= ``lmax``.
+        """The grid's one entry ``(rows, slot, sign, blocks, table)``, of degree G >= ``lmax``:
+        ``legendre._table_map(G)`` and ``orthonormal_legendre_table(G)`` at
+        the nodes with ``x >= 0`` (column ``j`` is node ``n_theta // 2 + j``;
+        node ``-x`` holds ``(-1)^(l+m)`` times its values).
 
-        ``orthonormal_legendre_table`` at the nodes with ``x >= 0`` (column
-        ``j`` is node ``n_theta // 2 + j``; node ``-x`` holds ``(-1)^(l+m)``
-        times its values), built in the stacked layout of
-        ``legendre._stacked_map(G)``; each flat index's table row (its packed
-        row in that layout), ``legendre._packed_map(G)``'s slot and sign, and
-        the layout's block records.  A row has the same bits at
-        every degree, so degree ``L < G`` reads the first ``(L+1)^2`` map
-        entries and, of each block of a group with orders up to L, its first
-        ``L+1-m0`` orders and the rows of its first order up to degree L.  A
-        degree above G replaces the entry; callers keep the one they read or
-        built, even if a concurrent call stores a lower one.  No stored array
-        is written.
+        A row has the same bits at every degree, so degree ``L < G`` reads the
+        first ``(L+1)^2`` map entries and, of each block of a group with orders
+        up to L, its first ``L+1-m0`` orders and the rows of its first order up
+        to degree L.  A degree above G replaces the entry; callers keep the one
+        they read or built, even if a concurrent call stores a lower one.  No
+        stored array is written.
         """
         entry = self._entry
-        if entry is None or entry[1].size < (lmax + 1) ** 2:
-            # the flat maps are made after the table, so that their temporaries
-            # and the recurrence's never add up to the peak memory
-            build, blocks = _stacked_map(lmax)
-            table = orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:], build)
-            packed, slot, sign = _packed_map(lmax)
-            rows = build[packed]
-            rows.flags.writeable = False
-            entry = self._entry = (table, rows, slot, sign, blocks)
+        if entry is None or entry[0].size < (lmax + 1) ** 2:
+            entry = self._entry = (*_table_map(lmax), orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
         return entry
 
     def __repr__(self):
@@ -273,7 +261,7 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     L = math.isqrt(K) - 1
     if grid.lmax < L:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
-    N, rows, slot, sign, blocks = grid.basis_table(L)
+    rows, slot, sign, blocks, N = grid.basis_table(L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0; node i mirrors node P - 1 - i
     workers = _workers(B * P * grid.n_phi)
@@ -306,13 +294,11 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     product each per group of orders, as in ``_synthesize_table``, which
     also splits a large transform the same way.
     """
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
     if grid.lmax < lmax:
         raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
     B, K = samples.shape[0], (L + 1) ** 2
-    N, rows, slot, sign, blocks = grid.basis_table(L)
+    rows, slot, sign, blocks, N = grid.basis_table(L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0
     workers = _workers(B * P * grid.n_phi)

@@ -7,6 +7,9 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
 * ``assoc_legendre``, the unnormalised ``P_l^m`` three-term recurrence;
 * ``clebsch_gordan``, the scalar Racah single sum over log-factorials;
 * ``from_dict``, an expansion built from a few ``(l, m) -> value`` entries;
+* ``packed_legendre_table``, the library's recurrence as it was into the
+  packed m-major table (rows ``packed_row``): the bit reference of
+  ``orthonormal_legendre_table``, whose every ``(l, m)`` row it equals;
 * ``orthonormal_sh_values_reference``, point values gathered from the packed
   table through ``packed_row`` and a ``(-1) ** |m|`` sign of their own;
 * ``mirrored_orthonormality_check``, the Gram check on the packed table at
@@ -26,7 +29,7 @@ from sphcalc import HarmonicExpansion, HarmonicIndex, SpherePoint, make_grid
 from sphcalc import bounds as bnd
 from sphcalc.expansions import degree_order_arrays, flat_index, graded_norms
 from sphcalc.report import BoundReport
-from sphcalc.legendre import _packed_map, orthonormal_legendre_table, orthonormal_sh_values, packed_row
+from sphcalc.legendre import orthonormal_sh_values
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -121,12 +124,57 @@ def from_dict(lmax: int, entries: dict) -> HarmonicExpansion:
     return HarmonicExpansion(lmax, c)
 
 
+def packed_row(lmax: int, l, m):
+    """Row of degree ``l``, order ``|m|`` in the packed table of degree ``lmax``.
+
+    Rows run m-major, ``off[m] + l - m`` with ``off[m] = m*(2*lmax+3-m)/2``,
+    so order ``m`` is the contiguous block ``off[m]:off[m+1]`` and
+    ``packed_row(lmax, m, m)`` for ``m = 0..lmax+1`` gives those offsets.
+    """
+    m = np.abs(m)
+    return m * (2 * lmax + 3 - m) // 2 + l - m
+
+
+def packed_legendre_table(lmax: int, x) -> np.ndarray:
+    """Packed m-major table ``N[packed_row(lmax, l, m), i]`` of shape
+    ``((lmax+1)(lmax+2)/2, x.size)``, no row stored for ``m > l``.
+
+    The seeds and the degree-major two-term steps as
+    ``orthonormal_legendre_table`` computed them into this layout, each step
+    one expression over the degree's orders ``m <= l-2``.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    orders = np.arange(lmax + 2)
+    off = packed_row(lmax, orders, orders)
+    N = np.zeros((off[-1], x.size))
+    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product
+    deg = orders[1:-1]
+    diag = np.empty((lmax + 1, x.size))
+    diag[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    diag[1:] = -np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None] * s
+    N[off[:-1]] = np.cumprod(diag, axis=0)
+    # N[l, l-1] = (sqrt(2l+1) * x) * N[l-1, l-1]
+    N[off[:-2] + 1] = (np.sqrt(2 * deg + 1.0)[:, None] * x) * N[off[:-2]]
+    # two-term steps, degree-major: degree l holds entries [(l-1)(l-2)/2, l(l-1)/2)
+    l, m = np.tril_indices(max(lmax - 1, 0))
+    l += 2
+    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+    r0 = packed_row(lmax, l, m)
+    for k in range(2, lmax + 1):
+        j = slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
+        N[r0[j]] = a[j] * (x * N[r0[j] - 1] - b[j] * N[r0[j] - 2])
+    return N
+
+
 def orthonormal_sh_values_reference(lmax: int, x, phi) -> np.ndarray:
-    """``orthonormal_sh_values`` with the gather it had before the packed map
-    moved into ``legendre``: rows from ``packed_row``, sign ``(-1.0) ** |m|``."""
+    """``orthonormal_sh_values`` from the packed reference table, with the
+    gather it had before the map moved into ``legendre``: rows from
+    ``packed_row``, sign ``(-1.0) ** |m|``."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     phi = np.asarray(phi, dtype=np.float64)[..., None]
-    N = orthonormal_legendre_table(lmax, x)
+    N = packed_legendre_table(lmax, x)
     ls, ms = degree_order_arrays(lmax)
     mags = N[packed_row(lmax, ls, ms)].T * np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
     return mags * np.exp(1j * ms * phi)
@@ -136,12 +184,12 @@ def mirrored_orthonormality_check(lmax: int) -> BoundReport:
     """``orthonormality_check`` with its theta factor read from the packed
     table at the grid's nodes with ``x >= 0``, mirrored back by ``(-1)^(l+m)``."""
     grid = make_grid(lmax)
-    N = orthonormal_legendre_table(lmax, grid.x[grid.n_theta // 2:])
-    rows, _, sign = _packed_map(lmax)
+    N = packed_legendre_table(lmax, grid.x[grid.n_theta // 2:])
     ms, ls = np.triu_indices(lmax + 1)  # (m, l) of each packed row, m-major
     parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)
     full = np.concatenate([parity[:, None] * N[:, ::-1][:, :grid.n_theta // 2], N], axis=1)
-    T = (sign[:, None] * full[rows]).T
+    ls, ms = degree_order_arrays(lmax)
+    T = (np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)[:, None] * full[packed_row(lmax, ls, ms)]).T
     theta_gram = T.T @ (grid.w[:, None] * T)
     scale = 2.0 * math.pi / grid.n_phi
     d = np.arange(-2 * lmax, 2 * lmax + 1)

@@ -8,16 +8,22 @@ from scipy.special import lpmv, sph_harm_y
 
 from sphcalc import (
     SH_SUP_BOUND,
+    completeness_kernel,
+    generator,
+    make_grid,
     orthonormal_legendre_table,
     orthonormal_sh_values,
-    packed_row,
+    pde_residual,
     sh_eval,
+    so3_casimir_check,
+    table_row,
     uniform_bound_check,
 )
-from sphcalc.expansions import flat_index
-from sphcalc.legendre import GROUP, MAX_LMAX, _packed_map, _stacked_map
+from sphcalc.bounds import random_expansion
+from sphcalc.expansions import degree_order_arrays, flat_index
+from sphcalc.legendre import GROUP, MAX_LMAX, _table_map
 
-from reference import assoc_legendre, orthonormal_sh_values_reference
+from reference import assoc_legendre, orthonormal_sh_values_reference, packed_legendre_table, packed_row
 
 RNG = np.random.default_rng(2024)
 
@@ -174,7 +180,7 @@ def test_table_consistent_with_scalar_path():
         for l in (0, 3, 11, 20):
             for m in sorted({0, min(1, l), l // 2, l}):
                 expected = math.sqrt(l + 0.5) * _amp(l, m) * assoc_legendre(l, m, x)
-                got = table[packed_row(lmax, l, m), i]
+                got = table[table_row(lmax, l, m), i]
                 assert got == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
 
@@ -257,18 +263,21 @@ def _table_per_order(lmax, x):
 def test_table_equals_per_order_recurrence(lmax):
     # same arithmetic per entry, so the tables agree bit for bit
     x = np.concatenate([np.random.default_rng(lmax).uniform(-1, 1, 9), [-1.0, 1.0, 0.0]])
-    table = orthonormal_legendre_table(lmax, x)
-    assert table.shape == ((lmax + 1) * (lmax + 2) // 2, x.size)
-    # packed rows run m-major, degree l of order m at off[m] + l - m
     ms, ls = np.triu_indices(lmax + 1)
-    np.testing.assert_array_equal(packed_row(lmax, ls, ms), np.arange(table.shape[0]))
-    np.testing.assert_array_equal(table, _table_per_order(lmax, x)[:, ls, ms].T)
+    per_order = _table_per_order(lmax, x)[:, ls, ms].T
+    np.testing.assert_array_equal(orthonormal_legendre_table(lmax, x)[table_row(lmax, ls, ms)], per_order)
+    # the packed reference: rows m-major, degree l of order m at off[m] + l - m
+    reference = packed_legendre_table(lmax, x)
+    assert reference.shape == ((lmax + 1) * (lmax + 2) // 2, x.size)
+    np.testing.assert_array_equal(packed_row(lmax, ls, ms), np.arange(reference.shape[0]))
+    np.testing.assert_array_equal(reference, per_order)
 
 
 @pytest.mark.parametrize("lmax", [0, 1, 16, 47, 128])
 @pytest.mark.parametrize("phi_kind", ["scalar", "array"])
 def test_point_values_equal_the_reference_gather(lmax, phi_kind):
-    # one packed map in legendre replaced a second gather with its own sign formula
+    # point values through legendre's one map against a gather of the packed
+    # reference table with its own sign formula
     rng = np.random.default_rng(1000 + lmax)
     x = rng.uniform(-1.0, 1.0, 20)
     phi = rng.uniform(0.0, 2.0 * math.pi, 20) if phi_kind == "array" else 0.7
@@ -279,45 +288,72 @@ def test_point_values_equal_the_reference_gather(lmax, phi_kind):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-@pytest.mark.parametrize("lmax", [0, 1, 16])
-def test_packed_map_is_read_only_and_matches_the_layout(lmax):
-    rows, slot, sign = _packed_map(lmax)
-    assert not rows.flags.writeable and not slot.flags.writeable and not sign.flags.writeable
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            k = flat_index(l, m)
-            assert rows[k] == packed_row(lmax, l, m)
-            assert slot[k] == (m < 0)
-            assert sign[k] == ((-1.0) ** m if m < 0 else 1.0)
-
-
-@pytest.mark.parametrize("lmax", [0, 1, 7, 8, 9, 16, 256])
-def test_stacked_table_holds_the_packed_rows(lmax):
-    # the grids' layout: every (l, m) at its block row with the packed table's
-    # bits, computed in place with no packed copy, and zeros in the padding
-    x = np.concatenate([np.random.default_rng(lmax).uniform(-1, 1, 5), [-1.0, 1.0, 0.0]])
-    build, blocks = _stacked_map(lmax)
-    assert not build.flags.writeable and not blocks.flags.writeable
-    stacked = orthonormal_legendre_table(lmax, x, build)
-    assert stacked.shape == (build[-1], x.size)
-    assert stacked[build[:-1]].tobytes() == orthonormal_legendre_table(lmax, x).tobytes()
-    padding = np.ones(stacked.shape[0], dtype=bool)
-    padding[build[:-1]] = False
-    assert not stacked[padding].any()
-    # per group of GROUP orders from m0 and parity p, a block of k orders x R
-    # rows, R the first order's row count: degree m + p + 2i of order m0 + j
-    # at row start + j*R + i
-    want, start = [], 0
+def _layout_rows(lmax):
+    """Block records and the table row of each (l, m), m >= 0, walked block by block."""
+    blocks, row, start = [], {}, 0
     for m0 in range(0, lmax + 1, GROUP):
         k = min(GROUP, lmax + 1 - m0)
         for p in (0, 1):
+            # k orders x R rows, R the first order's row count: degree
+            # m + p + 2i of order m = m0 + j at row start + j*R + i
             R = (lmax - m0 - p) // 2 + 1
-            want.append([m0, k, p, start, R])
+            blocks.append([m0, k, p, start, R])
             for j in range(k):
                 for i, l in enumerate(range(m0 + j + p, lmax + 1, 2)):
-                    assert build[packed_row(lmax, l, m0 + j)] == start + j * R + i
+                    row[l, m0 + j] = start + j * R + i
             start += k * R
-    assert blocks.tolist() == want and build[-1] == start
+    return blocks, row, start
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 16])
+def test_table_map_is_read_only_and_matches_the_layout(lmax):
+    rows, slot, sign, blocks = _table_map(lmax)
+    assert not any(a.flags.writeable for a in (rows, slot, sign, blocks))
+    want_blocks, row, _ = _layout_rows(lmax)
+    assert blocks.tolist() == want_blocks
+    for l in range(lmax + 1):
+        for m in range(-l, l + 1):
+            k = flat_index(l, m)
+            assert rows[k] == row[l, abs(m)] == table_row(lmax, l, m)
+            assert slot[k] == (m < 0)
+            assert sign[k] == ((-1) ** m if m < 0 else 1)
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 7, 8, 9, 16, 256, 1024])
+def test_stacked_table_holds_the_packed_rows(lmax):
+    # the one layout: every (l, m) at its block row with the bits of the packed
+    # reference recurrence, and zeros in the padding; a handful of nodes at 1024
+    nodes = 2 if lmax == 1024 else 5
+    x = np.concatenate([np.random.default_rng(lmax).uniform(-1, 1, nodes), [-1.0, 1.0, 0.0]])
+    table = orthonormal_legendre_table(lmax, x)
+    _, row, count = _layout_rows(lmax)
+    assert table.shape == (count, x.size)
+    ls, ms = np.array(list(row)).T
+    rows = np.array(list(row.values()))
+    assert table[rows].tobytes() == packed_legendre_table(lmax, x)[packed_row(lmax, ls, ms)].tobytes()
+    padding = np.ones(count, dtype=bool)
+    padding[rows] = False
+    assert not table[padding].any()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: orthonormal_legendre_table(-1, [0.3]),
+    lambda: orthonormal_sh_values(-1, 0.3, 0.0),
+    lambda: uniform_bound_check(-1),
+    lambda: table_row(-1, 0, 0),
+    lambda: degree_order_arrays(-1),
+    lambda: completeness_kernel(-1, (0.1, 0.2), (0.3, 0.4)),
+    lambda: pde_residual(-1, 1e-3),
+    lambda: generator("L").matrix(-1),
+    lambda: so3_casimir_check(-1),
+    lambda: random_expansion(3, -1),
+    lambda: make_grid(-1),
+], ids=["table", "point-values", "sup-scan", "table-row", "flat-order", "kernel", "pde", "matrix",
+        "casimir", "random-expansion", "grid"])
+def test_negative_degrees_name_one_error(call):
+    # these once raised a bare IndexError or "need at least one array to concatenate"
+    with pytest.raises(ValueError, match=r"^lmax must be >= 0$"):
+        call()
 
 
 def _refused_peak(call):
@@ -347,7 +383,7 @@ def test_addition_theorem_holds_at_the_ceiling():
     # sum over m = -L..L of N(L,m)^2 is (2L+1)/(4 pi) at every x
     L = MAX_LMAX
     table = orthonormal_legendre_table(L, np.cos([0.15, 0.3767, 0.6]))
-    top = table[[packed_row(L, L, m) for m in range(L + 1)]]
+    top = table[table_row(L, L, np.arange(L + 1))]
     total = top[0] ** 2 + 2.0 * np.sum(top[1:] ** 2, axis=0)
     exact = (2 * L + 1) / (4.0 * math.pi)
     assert np.max(np.abs(total - exact)) / exact <= 1e-12

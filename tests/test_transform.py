@@ -24,23 +24,23 @@ from sphcalc import (
     orthonormal_legendre_table,
     orthonormal_sh_values,
     orthonormality_check,
-    packed_row,
     point_eval,
     quadrature_inner_product,
     save_expansion,
     save_field,
     synthesize,
+    table_row,
 )
 from sphcalc.bounds import random_expansion
 from sphcalc.expansions import degree_order_arrays, flat_index
-from sphcalc.legendre import GROUP, MAX_LMAX, _packed_map, _stacked_map
+from sphcalc.legendre import GROUP, MAX_LMAX, _table_map
 from sphcalc import transform
 from sphcalc.cli import main
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 from sphcalc.verify import suite_transforms
 
 import reference_io
-from reference import mirrored_orthonormality_check
+from reference import mirrored_orthonormality_check, packed_legendre_table, packed_row
 
 
 def test_gauss_legendre_small_closed_forms():
@@ -76,17 +76,17 @@ def _counting_table_builds(monkeypatch):
     builds = []
     build = transform.orthonormal_legendre_table
 
-    def counted(lmax, x, rows=None):
+    def counted(lmax, x):
         builds.append(lmax)
-        return build(lmax, x, rows)
+        return build(lmax, x)
 
     monkeypatch.setattr(transform, "orthonormal_legendre_table", counted)
     return builds
 
 
-def test_grid_entry_holds_legendres_packed_map(monkeypatch):
-    # the transforms read legendre's stacked map, which sends each flat index
-    # of the packed map to its table row, from the grid's one entry, built
+def test_grid_entry_holds_legendres_table_map(monkeypatch):
+    # the transforms read legendre's one map (each flat index's table row,
+    # slot and sign, and the block records) from the grid's one entry, built
     # with the table; a higher degree replaces the entry, and calls at its
     # degree and below reuse it
     builds = _counting_table_builds(monkeypatch)
@@ -102,17 +102,15 @@ def test_grid_entry_holds_legendres_packed_map(monkeypatch):
         analyze(field, 5)
     assert grid.basis_table(12) is entry and grid.basis_table(0) is entry
     assert builds == [5, 12]
-    table, rows, slot, sign, blocks = entry
+    rows, slot, sign, blocks, table = entry
     # orders 0..7 hold 7 even and 6 odd rows each, orders 8..12 hold 3 and 2
     assert table.shape == (8 * 13 + 5 * 5, 7)
     order0 = flat_index(np.arange(6), 0)  # order 0, degrees 0..5
-    assert np.array_equal(table[rows[order0]], low[0][low[1][order0]])
+    assert np.array_equal(table[rows[order0]], low[-1][low[0][order0]])
     assert not any(a.flags.writeable for a in (rows, slot, sign, blocks))
-    build, stacked_blocks = _stacked_map(12)
-    packed, packed_slot, packed_sign = _packed_map(12)
-    for got, ref in zip(entry[1:], (build[packed], packed_slot, packed_sign, stacked_blocks)):
-        assert got.tobytes() == ref.tobytes()
-    assert table[rows].tobytes() == orthonormal_legendre_table(12, grid.x[6:])[packed].tobytes()
+    assert all(got is ref for got, ref in zip(entry, _table_map(12)))
+    ls, ms = degree_order_arrays(12)
+    assert table[rows].tobytes() == packed_legendre_table(12, grid.x[6:])[packed_row(12, ls, ms)].tobytes()
 
 
 def _transforms_at(grid, L):
@@ -148,13 +146,13 @@ def test_threads_alternating_degrees_on_one_grid_are_deterministic(monkeypatch):
     low_building, high_stored, low_stored = threading.Event(), threading.Event(), threading.Event()
     build, basis_table = transform.orthonormal_legendre_table, transform.SphereGrid.basis_table
 
-    def paced_build(lmax, x, rows=None):
+    def paced_build(lmax, x):
         if lmax == G:
             low_building.wait(10)
         else:
             low_building.set()
             high_stored.wait(10)
-        return build(lmax, x, rows)
+        return build(lmax, x)
 
     def paced_basis_table(grid, lmax):
         entry = basis_table(grid, lmax)
@@ -525,8 +523,8 @@ def _order_block(N, L, m):
 
 
 def _half_table(grid, L):
-    # the packed table at the nodes x >= 0
-    return orthonormal_legendre_table(L, grid.x[grid.n_theta // 2:])
+    # the packed reference table at the nodes x >= 0
+    return packed_legendre_table(L, grid.x[grid.n_theta // 2:])
 
 
 def _synthesize_per_order(f, grid):
@@ -614,10 +612,10 @@ def test_one_row_analysis_equals_the_group_padded_per_order_loop(lmax):
 
 
 def _dense_table(grid, L):
-    # the packed table at every node, spread over [theta node, l, m], zeros for m > l
+    # the packed reference table at every node, spread over [theta node, l, m], zeros for m > l
     ms, ls = np.triu_indices(L + 1)
     D = np.zeros((grid.n_theta, L + 1, L + 1))
-    D[:, ls, ms] = orthonormal_legendre_table(L, grid.x).T
+    D[:, ls, ms] = packed_legendre_table(L, grid.x).T
     return D
 
 
@@ -673,10 +671,11 @@ def test_transforms_match_complex_upcast_loops(lmax, grid_lmax):
 def test_half_table_mirrors_to_the_full_table(L):
     # the nodes x < 0 carry (-1)^(l+m) times the values at their mirror images
     grid = make_grid(L)
-    half = _half_table(grid, L)
-    ms, ls = np.triu_indices(L + 1)
-    parity = np.where((ls + ms) % 2 == 1, -1.0, 1.0)[:, None]
     s = grid.n_theta // 2
+    half = orthonormal_legendre_table(L, grid.x[s:])
+    ms, ls = np.triu_indices(L + 1)
+    parity = np.ones((half.shape[0], 1))
+    parity[table_row(L, ls, ms)[(ls + ms) % 2 == 1]] = -1.0
     assert half.shape[1] == grid.n_theta - s
     mirrored = np.concatenate([parity * half[:, ::-1][:, :s], half], axis=1)
     np.testing.assert_array_equal(mirrored, orthonormal_legendre_table(L, grid.x))
@@ -684,9 +683,9 @@ def test_half_table_mirrors_to_the_full_table(L):
 
 def _round_trip_and_parseval(lmax):
     grid = make_grid(lmax)
-    # stacked: the (L+1)(L+2)/2 packed rows and each block's zero padding, of
-    # the ceil(n_theta/2) nodes with x >= 0
-    nbytes = grid.basis_table(lmax)[0].nbytes
+    # the (L+1)(L+2)/2 rows of (l, m) and each block's zero padding, of the
+    # ceil(n_theta/2) nodes with x >= 0
+    nbytes = grid.basis_table(lmax)[-1].nbytes
     f = random_expansion(lmax, lmax, decay=1.0)
     field = synthesize(f, grid)
     assert np.max(np.abs(analyze(field, lmax).coeffs - f.coeffs)) <= 1e-12
@@ -701,6 +700,21 @@ def test_round_trip_and_parseval_at_l256():
 
 def test_round_trip_and_parseval_at_l512():
     assert _round_trip_and_parseval(512) == 274_749_448
+
+
+def test_grid_table_build_peaks_near_the_table():
+    # a cold build at L=256 holds about 3 MB beside the 35 MB table: the map,
+    # made before the table, and the recurrence's two work arrays; a map made
+    # beside the table, gathering a block record per flat index, goes past it
+    _table_map.cache_clear()
+    degree_order_arrays.cache_clear()
+    tracemalloc.start()
+    try:
+        table = make_grid(256).basis_table(256)[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 4e6
 
 
 def test_transform_tables_match_one_row_calls():
