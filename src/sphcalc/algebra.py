@@ -226,8 +226,8 @@ def generator(name: str) -> Operator:
     return Operator(name, _GENERATOR_AMPLITUDES[name])
 
 
-def derive_structure_constants(lmax: int, include_identity: bool = True):
-    """Least-squares expansion of every commutator in the generator actions.
+def derive_structure_constants(lmax: int):
+    """Least-squares expansion of every commutator in the generator actions and the unit.
 
     Returns ``(constants, max_residual)`` where ``constants[(a, b)]`` maps
     every basis-element name to the fitted coefficient of ``[a, b]``.
@@ -242,16 +242,15 @@ def derive_structure_constants(lmax: int, include_identity: bool = True):
 
     The opposite-ladder pairs produce diagonal commutators such as
     ``[K+, K-] = -(2L + 1)``: the ten printed actions close exactly once the
-    identity map (name ``"1"``) joins the regression basis, equivalently once
-    the degree label carries a half-unit shift.  With ``include_identity``
-    off, those central terms surface as residual instead.
+    identity map (name ``"1"``) joins the basis, equivalently once the degree
+    label carries a half-unit shift.  The unit is therefore always a basis
+    column, and those central terms are its ``"1"`` coefficients.
     """
     if lmax < 4:
         raise ValueError("closure check needs lmax >= 4")
     gens = {name: generator(name) for name in GENERATOR_NAMES}
     bands = {name: op._band(lmax) for name, op in gens.items()}
-    if include_identity:
-        bands["1"] = ((0, 0), np.ones((lmax + 1) ** 2, dtype=np.complex128))
+    bands["1"] = ((0, 0), np.ones((lmax + 1) ** 2, dtype=np.complex128))
     constants, worst = {}, 0.0
     for a, b in combinations(GENERATOR_NAMES, 2):
         shift, rhs = commutator(gens[a], gens[b])._band(lmax)

@@ -144,44 +144,39 @@ _CLAIMS = {
 }
 
 
-def claim_margins(op_name: str, rows: np.ndarray, lmax: int, claim: BoundClaim | None = None):
-    """Both sides of a claimed bound for every row of a ``(trials, K)`` block.
+def claim_margins(op_name: str, rows: np.ndarray, lmax: int):
+    """Both sides of ``op_name``'s claim for every row of a ``(trials, K)`` block.
 
     Returns ``(lhs, rhs)``, each of shape ``(trials, max_n + 1)``:
     ``lhs[t, n] = |A f_t|_n`` and ``rhs[t, n] = K_n * sum_q |f_t|_q``.
     ``single_mode_margins`` gives the rows of the identity block.
     """
-    if claim is None:
-        claim = _CLAIMS[op_name]
     out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
-    return _sides(claim, lambda q: graded_norms(rows, lmax, q), lambda n: graded_norms(out, out_lmax, n))
+    return _sides(_CLAIMS[op_name], lambda q: graded_norms(rows, lmax, q),
+                  lambda n: graded_norms(out, out_lmax, n))
 
 
-def single_mode_margins(op_name: str, lmax: int, claim: BoundClaim | None = None):
-    """``claim_margins(op_name, np.eye(K), lmax, claim)``, bit for bit, from the stencil.
+def single_mode_margins(op_name: str, lmax: int):
+    """``claim_margins(op_name, np.eye(K), lmax)``, bit for bit, from the stencil.
 
-    A unit mode's image holds one stencil entry per shift.  Adding zeros is
-    exact and a sum of two terms does not depend on their order, so with at
-    most two shifts each norm is the root of the per-shift terms' sum;
-    operators with more shifts take the identity block.
+    A unit mode's image holds one stencil entry per shift, so each norm is
+    the root of the per-shift terms' sum.  Adding zeros is exact and a sum of
+    two terms does not depend on their order, so the bits are the identity
+    block's for every operator of at most two shifts, as every claimed one is.
     """
-    if claim is None:
-        claim = _CLAIMS[op_name]
     op = OPERATORS[op_name]()
     K = (lmax + 1) ** 2
-    if len(op.shifts) > 2:
-        return claim_margins(op_name, np.eye(K, dtype=np.complex128), lmax, claim)
     stencil = op._stencil(lmax, np.ones(K, dtype=bool))
 
     def image_norms(n):
         weights = norm_weights(lmax + op.band_growth, n)
-        terms = np.zeros((2, K))
+        terms = np.zeros((len(stencil), K))
         for term, (src, tgt, coef) in zip(terms, stencil):
             term[src] = weights[tgt] * (coef.real**2 + coef.imag**2)
-        return np.sqrt(terms[0] + terms[1])
+        return np.sqrt(terms.sum(axis=0))
 
     # a unit row's order-q norm is the root of its one weight
-    return _sides(claim, lambda q: np.sqrt(norm_weights(lmax, q)), image_norms)
+    return _sides(_CLAIMS[op_name], lambda q: np.sqrt(norm_weights(lmax, q)), image_norms)
 
 
 def _sides(claim: BoundClaim, source_norms, image_norms):
@@ -195,25 +190,15 @@ def _sides(claim: BoundClaim, source_norms, image_norms):
     return lhs, rhs
 
 
-def continuity_criterion_check(
-    op_name: str,
-    trials: int = 100,
-    seed: int = 42,
-    lmax: int = 12,
-    claim: BoundClaim | None = None,
-) -> BoundReport:
+def continuity_criterion_check(op_name: str, trials: int = 100, seed: int = 42, lmax: int = 12) -> BoundReport:
     """The one-name case of ``continuity_criterion_checks``."""
-    return continuity_criterion_checks([op_name], trials, seed, lmax, [claim])[0]
+    return continuity_criterion_checks([op_name], trials, seed, lmax)[0]
 
 
 def continuity_criterion_checks(
-    op_names: Sequence[str],
-    trials: int = 100,
-    seed: int = 42,
-    lmax: int = 12,
-    claims: Sequence[BoundClaim | None] | None = None,
+    op_names: Sequence[str], trials: int = 100, seed: int = 42, lmax: int = 12
 ) -> list[BoundReport]:
-    """Randomized falsification attempts against claimed bound shapes, one per name.
+    """Randomized falsification attempts against each name's claim in ``_CLAIMS``.
 
     Trial ``t`` draws from substream ``(seed, t)``.  Every eighth trial
     (``t % 8 == 7``) is a single high-degree mode instead of the smooth
@@ -224,28 +209,24 @@ def continuity_criterion_checks(
     does not grow with ``trials``.  A probe of degree ``l`` is row
     ``flat_index(l, m)`` of one ``single_mode_margins`` table at the highest
     probe degree: a unit mode's margins do not depend on the table's degree.
-    ``claims``, if given, runs parallel to ``op_names``; a ``None`` entry
-    takes the registered claim.  Each smooth block and each probe is drawn
-    once and measured against every claim, so each report equals the
-    one-name call's.
+    Each smooth block and each probe is drawn once and measured against every
+    name, so each report equals the one-name call's.
     """
-    claims = claims or [None] * len(op_names)
-    claims = [_CLAIMS[name] if claim is None else claim for name, claim in zip(op_names, claims)]
-    lhs = [np.empty((trials, claim.max_n + 1)) for claim in claims]
+    lhs = [np.empty((trials, _CLAIMS[name].max_n + 1)) for name in op_names]
     rhs = [np.empty_like(a) for a in lhs]
     smooth = np.flatnonzero(np.arange(trials) % 8 != 7)
     for start in range(0, smooth.size, _TRIAL_BLOCK):
         at = smooth[start:start + _TRIAL_BLOCK]
         rows = _random_rows([(seed, t) for t in at.tolist()], lmax)
-        for name, claim, lhs_n, rhs_n in zip(op_names, claims, lhs, rhs):
-            lhs_n[at], rhs_n[at] = claim_margins(name, rows, lmax, claim)
+        for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):
+            lhs_n[at], rhs_n[at] = claim_margins(name, rows, lmax)
     # each rng draws its probe's degree, then its order
     rngs = [substream(seed, t) for t in range(7, trials, 8)]
     degrees = [int(rng.integers(lmax, 4 * lmax + 8)) for rng in rngs]
     modes = [flat_index(l, int(rng.integers(-l, l + 1))) for rng, l in zip(rngs, degrees)]
     if degrees:
-        for name, claim, lhs_n, rhs_n in zip(op_names, claims, lhs, rhs):
-            unit_lhs, unit_rhs = single_mode_margins(name, max(degrees), claim)
+        for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):
+            unit_lhs, unit_rhs = single_mode_margins(name, max(degrees))
             lhs_n[7::8], rhs_n[7::8] = unit_lhs[modes], unit_rhs[modes]
     reports = []
     for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):

@@ -74,8 +74,14 @@ def _table_map(lmax: int):
 
 
 def table_row(lmax: int, l, m):
-    """Row of degree ``l``, order ``m`` or ``-m`` (``|m| <= l <= lmax``) in the table of degree ``lmax``."""
-    return _table_map(lmax)[0][flat_index(l, m)]
+    """Row of degree ``l``, order ``m`` or ``-m`` in the table of degree ``lmax``.
+
+    Elementwise; a pair outside ``|m| <= l <= lmax`` raises ``ValueError``.
+    """
+    rows = _table_map(lmax)[0]
+    if not np.all((np.abs(m) <= l) & (l <= lmax)):
+        raise ValueError(f"table_row needs |m| <= l <= lmax, with lmax={lmax}")
+    return rows[flat_index(l, m)]
 
 
 def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:

@@ -161,14 +161,27 @@ def test_closure_and_derived_constants():
     assert "[J+,J-]" in report.details["structure_constants"]
 
 
-def test_without_central_term_closure_fails():
-    # the printed Cartan label is off by the half shift: dropping the unit
-    # from the regression basis must surface a visible residual
-    _, resid = derive_structure_constants(6, include_identity=False)
-    assert resid > 0.5
+def test_central_unit_coefficients_are_pinned():
+    # the printed Cartan label is off by the half shift, so the opposite-ladder
+    # pairs close only through the unit column; without it the largest of these
+    # coefficients, 2, would be the fit's residual
+    central = {
+        ("K+", "K-"): {"L": -2.0, "1": -1.0},
+        ("R+", "R-"): {"L": -4.0, "M": -4.0, "1": -2.0},
+        ("S+", "S-"): {"L": -4.0, "M": 4.0, "1": -2.0},
+    }
+    for lmax in (6, 8):
+        constants, resid = derive_structure_constants(lmax)
+        assert resid <= 1e-10
+        for pair, fit in constants.items():
+            if pair in central:
+                got = {name: c.real for name, c in fit.items() if abs(c) > 1e-9}
+                assert got == pytest.approx(central[pair], abs=1e-11), (lmax, pair)
+            else:
+                assert abs(fit["1"]) <= 1e-11, (lmax, pair)
 
 
-def _dense_structure_constants(lmax, include_identity):
+def _dense_structure_constants(lmax):
     # the global fit the per-shift fit replaced, kept as reference: every map
     # as a dense matrix zero-padded to (lmax+3)^2 rows, all commutators
     # fitted at once against all basis columns
@@ -180,8 +193,7 @@ def _dense_structure_constants(lmax, include_identity):
 
     gens = {name: generator(name) for name in GENERATOR_NAMES}
     columns = {name: padded(op) for name, op in gens.items()}
-    if include_identity:
-        columns["1"] = np.eye(K_out, (lmax + 1) ** 2, dtype=np.complex128)
+    columns["1"] = np.eye(K_out, (lmax + 1) ** 2, dtype=np.complex128)
     pairs = list(combinations(GENERATOR_NAMES, 2))
     design = np.stack([col.ravel() for col in columns.values()], axis=1)
     rhs = np.stack([padded(commutator(gens[a], gens[b])).ravel() for a, b in pairs], axis=1)
@@ -190,21 +202,16 @@ def _dense_structure_constants(lmax, include_identity):
     return constants, float(np.abs(design @ sol - rhs).max())
 
 
-@pytest.mark.parametrize("include_identity", [True, False])
 @pytest.mark.parametrize("lmax", [4, 8])
-def test_per_shift_fit_matches_dense_fit(lmax, include_identity):
-    constants, resid = derive_structure_constants(lmax, include_identity)
-    dense, dense_resid = _dense_structure_constants(lmax, include_identity)
+def test_per_shift_fit_matches_dense_fit(lmax):
+    constants, resid = derive_structure_constants(lmax)
+    dense, dense_resid = _dense_structure_constants(lmax)
     assert constants.keys() == dense.keys()
     for pair, fit in constants.items():
         assert fit.keys() == dense[pair].keys()
         for name, c in fit.items():
             assert abs(c - dense[pair][name]) <= 1e-12, (pair, name)
-    if include_identity:
-        assert resid <= 1e-10 and dense_resid <= 1e-10
-    else:
-        assert resid > 0.5 and dense_resid > 0.5
-        assert resid == pytest.approx(dense_resid, rel=1e-12)
+    assert resid <= 1e-10 and dense_resid <= 1e-10
 
 
 def test_closure_check_memory_stays_small():

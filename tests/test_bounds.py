@@ -45,13 +45,13 @@ def block(seed, trials, lmax):
     return np.array([random_expansion((seed, t), lmax).coeffs for t in range(trials)])
 
 
-def test_oversized_claim_order_raises_instead_of_inf_or_nan():
+def test_oversized_claim_order_raises_instead_of_inf_or_nan(monkeypatch):
     # the weights (l+|m|+1)^800 leave the double range at lmax 8
-    claim = BoundClaim(lambda n: 1.0, lambda n: (400,), 0)
+    monkeypatch.setitem(_CLAIMS, "L", BoundClaim(lambda n: 1.0, lambda n: (400,), 0))
     with pytest.raises(OverflowError):
-        claim_margins("L", block(3, 4, 8), 8, claim)
+        claim_margins("L", block(3, 4, 8), 8)
     with pytest.raises(OverflowError):
-        continuity_criterion_check("L", trials=16, seed=3, lmax=8, claim=claim)
+        continuity_criterion_check("L", trials=16, seed=3, lmax=8)
 
 
 def test_bound_kplus_single_mode():
@@ -87,7 +87,7 @@ def test_bound_cos_single_mode():
     assert rhs - lhs >= 0
 
 
-def test_cos_bound_needs_order_dependent_constant():
+def test_cos_bound_needs_order_dependent_constant(monkeypatch):
     # an n-independent constant 2 is falsified by the constant mode: the
     # image sits one degree up, where the order-n weight has doubled
     f = HarmonicExpansion.unit(0, 0)
@@ -96,8 +96,8 @@ def test_cos_bound_needs_order_dependent_constant():
 
     g = cos_theta_op().apply(f)
     assert graded_norm(g, 2) > 2.0 * graded_norm(f, 3)
-    bogus = BoundClaim(lambda n: 2.0, lambda n: (n + 1,), 4)
-    r = continuity_criterion_check("cosTheta", trials=64, seed=13, lmax=8, claim=bogus)
+    monkeypatch.setitem(_CLAIMS, "cosTheta", BoundClaim(lambda n: 2.0, lambda n: (n + 1,), 4))
+    r = continuity_criterion_check("cosTheta", trials=64, seed=13, lmax=8)
     assert not r.passed
 
 
@@ -207,10 +207,10 @@ def test_falsifier_true_claims_hold():
         continuity_criterion_check("nosuch", trials=2)
 
 
-def test_falsifier_rejects_false_claim():
+def test_falsifier_rejects_false_claim(monkeypatch):
     # claiming |K+ f|_1 <= |f|_1 fails on a single high-degree mode
-    bogus = BoundClaim(lambda n: 1.0, lambda n: (n,), 1)
-    r = continuity_criterion_check("K+", trials=64, seed=11, lmax=10, claim=bogus)
+    monkeypatch.setitem(_CLAIMS, "K+", BoundClaim(lambda n: 1.0, lambda n: (n,), 1))
+    r = continuity_criterion_check("K+", trials=64, seed=11, lmax=10)
     assert not r.passed
     assert r.margin < 0
 
@@ -247,18 +247,21 @@ def reference_falsifier(name, trials, seed, lmax, claim):
     return worst
 
 
-def test_batched_scan_matches_per_trial():
+def test_batched_scan_matches_per_trial(monkeypatch):
     cases = [(name, 200, 5, 8, claim) for name, claim in _CLAIMS.items()]
     (kplus, kplus_claim), (cos, cos_claim) = FALSE_CLAIMS
     cases += [(kplus, 64, 11, 10, kplus_claim), (cos, 64, 13, 8, cos_claim)]
     # 525 smooth trials: three blocks of the falsifier's draws
     assert bounds._TRIAL_BLOCK < 525 <= 3 * bounds._TRIAL_BLOCK
     cases += [("cosTheta", 600, 17, 6, _CLAIMS["cosTheta"])]
+    registered = dict(_CLAIMS)
     for name, trials, seed, lmax, claim in cases:
-        r = continuity_criterion_check(name, trials=trials, seed=seed, lmax=lmax, claim=claim)
+        with monkeypatch.context() as patch:
+            patch.setitem(_CLAIMS, name, claim)  # the falsifier reads the claim from the table
+            r = continuity_criterion_check(name, trials=trials, seed=seed, lmax=lmax)
         expected = reference_falsifier(name, trials, seed, lmax, claim)
         assert (r.lhs, r.rhs, r.n, r.details["worst_trial"]) == expected, name
-        assert r.passed == (claim is _CLAIMS.get(name)), name
+        assert r.passed == (claim is registered[name]), name
 
 
 def test_falsifier_memory_does_not_grow_with_trials():
@@ -276,16 +279,25 @@ def test_falsifier_memory_does_not_grow_with_trials():
 
 
 @pytest.mark.parametrize("lmax", [0, 1, 2, 10, 24, 48])
-def test_single_mode_margins_equal_identity_rows(lmax):
+def test_single_mode_margins_equal_identity_rows(monkeypatch, lmax):
     K = (lmax + 1) ** 2
     identity = np.eye(K, dtype=np.complex128)
     for name, claim in [*_CLAIMS.items(), *FALSE_CLAIMS]:
-        got = single_mode_margins(name, lmax, claim)
-        # the identity block in slices of 16 rows: rows are measured
-        # independently, and at l = 48 the whole block's image is 100 MB
-        slices = [claim_margins(name, identity[a:a + 16], lmax, claim) for a in range(0, K, 16)]
+        with monkeypatch.context() as patch:
+            patch.setitem(_CLAIMS, name, claim)
+            got = single_mode_margins(name, lmax)
+            # the identity block in slices of 16 rows: rows are measured
+            # independently, and at l = 48 the whole block's image is 100 MB
+            slices = [claim_margins(name, identity[a:a + 16], lmax) for a in range(0, K, 16)]
         for side, expected in zip(got, zip(*slices)):
-            assert np.array_equal(side, np.concatenate(expected)), (name, lmax)
+            assert side.tobytes() == np.concatenate(expected).tobytes(), (name, lmax)
+
+
+def test_claimed_operators_have_at_most_two_shifts():
+    # single_mode_margins sums each unit image's per-shift terms; with at most
+    # two nonzero terms that sum has the bits of the identity row's norm
+    for name in _CLAIMS:
+        assert len(OPERATORS[name]().shifts) <= 2, name
 
 
 @pytest.mark.parametrize("lmax", [0, 1, 16, 47])
@@ -298,12 +310,18 @@ def test_single_mode_margins_do_not_depend_on_the_table_degree(lmax):
             assert top[:K].tobytes() == own.tobytes(), name
 
 
-def test_falsifiers_over_one_draw_match_per_trial():
-    names, claims = zip(*_CLAIMS.items(), *FALSE_CLAIMS)
-    reports = continuity_criterion_checks(names, 200, 5, 8, claims)
-    for r, name, claim in zip(reports, names, claims):
-        expected = reference_falsifier(name, 200, 5, 8, claim)
-        assert (r.lhs, r.rhs, r.n, r.details["worst_trial"]) == expected, name
+def test_falsifiers_over_one_draw_match_per_trial(monkeypatch):
+    true_claims = list(_CLAIMS.items())
+    for false_claims in ([], FALSE_CLAIMS):
+        with monkeypatch.context() as patch:
+            for name, claim in false_claims:
+                patch.setitem(_CLAIMS, name, claim)
+            names, claims = zip(*_CLAIMS.items())
+            reports = continuity_criterion_checks(names, 200, 5, 8)
+        for r, name, claim in zip(reports, names, claims):
+            expected = reference_falsifier(name, 200, 5, 8, claim)
+            assert (r.lhs, r.rhs, r.n, r.details["worst_trial"]) == expected, name
+            assert r.passed == ((name, claim) in true_claims), name
     registered = continuity_criterion_checks(list(_CLAIMS), 50, 42, 16)
     assert [repr(r) for r in registered] == [
         repr(continuity_criterion_check(name, trials=50, seed=42, lmax=16)) for name in _CLAIMS
@@ -318,9 +336,9 @@ def test_suite_bounds_draws_once_and_builds_one_probe_table_per_operator(monkeyp
         calls["rows"] += 1
         return draw(*args, **kwargs)
 
-    def counted_table(name, lmax, claim=None):
+    def counted_table(name, lmax):
         calls["tables"].append((name, lmax))
-        return table(name, lmax, claim)
+        return table(name, lmax)
 
     monkeypatch.setattr(bounds, "_random_rows", counted_draw)
     monkeypatch.setattr(bounds, "single_mode_margins", counted_table)
@@ -331,19 +349,25 @@ def test_suite_bounds_draws_once_and_builds_one_probe_table_per_operator(monkeyp
     assert len({lmax for _, lmax in calls["tables"]}) == 1
 
 
-def test_single_mode_margins_defaults_and_wider_operators():
-    for name, claim in _CLAIMS.items():
-        for side, expected in zip(single_mode_margins(name, 6), single_mode_margins(name, 6, claim)):
-            assert np.array_equal(side, expected)
+def test_single_mode_margins_defaults_and_wider_operators(monkeypatch):
+    # each call reads the operator's claim from the table
+    lhs, rhs = single_mode_margins("K+", 6)
+    claim = _CLAIMS["K+"]
+    with monkeypatch.context() as patch:
+        patch.setitem(_CLAIMS, "K+", BoundClaim(lambda n: 2.0 * claim.constant(n), claim.indices, claim.max_n))
+        doubled = single_mode_margins("K+", 6)
+    assert doubled[0].tobytes() == lhs.tobytes() and doubled[1].tobytes() == (2.0 * rhs).tobytes()
     with pytest.raises(KeyError):
         single_mode_margins("J+", 3)  # registered operator, no registered claim
-    # expIPhi has four shifts, so its unit images are measured as identity rows
-    claim = BoundClaim(lambda n: 1.0, lambda n: (n,), 2)
-    expected = claim_margins("expIPhi", np.eye(1, dtype=np.complex128), 0, claim)
-    for side, reference in zip(single_mode_margins("expIPhi", 0, claim), expected):
-        assert np.array_equal(side, reference)
+    # expIPhi has four shifts; its one unit image at lmax 0 holds two nonzero
+    # terms, so the per-shift sum still has the identity row's bits
+    monkeypatch.setitem(_CLAIMS, "expIPhi", BoundClaim(lambda n: 1.0, lambda n: (n,), 2))
+    assert len(OPERATORS["expIPhi"]().shifts) == 4
+    expected = claim_margins("expIPhi", np.eye(1, dtype=np.complex128), 0)
+    for side, reference in zip(single_mode_margins("expIPhi", 0), expected):
+        assert side.tobytes() == reference.tobytes()
     with pytest.raises(DomainError, match=re.escape("(1,-1)")):
-        single_mode_margins("expIPhi", 1, claim)
+        single_mode_margins("expIPhi", 1)
 
 
 @pytest.mark.parametrize(

@@ -319,6 +319,17 @@ def test_table_map_is_read_only_and_matches_the_layout(lmax):
             assert sign[k] == ((-1) ** m if m < 0 else 1)
 
 
+@pytest.mark.parametrize("l,m", [
+    (2, 5),  # once the row of (3, -1)
+    (-1, 0),  # once the row of (0, 0)
+    (17, 0),  # once an IndexError naming a flat index
+    (np.array([2, 16, 3]), np.array([0, 1, -4])),
+], ids=["order-above-degree", "negative-degree", "degree-above-lmax", "array"])
+def test_table_row_refuses_pairs_outside_the_triangle(l, m):
+    with pytest.raises(ValueError, match=r"lmax=16$"):
+        table_row(16, l, m)
+
+
 @pytest.mark.parametrize("lmax", [0, 1, 7, 8, 9, 16, 256, 1024])
 def test_stacked_table_holds_the_packed_rows(lmax):
     # the one layout: every (l, m) at its block row with the bits of the packed
