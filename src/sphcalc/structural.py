@@ -205,9 +205,15 @@ def product_weights(l1, m1, l2, m2, L) -> np.ndarray:
     ``1/sqrt(2*pi)`` times the parity coupling ``<l1 0 l2 0|L 0>`` times
     ``<l1 m1 l2 m2|L M>``, over ``sqrt(L + 1/2)`` for the orthonormal basis.
     """
-    parity = clebsch_gordan_array(l1, 0, l2, 0, L, 0)
-    weight = parity * clebsch_gordan_array(l1, m1, l2, m2, L, np.add(m1, m2))
-    return weight / math.sqrt(2.0 * math.pi) / np.sqrt(np.asarray(L) + 0.5)
+    l1, m1, l2, m2, L = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (l1, m1, l2, m2, L)))
+    # the parity coupling depends on the degrees alone: one evaluation per
+    # distinct (l1, l2, L), each triple numbered in the box the entries span
+    degrees = [a.ravel() - a.min(initial=0) for a in (l1, l2, L)]
+    key = np.ravel_multi_index(degrees, [a.max(initial=0) + 1 for a in degrees])
+    _, one, at = np.unique(key, return_index=True, return_inverse=True)
+    parity = clebsch_gordan_array(l1.flat[one], 0, l2.flat[one], 0, L.flat[one], 0)[at].reshape(L.shape)
+    weight = parity * clebsch_gordan_array(l1, m1, l2, m2, L, m1 + m2)
+    return weight / math.sqrt(2.0 * math.pi) / np.sqrt(L + 0.5)
 
 
 def sh_product(idx1, idx2) -> HarmonicExpansion:

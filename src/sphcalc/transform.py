@@ -104,6 +104,14 @@ class SphereGrid:
     def n_phi(self) -> int:
         return self.phi.size
 
+    def phi_sums(self, dmax: int) -> np.ndarray:
+        """Trapezoid sums ``dphi * sum_j exp(i*d*phi_j)`` for ``d = -dmax..dmax``,
+        entry ``d + dmax``: the phi factor of every product of harmonics whose
+        orders differ by ``d``, ``2*pi`` at ``d = 0`` and roundoff elsewhere
+        while ``|d| < n_phi``."""
+        d = np.arange(-dmax, dmax + 1)
+        return self.dphi * np.exp(1j * np.outer(d, self.phi)).sum(axis=1)
+
     def basis_table(self, lmax: int):
         """The grid's one entry ``(rows, slot, sign, blocks, table)``, of degree G >= ``lmax``:
         ``legendre._table_map(G)`` and ``orthonormal_legendre_table(G)`` at
@@ -362,15 +370,14 @@ def orthonormality_check(lmax: int) -> BoundReport:
     The theta factor of every Gram entry is the basis evaluated at every
     Gauss node, so the check reads the quadrature and the recurrence, not
     the transforms' equatorial fold; the phi factor is the trapezoid sum
-    ``sum_j exp(i*(m'-m)*phi_j)``, computed for each order difference, so
+    ``sum_j exp(i*(m'-m)*phi_j)`` of ``SphereGrid.phi_sums``, so
     the reported deviation is the true quadrature deviation at every node.
     """
     grid = make_grid(lmax)
     # T[i, k] = basis function k at theta node i and phi = 0: its real theta factor
     T = orthonormal_sh_values(lmax, grid.x, 0.0).real
     theta_gram = T.T @ (grid.w[:, None] * T)
-    d = np.arange(-2 * lmax, 2 * lmax + 1)
-    phi_sum = grid.dphi * np.exp(1j * np.outer(d, grid.phi)).sum(axis=1)  # [m' - m + 2*lmax]
+    phi_sum = grid.phi_sums(2 * lmax)  # [m' - m + 2*lmax]
     _, ms = degree_order_arrays(lmax)
     gram = theta_gram * phi_sum[ms[None, :] - ms[:, None] + 2 * lmax]
     dev = float(np.max(np.abs(gram - np.eye(ms.size))))

@@ -186,18 +186,40 @@ def dtheta_identity_order_report(seed: int) -> BoundReport:
     )
 
 
-def product_law_report(lcap: int) -> BoundReport:
-    """Banded coupling product against quadrature of the pointwise product.
+def _product_quadrature(lcap: int):
+    """Per first harmonic up to ``lcap``, the complex block ``(second, out)``
+    of quadratures of first times second harmonic, each over ``sqrt(l + 1/2)``,
+    against every out harmonic up to ``2*lcap`` on ``make_grid(2*lcap)``.
 
-    Every pair of harmonics up to ``lcap``: one batched analysis of the
-    products with each first harmonic, compared over degrees ``<= l1 + l2``
-    with coupling weights evaluated once for all pairs.
+    Each entry is the Gauss-Legendre sum over every node of the three real
+    theta factors times ``SphereGrid.phi_sums`` at ``d = m1 + m2 - M``, so
+    entries off ``M = m1 + m2`` are formed too.
     """
     grid = make_grid(2 * lcap)
     ls, ms = degree_order_arrays(lcap)
+    _, out_ms = degree_order_arrays(2 * lcap)
+    # T[k, n]: the real theta factor of harmonic n at Gauss node k
+    T = orthonormal_sh_values(2 * lcap, grid.x, 0.0).real
+    y = T[:, :ls.size] / np.sqrt(ls + 0.5)
+    wT = grid.w[:, None] * T
+    phi_sum = grid.phi_sums(4 * lcap)
+    shift = ms[:, None] - out_ms[None, :] + 4 * lcap  # m2 - M, offset into phi_sum
+    for i in range(ls.size):
+        yield ((y[:, i, None] * y).T @ wT) * phi_sum[ms[i] + shift]
+
+
+def product_law_report(lcap: int) -> BoundReport:
+    """Banded coupling product against quadrature of the pointwise product.
+
+    Every (first, second, out) entry of ``_product_quadrature``, first and
+    second harmonics up to ``lcap``, is compared where the out degree is at
+    most ``l1 + l2`` with the coupling weight ``sh_product`` places there,
+    zero off the coupled entries, so a coupling at a wrong degree or order
+    shows.  The weights are evaluated once for all pairs; the quadrature is
+    formed one first harmonic at a time, with no sample table or transform.
+    """
+    ls, ms = degree_order_arrays(lcap)
     out_ls, _ = degree_order_arrays(2 * lcap)
-    # plain-basis samples e_{l,m} / sqrt(l + 1/2) of every harmonic up to lcap
-    y = _synthesize_table(np.eye(ls.size), grid) / np.sqrt(ls + 0.5)[:, None, None]
     # the (first, second, L) entries sh_product fills, first harmonic slowest:
     # |M| <= L inside the triangle, with l1 + l2 + L even (else parity kills it)
     l1, m1 = ls[:, None, None], ms[:, None, None]
@@ -211,8 +233,7 @@ def product_law_report(lcap: int) -> BoundReport:
     targets = flat_index(L, ms[first] + ms[second])
     starts = np.searchsorted(first, np.arange(ls.size + 1))
     worst = 0.0
-    for i in range(ls.size):
-        diff = _analyze_table(y[i] * y, grid, 2 * lcap)
+    for i, diff in enumerate(_product_quadrature(lcap)):
         sel = slice(starts[i], starts[i + 1])
         diff[second[sel], targets[sel]] -= weights[sel]
         compared = out_ls[None, :] <= ls[i] + ls[:, None]

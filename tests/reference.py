@@ -16,7 +16,12 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
   the grid's nodes with ``x >= 0``, mirrored to the nodes with ``x < 0`` by
   each row's parity;
 * ``suite_bounds_reference``, the bounds suite with one ``weak_eigen_cos``
-  certificate per function instead of the batched screen.
+  certificate per function instead of the batched screen;
+* ``product_quadrature_by_transform``, the product law's quadrature by
+  synthesis and analysis of sample tables, one batched analysis per first
+  harmonic;
+* ``product_weights_per_entry``, the coupling weights with the parity
+  coupling evaluated at every entry.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from sphcalc import bounds as bnd
 from sphcalc.expansions import degree_order_arrays, flat_index, graded_norms
 from sphcalc.report import BoundReport
 from sphcalc.legendre import orthonormal_sh_values
+from sphcalc.structural import clebsch_gordan_array
+from sphcalc.transform import _analyze_table, _synthesize_table
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -234,3 +241,21 @@ def suite_bounds_reference(lmax: int, trials: int, seed: int) -> list[BoundRepor
         bnd.weak_eigen_cos(HarmonicExpansion(lmax, rows[0]), SpherePoint(math.pi / 3, 0.0), seed=seed)
     )
     return reports
+
+
+def product_quadrature_by_transform(lcap: int):
+    """``verify._product_quadrature`` through the transforms: the plain-basis
+    samples of every harmonic up to ``lcap`` on ``make_grid(2*lcap)``, then per
+    first harmonic one analysis of its products with every harmonic."""
+    grid = make_grid(2 * lcap)
+    ls, _ = degree_order_arrays(lcap)
+    y = _synthesize_table(np.eye(ls.size), grid) / np.sqrt(ls + 0.5)[:, None, None]
+    for i in range(ls.size):
+        yield _analyze_table(y[i] * y, grid, 2 * lcap)
+
+
+def product_weights_per_entry(l1, m1, l2, m2, L) -> np.ndarray:
+    """``structural.product_weights`` evaluating ``<l1 0 l2 0|L 0>`` at every entry."""
+    parity = clebsch_gordan_array(l1, 0, l2, 0, L, 0)
+    weight = parity * clebsch_gordan_array(l1, m1, l2, m2, L, np.add(m1, m2))
+    return weight / math.sqrt(2.0 * math.pi) / np.sqrt(np.asarray(L) + 0.5)

@@ -25,7 +25,8 @@ from sphcalc import (
 from sphcalc.bounds import random_expansion, substream
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.transform import SampledField, analyze, make_grid, point_eval, synthesize
-from sphcalc.verify import dtheta_identity_order_report, product_law_report
+from sphcalc import structural, transform, verify
+from sphcalc.verify import _product_quadrature, dtheta_identity_order_report, product_law_report
 
 import reference
 from reference import from_dict
@@ -428,8 +429,8 @@ def test_product_law_matches_per_pair_loop(lcap):
 
 
 def test_product_law_memory_stays_small():
-    # one analysis block per first harmonic: all 2,401 pairs in one block
-    # would hold a 13 MB sample table at lcap 6
+    # one quadrature block per first harmonic: all 2,401 pairs in one block
+    # would hold a 6.5 MB complex (49, 49, 169) tensor at lcap 6
     tracemalloc.start()
     try:
         assert product_law_report(6).passed
@@ -437,6 +438,65 @@ def test_product_law_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("lcap", [0, 1, 2, 4, 6])
+def test_factored_product_quadrature_matches_the_transforms(lcap):
+    # every compared (first, second, out) entry, off M = m1 + m2 too; the
+    # largest gap measured is 2.3e-16, at lcap 6
+    ls, _ = degree_order_arrays(lcap)
+    out_ls, _ = degree_order_arrays(2 * lcap)
+    blocks = zip(_product_quadrature(lcap), reference.product_quadrature_by_transform(lcap), strict=True)
+    for i, (quad, via_transforms) in enumerate(blocks):
+        assert quad.shape == (ls.size, out_ls.size)
+        compared = out_ls[None, :] <= ls[i] + ls[:, None]
+        assert np.max(np.abs(quad - via_transforms)[compared]) <= 1e-15
+
+
+def test_product_law_makes_no_sample_table_or_fft(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product law reads no transform")
+
+    for module, name in [(verify, "_synthesize_table"), (verify, "_analyze_table"),
+                         (transform, "_synthesize_table"), (transform, "_analyze_table"),
+                         (np.fft, "fft"), (np.fft, "ifft")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert product_law_report(4).passed
+
+
+@pytest.mark.parametrize("mutation", ["scaled", "next_order"])
+def test_product_law_fails_on_wrong_weights(monkeypatch, mutation):
+    weights = structural.product_weights
+    if mutation == "scaled":
+        def wrong(l1, m1, l2, m2, L):
+            return weights(l1, m1, l2, m2, L) * (1.0 + 1e-6)
+    else:
+        # each pair gets the coupling of (m1, m2 - 1): every coupling lands one order above its own M
+        def wrong(l1, m1, l2, m2, L):
+            return weights(l1, m1, l2, np.asarray(m2) - 1, L)
+    monkeypatch.setattr(structural, "product_weights", wrong)
+    assert not product_law_report(4).passed
+
+
+def test_product_weights_equal_the_per_entry_parity():
+    lcap = 8
+    ls, ms = degree_order_arrays(lcap)
+    l1, m1 = ls[:, None, None], ms[:, None, None]
+    l2, m2 = ls[None, :, None], ms[None, :, None]
+    degs = np.arange(2 * lcap + 1)
+    first, second, L = np.nonzero(
+        (np.abs(m1 + m2) <= degs) & (np.abs(l1 - l2) <= degs) & (degs <= l1 + l2)
+        & ((l1 + l2 + degs) % 2 == 0)
+    )
+    entries = ls[first], ms[first], ls[second], ms[second], L
+    got = structural.product_weights(*entries)
+    assert got.tobytes() == reference.product_weights_per_entry(*entries).tobytes()
+    for (a, b), (c, d) in [((0, 0), (0, 0)), ((3, -2), (5, 4)), ((8, 8), (8, -7)), ((6, 1), (2, 0))]:
+        M = b + d
+        degrees = np.arange(max(abs(a - c), abs(M)), a + c + 1)
+        want = np.zeros((a + c + 1) ** 2, dtype=np.complex128)
+        want[flat_index(degrees, M)] = reference.product_weights_per_entry(a, b, c, d, degrees)
+        assert sh_product((a, b), (c, d)).coeffs.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
