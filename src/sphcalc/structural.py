@@ -1,12 +1,13 @@
 """Multiplication and derivative operators, harmonic products, PDE check.
 
 Every operator here exists in two channels: a banded coefficient map, and an
-independent pointwise quadrature oracle (``pointwise_multiply_oracle``).  For
-``cos(theta)`` and ``sin(theta)*exp(+-i*phi)`` the two provably coincide and
-their agreement is a test.  The ``1/sin(theta)`` and ``d/dtheta`` maps are
-*formal* coefficient recurrences: their order-``m`` bookkeeping drops a
-compensating ``exp(+-i*phi)`` phase, so they are banded analogues rather than
-pointwise multiplications; the gap is measured, not hidden.
+independent pointwise quadrature oracle (``pointwise_multiply_oracle``, on a
+``grid`` its caller passes and may share).  For ``cos(theta)`` and
+``sin(theta)*exp(+-i*phi)`` the two provably coincide and their agreement is
+a test.  The ``1/sin(theta)`` and ``d/dtheta`` maps are *formal* coefficient
+recurrences: their order-``m`` bookkeeping drops a compensating
+``exp(+-i*phi)`` phase, so they are banded analogues rather than pointwise
+multiplications; the gap is measured, not hidden.
 
 Harmonic products follow the coupling law ``Y1*Y2 = (2*pi)^(-1/2) sum`` of
 coupled harmonics.  ``clebsch_gordan_array`` is the one evaluation of the
@@ -25,7 +26,7 @@ import numpy as np
 from .algebra import GENERATOR_NAMES, Operator, _sq, generator
 from .expansions import HarmonicExpansion, as_index, degree_order_arrays, flat_index
 from .legendre import orthonormal_sh_values
-from .transform import SampledField, analyze, make_grid, synthesize
+from .transform import SampledField, SphereGrid, analyze, synthesize
 
 
 def cos_theta_op() -> Operator:
@@ -115,22 +116,16 @@ OPERATORS = {
 # pointwise quadrature oracle
 
 def pointwise_multiply_oracle(
-    f: HarmonicExpansion,
-    multiplier,
-    out_lmax: int,
-    grid_lmax: int | None = None,
+    f: HarmonicExpansion, multiplier, out_lmax: int, grid: SphereGrid
 ) -> HarmonicExpansion:
-    """Coefficients of ``multiplier(theta, phi) * f`` via sample-space quadrature.
+    """Coefficients of ``multiplier(theta, phi) * f`` via quadrature on ``grid``.
 
     Independent verification channel for the banded maps: synthesise, multiply
     samples, re-analyse.  ``multiplier`` is vectorised over ``(theta, phi)``
-    arrays.  The default grid is exact whenever the product is band-limited at
-    ``out_lmax``.
+    arrays.  Exact whenever the product is band-limited at ``out_lmax`` and
+    ``grid.lmax >= max(out_lmax, f.lmax) + 1``.
     """
-    if grid_lmax is None:
-        grid_lmax = max(out_lmax, f.lmax) + 1
-    grid = make_grid(grid_lmax)
-    field = synthesize(f.with_lmax(grid_lmax), grid)
+    field = synthesize(f.with_lmax(grid.lmax), grid)
     tt, pp = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     product = SampledField(grid, field.samples * multiplier(tt, pp))
     return analyze(product, out_lmax)

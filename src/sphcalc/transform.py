@@ -90,6 +90,7 @@ class SphereGrid:
         self.phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         self.dphi = 2.0 * math.pi / n_phi
         self.theta = np.arccos(np.clip(self.x, -1.0, 1.0))
+        self.phi.flags.writeable = self.theta.flags.writeable = False
         self._entry = None
         if abs(self.w.sum() - 2.0) > 1e-13:
             raise ValueError("quadrature weights must sum to 2")
@@ -121,13 +122,15 @@ class SphereGrid:
         A row has the same bits at every degree, so degree ``L < G`` reads the
         first ``(L+1)^2`` map entries and, of each block of a group with orders
         up to L, its first ``L+1-m0`` orders and the rows of its first order up
-        to degree L.  A degree above G replaces the entry; callers keep the one
-        they read or built, even if a concurrent call stores a lower one.  No
-        stored array is written.
+        to degree L.  A degree above G replaces the entry unless a concurrent
+        call stored a larger one meanwhile; a call returns the entry it read or
+        built.  No stored array is written.
         """
         entry = self._entry
         if entry is None or entry[0].size < (lmax + 1) ** 2:
-            entry = self._entry = (*_table_map(lmax), orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
+            entry = (*_table_map(lmax), orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
+            if self._entry is None or self._entry[0].size < entry[0].size:
+                self._entry = entry
         return entry
 
     def __repr__(self):

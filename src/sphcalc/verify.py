@@ -103,9 +103,10 @@ def suite_structural(lmax: int, trials: int, seed: int) -> list[BoundReport]:
         ("sinExp+", st.sin_exp_op(+1), lambda t, p: np.sin(t) * np.exp(1j * p)),
         ("sinExp-", st.sin_exp_op(-1), lambda t, p: np.sin(t) * np.exp(-1j * p)),
     ]
+    grid = make_grid(lmax + 2)  # exact for all three products, each of degree lmax + 1
     for name, op, mult in cases:
         banded = op.apply(f)
-        oracle = st.pointwise_multiply_oracle(f, mult, banded.lmax)
+        oracle = st.pointwise_multiply_oracle(f, mult, banded.lmax, grid)
         dev = float(np.max(np.abs(banded.coeffs - oracle.coeffs)))
         reports.append(
             BoundReport(
@@ -282,17 +283,13 @@ def exp_iphi_gap_report(seed: int) -> BoundReport:
     ratios = [max(graded_norms(out[1:], out_lmax, n) / graded_norms(rows[1:], lmax, n + 2))
               for n in range(4)]
     deltas = list(range(0, 7))
-    tails = []
-    for delta in deltas:
-        cap = lmax + 1 + delta
-        approx = st.pointwise_multiply_oracle(
-            f, lambda t, p: np.exp(1j * p), cap, grid_lmax=cap + 8
-        )
-        tails.append(float(math.sqrt(max(total - hilbert_norm(approx) ** 2, 0.0))))
-    gap = st.pointwise_multiply_oracle(
-        f, lambda t, p: np.exp(1j * p), composite.lmax, grid_lmax=composite.lmax + 8
-    )
-    coeff_gap = float(np.max(np.abs(gap.coeffs - composite.coeffs)))
+    # the pointwise product at each cap lmax + 1 + delta; the cap composite.lmax is the gap's
+    pointwise = {
+        cap: st.pointwise_multiply_oracle(f, lambda t, p: np.exp(1j * p), cap, make_grid(cap + 8))
+        for cap in (lmax + 1 + delta for delta in deltas)
+    }
+    tails = [float(math.sqrt(max(total - hilbert_norm(approx) ** 2, 0.0))) for approx in pointwise.values()]
+    coeff_gap = float(np.max(np.abs(pointwise[composite.lmax].coeffs - composite.coeffs)))
     return BoundReport(
         check="exp_iphi_formal_gap",
         anchor="formal (1/sin) o (sin e^{i phi}) vs pointwise e^{i phi} multiplication",

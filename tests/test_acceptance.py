@@ -173,13 +173,14 @@ def test_criterion_09_pointwise_equivalences():
     lmax = 32
     f = random_expansion((SEED, "pw"), lmax, decay=2.0)
     devs = {}
+    grid = make_grid(lmax + 2)
     for name, op, mult in [
         ("cos", cos_theta_op(), lambda t, p: np.cos(t)),
         ("sin+", sin_exp_op(+1), lambda t, p: np.sin(t) * np.exp(1j * p)),
         ("sin-", sin_exp_op(-1), lambda t, p: np.sin(t) * np.exp(-1j * p)),
     ]:
         banded = op.apply(f)
-        oracle = pointwise_multiply_oracle(f, mult, banded.lmax)
+        oracle = pointwise_multiply_oracle(f, mult, banded.lmax, grid)
         devs[name] = float(np.max(np.abs(banded.coeffs - oracle.coeffs)))
     bands_ok = max(devs.values()) <= 1e-10
 

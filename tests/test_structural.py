@@ -50,7 +50,7 @@ def test_cos_theta_single_modes():
 def test_cos_theta_matches_pointwise(lmax):
     f = random_expansion((50, lmax), lmax, decay=2.0)
     banded = cos_theta_op().apply(f)
-    oracle = pointwise_multiply_oracle(f, lambda t, p: np.cos(t), banded.lmax)
+    oracle = pointwise_multiply_oracle(f, lambda t, p: np.cos(t), banded.lmax, make_grid(lmax + 2))
     assert np.max(np.abs(banded.coeffs - oracle.coeffs)) <= 1e-11
 
 
@@ -85,7 +85,7 @@ def test_sin_exp_matches_pointwise(sign):
     f = random_expansion((52, sign % 3), 10, decay=2.0)
     banded = sin_exp_op(sign).apply(f)
     oracle = pointwise_multiply_oracle(
-        f, lambda t, p: np.sin(t) * np.exp(1j * sign * p), banded.lmax
+        f, lambda t, p: np.sin(t) * np.exp(1j * sign * p), banded.lmax, make_grid(12)
     )
     assert np.max(np.abs(banded.coeffs - oracle.coeffs)) <= 1e-11
 
@@ -271,9 +271,35 @@ def test_exp_iphi_is_not_pointwise_phase():
     f = from_dict(2, {(1, 1): 1.0, (2, 0): 0.3})
     comp = exp_iphi_composite().apply(f)
     pointwise = pointwise_multiply_oracle(
-        f, lambda t, p: np.exp(1j * p), comp.lmax, grid_lmax=comp.lmax + 8
+        f, lambda t, p: np.exp(1j * p), comp.lmax, make_grid(comp.lmax + 8)
     )
     assert np.max(np.abs(comp.coeffs - pointwise.coeffs)) > 1e-3
+
+
+def test_structural_suite_oracle_calls_and_grid_tables(monkeypatch):
+    # the three banded-vs-pointwise checks share one grid of degree lmax + 2,
+    # whose table is built once; the exp(i phi) record makes one oracle call
+    # per cap, on a grid of degree cap + 8, and reads its gap from the call at
+    # cap composite.lmax = 10
+    builds, calls = [], []
+    build, oracle = transform.orthonormal_legendre_table, structural.pointwise_multiply_oracle
+
+    def counted_build(lmax, x):
+        builds.append(lmax)
+        return build(lmax, x)
+
+    def counted_oracle(f, multiplier, out_lmax, grid):
+        calls.append((out_lmax, grid))
+        return oracle(f, multiplier, out_lmax, grid)
+
+    monkeypatch.setattr(transform, "orthonormal_legendre_table", counted_build)
+    monkeypatch.setattr(structural, "pointwise_multiply_oracle", counted_oracle)
+    verify.suite_structural(16, 1, 42)
+    checks, gap = calls[:3], calls[3:]
+    assert [(out, grid.lmax) for out, grid in checks] == [(17, 18)] * 3
+    assert checks[0][1] is checks[1][1] is checks[2][1]
+    assert [(out, grid.lmax) for out, grid in gap] == [(cap, cap + 8) for cap in range(9, 16)]
+    assert builds == [18, *range(17, 24)]
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,10 @@ def test_lower_degrees_read_the_grid_tables_prefix(G, monkeypatch):
 
 
 def test_threads_alternating_degrees_on_one_grid_are_deterministic(monkeypatch):
-    # two threads on a fresh grid, paced so that the lower degree stores its
-    # entry after the higher one: the higher caller must still transform with
-    # an entry of its own degree, and every call gives the single-thread bytes
+    # two threads on a fresh grid, paced so that the lower degree finishes its
+    # build after the higher one is stored: the higher caller must still
+    # transform with an entry of its own degree, the lower build must not
+    # replace it, and every call gives the single-thread bytes
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
@@ -145,8 +146,10 @@ def test_threads_alternating_degrees_on_one_grid_are_deterministic(monkeypatch):
     want = {L: _transforms_at(make_grid(G), L) for L in orders[1]}
     low_building, high_stored, low_stored = threading.Event(), threading.Event(), threading.Event()
     build, basis_table = transform.orthonormal_legendre_table, transform.SphereGrid.basis_table
+    builds = []
 
     def paced_build(lmax, x):
+        builds.append(lmax)
         if lmax == G:
             low_building.wait(10)
         else:
@@ -169,6 +172,9 @@ def test_threads_alternating_degrees_on_one_grid_are_deterministic(monkeypatch):
     assert low_building.is_set() and high_stored.is_set() and low_stored.is_set()
     for L, got in results[0] + results[1]:
         assert got == want[L]
+    # one build per first call; the later degree-G calls read the stored entry
+    assert sorted(builds) == [G - 1, G]
+    assert grid.basis_table(0)[0].size == (G + 1) ** 2 and len(builds) == 2
 
 
 def test_threads_sharing_grids_across_degrees_are_deterministic():
@@ -326,13 +332,13 @@ def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
 
 
 def test_verify_all_builds_one_table_per_grid(monkeypatch, capsys):
-    # each of the structural suite's quadrature-oracle grids used to build a
-    # table at its synthesis degree and another at its analysis degree: 25;
+    # the transforms suite's grid, the structural checks' one oracle grid of
+    # degree lmax + 2 and the exp(i phi) record's seven grids, one per cap;
     # the product law's grid integrates factor by factor and builds none
     builds = _counting_table_builds(monkeypatch)
     assert main(["verify", "--suite", "all", "--seed", "42"]) == 0
     capsys.readouterr()
-    assert len(builds) == 12
+    assert builds == [16, 18, *range(17, 24)]
 
 
 def test_grid_past_the_validated_range_is_refused_before_the_node_solve():
@@ -353,6 +359,10 @@ def test_gauss_nodes_are_solved_once_per_node_count():
     a, b = make_grid(16), make_grid(16)
     assert a.x is b.x and a.w is b.w
     assert not a.x.flags.writeable and not a.w.flags.writeable
+    # a grid is shared between checks and threads: none of its arrays can be written
+    for name in ("theta", "phi"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[0] = 1.0
     x, w = gauss_legendre.__wrapped__(17)
     assert a.x.tobytes() == x.tobytes() and a.w.tobytes() == w.tobytes()
 
@@ -651,15 +661,15 @@ def _analyze_complex_upcast(field, L):
 
 
 @pytest.mark.parametrize(
-    "lmax, grid_lmax",
+    "lmax, grid_degree",
     [(1, 2), (16, 17), (64, 65), (16, 35)],
     ids=["1", "16", "64", "16-on-35"],
 )
-def test_transforms_match_complex_upcast_loops(lmax, grid_lmax):
+def test_transforms_match_complex_upcast_loops(lmax, grid_degree):
     # real blocks on stacked re/im and an FFT phi stage sum in another order
     # than these loops and their explicit phases: equal to roundoff; the grid
     # of degree 35 leaves empty FFT bins between +lmax and n_phi - lmax
-    grid = make_grid(grid_lmax)
+    grid = make_grid(grid_degree)
     f = random_expansion(lmax + 5, lmax, decay=1.0)
     field = synthesize(f, grid)
     ref = _synthesize_complex_upcast(f, grid)
