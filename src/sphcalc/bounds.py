@@ -190,14 +190,12 @@ def _sides(claim: BoundClaim, source_norms, image_norms):
     return lhs, rhs
 
 
-def continuity_criterion_check(op_name: str, trials: int = 100, seed: int = 42, lmax: int = 12) -> BoundReport:
+def continuity_criterion_check(op_name: str, trials: int, seed: int, lmax: int) -> BoundReport:
     """The one-name case of ``continuity_criterion_checks``."""
     return continuity_criterion_checks([op_name], trials, seed, lmax)[0]
 
 
-def continuity_criterion_checks(
-    op_names: Sequence[str], trials: int = 100, seed: int = 42, lmax: int = 12
-) -> list[BoundReport]:
+def continuity_criterion_checks(op_names: Sequence[str], trials: int, seed: int, lmax: int) -> list[BoundReport]:
     """Randomized falsification attempts against each name's claim in ``_CLAIMS``.
 
     Trial ``t`` draws from substream ``(seed, t)``.  Every eighth trial

@@ -49,7 +49,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``ceil(n/2)`` nodes with ``x <= 0``, converged to 1e-15 in the node
     update; the other nodes are their mirror images, so ``x == -x[::-1]`` and
     ``w == w[::-1]`` hold exactly, and the centre node of odd ``n`` is ``0.0``.
-    Solved once per node count; every grid of that count shares the arrays.
+    Solved and checked once per node count; every grid of that count shares
+    the arrays.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -65,10 +66,13 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         x[0] = 0.0
     _, dp = _legendre_and_slope(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    nodes = np.concatenate([x[::-1], -x[n % 2:]]), np.concatenate([w[::-1], w[n % 2:]])
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
+    x, w = np.concatenate([x[::-1], -x[n % 2:]]), np.concatenate([w[::-1], w[n % 2:]])
+    if abs(w.sum() - 2.0) > 1e-13:
+        raise ValueError("quadrature weights must sum to 2")
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError("nodes must be strictly increasing")
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 class SphereGrid:
@@ -92,10 +96,6 @@ class SphereGrid:
         self.theta = np.arccos(np.clip(self.x, -1.0, 1.0))
         self.phi.flags.writeable = self.theta.flags.writeable = False
         self._entry = None
-        if abs(self.w.sum() - 2.0) > 1e-13:
-            raise ValueError("quadrature weights must sum to 2")
-        if np.any(np.diff(self.x) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
 
     @property
     def n_theta(self) -> int:
@@ -124,8 +124,11 @@ class SphereGrid:
         up to L, its first ``L+1-m0`` orders and the rows of its first order up
         to degree L.  A degree above G replaces the entry unless a concurrent
         call stored a larger one meanwhile; a call returns the entry it read or
-        built.  No stored array is written.
+        built.  No stored array is written.  A degree above the grid's own
+        raises ``GridTooCoarseError`` before anything is built.
         """
+        if lmax > self.lmax:
+            raise GridTooCoarseError(f"grid lmax={self.lmax} < transform lmax={lmax}")
         entry = self._entry
         if entry is None or entry[0].size < (lmax + 1) ** 2:
             entry = (*_table_map(lmax), orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
@@ -270,8 +273,6 @@ def _synthesize_table(coeffs: np.ndarray, grid: SphereGrid) -> np.ndarray:
     """
     B, K = coeffs.shape
     L = math.isqrt(K) - 1
-    if grid.lmax < L:
-        raise GridTooCoarseError(f"grid lmax={grid.lmax} < expansion lmax={L}")
     rows, slot, sign, blocks, N = grid.basis_table(L)
     P, h = grid.n_theta, N.shape[1]
     s = P // 2  # nodes with x < 0; node i mirrors node P - 1 - i
@@ -305,8 +306,6 @@ def _analyze_table(samples: np.ndarray, grid: SphereGrid, lmax: int) -> np.ndarr
     product each per group of orders, as in ``_synthesize_table``, which
     also splits a large transform the same way.
     """
-    if grid.lmax < lmax:
-        raise GridTooCoarseError(f"grid lmax={grid.lmax} < requested lmax={lmax}")
     L = lmax
     B, K = samples.shape[0], (L + 1) ** 2
     rows, slot, sign, blocks, N = grid.basis_table(L)

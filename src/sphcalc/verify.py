@@ -148,7 +148,7 @@ def suite_structural(lmax: int, trials: int, seed: int) -> list[BoundReport]:
             lhs=sel, rhs=0.0,
         )
     )
-    reports.append(inv_sin_domain_report(lmax=6))
+    reports.append(inv_sin_domain_report())
     reports.append(exp_iphi_gap_report(seed))
     return reports
 
@@ -246,7 +246,8 @@ def product_law_report(lcap: int) -> BoundReport:
     )
 
 
-def inv_sin_domain_report(lmax: int) -> BoundReport:
+def inv_sin_domain_report() -> BoundReport:
+    lmax = 6
     f = HarmonicExpansion.unit(2, 0, lmax)
     try:
         st.inv_sin_op_literal().apply(f)

@@ -204,7 +204,7 @@ def test_falsifier_true_claims_hold():
         r = continuity_criterion_check(name, trials=120, seed=9, lmax=8)
         assert r.passed, name
     with pytest.raises(KeyError):
-        continuity_criterion_check("nosuch", trials=2)
+        continuity_criterion_check("nosuch", trials=2, seed=42, lmax=12)
 
 
 def test_falsifier_rejects_false_claim(monkeypatch):

@@ -206,6 +206,17 @@ def test_transform_analyze_negative_lmax_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_transform_synthesize_below_the_document_degree_is_usage_error(tmp_path, capsys):
+    # --lmax 3 asks for a degree-3 grid under a degree-5 document: one error
+    # line names both degrees, and no field is written
+    coeffs = write_unit(tmp_path, 5, 2, 5)
+    field = tmp_path / "f.csv"
+    code = main(["transform", "synthesize", "--in", str(coeffs), "--out", str(field), "--lmax", "3"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: grid lmax=3 < transform lmax=5\n"
+    assert not field.exists()
+
+
 def test_transform_malformed_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("# grid lmax=1 n_theta=2 n_phi=4\n0.9,0.0,oops,0.0\n")

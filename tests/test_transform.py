@@ -520,13 +520,20 @@ def test_real_field_symmetry():
     assert np.max(np.abs(c.coeffs - mirrored)) <= 1e-12
 
 
-def test_grid_too_coarse_errors():
+def test_grid_too_coarse_errors(monkeypatch):
+    # the grid's basis_table is the one refusal: it names both degrees and
+    # builds and stores nothing, whether a transform or a caller asks it
     f = random_expansion(5, 8, decay=1.0)
-    with pytest.raises(GridTooCoarseError):
+    with pytest.raises(GridTooCoarseError, match="^grid lmax=4 < transform lmax=8$"):
         synthesize(f, make_grid(4))
     field = synthesize(f, make_grid(8))
-    with pytest.raises(GridTooCoarseError):
+    with pytest.raises(GridTooCoarseError, match="^grid lmax=8 < transform lmax=9$"):
         analyze(field, 9)
+    builds = _counting_table_builds(monkeypatch)
+    grid = make_grid(4)
+    with pytest.raises(GridTooCoarseError, match="^grid lmax=4 < transform lmax=9$"):
+        grid.basis_table(9)
+    assert grid._entry is None and builds == []
 
 
 def _order_block(N, L, m):
