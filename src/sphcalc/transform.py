@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -75,6 +76,14 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# table builds run one at a time, so calls that overlap on a grid build its
+# table once; a forked child finds the lock free (a hook of this module's own
+# would keep a re-imported module, its worker pool included, alive)
+_TABLE_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_TABLE_LOCK._at_fork_reinit)
+
+
 class SphereGrid:
     """Gauss-Legendre x equispaced-phi product grid of degree ``lmax``.
 
@@ -117,24 +126,22 @@ class SphereGrid:
         """The grid's one entry ``(rows, slot, sign, blocks, table)``, of degree G >= ``lmax``:
         ``legendre._table_map(G)`` and ``orthonormal_legendre_table(G)`` at
         the nodes with ``x >= 0`` (column ``j`` is node ``n_theta // 2 + j``;
-        node ``-x`` holds ``(-1)^(l+m)`` times its values).
-
-        A row has the same bits at every degree, so degree ``L < G`` reads the
-        first ``(L+1)^2`` map entries and, of each block of a group with orders
-        up to L, its first ``L+1-m0`` orders and the rows of its first order up
-        to degree L.  A degree above G replaces the entry unless a concurrent
-        call stored a larger one meanwhile; a call returns the entry it read or
-        built.  No stored array is written.  A degree above the grid's own
-        raises ``GridTooCoarseError`` before anything is built.
+        node ``-x`` holds ``(-1)^(l+m)`` times its values), G the highest
+        degree asked so far.  A row has the same bits at every degree, so a
+        lower degree reads the table's prefix (``_block_views``).  A higher
+        one is built under ``_TABLE_LOCK`` and replaces the entry; no stored
+        array is written.  A degree above the grid's own or below 0 is
+        refused before anything is built.
         """
         if lmax > self.lmax:
             raise GridTooCoarseError(f"grid lmax={self.lmax} < transform lmax={lmax}")
-        entry = self._entry
-        if entry is None or entry[0].size < (lmax + 1) ** 2:
-            entry = (*_table_map(lmax), orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
-            if self._entry is None or self._entry[0].size < entry[0].size:
-                self._entry = entry
-        return entry
+        check_lmax(lmax)  # a stored entry would answer a negative degree
+        size = (lmax + 1) ** 2
+        if self._entry is None or self._entry[0].size < size:
+            with _TABLE_LOCK:  # a call that waited here finds the entry built
+                if self._entry is None or self._entry[0].size < size:
+                    self._entry = (*_table_map(lmax), orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
+        return self._entry
 
     def __repr__(self):
         return f"SphereGrid(lmax={self.lmax}, n_theta={self.n_theta}, n_phi={self.n_phi})"

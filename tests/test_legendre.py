@@ -359,8 +359,9 @@ def test_stacked_table_holds_the_packed_rows(lmax):
     lambda: so3_casimir_check(-1),
     lambda: random_expansion(3, -1),
     lambda: make_grid(-1),
+    lambda: make_grid(4).basis_table(-1),
 ], ids=["table", "point-values", "sup-scan", "table-row", "flat-order", "kernel", "pde", "matrix",
-        "casimir", "random-expansion", "grid"])
+        "casimir", "random-expansion", "grid", "grid-entry"])
 def test_negative_degrees_name_one_error(call):
     # these once raised a bare IndexError or "need at least one array to concatenate"
     with pytest.raises(ValueError, match=r"^lmax must be >= 0$"):

@@ -19,6 +19,7 @@ from sphcalc import (
     gauss_legendre,
     hilbert_norm,
     inner_product,
+    load_expansion,
     load_field,
     make_grid,
     orthonormal_legendre_table,
@@ -133,48 +134,80 @@ def test_lower_degrees_read_the_grid_tables_prefix(G, monkeypatch):
     assert builds == [0, G // 2, G - 1]  # the fresh grids' tables only
 
 
-def test_threads_alternating_degrees_on_one_grid_are_deterministic(monkeypatch):
-    # two threads on a fresh grid, paced so that the lower degree finishes its
-    # build after the higher one is stored: the higher caller must still
-    # transform with an entry of its own degree, the lower build must not
-    # replace it, and every call gives the single-thread bytes
+def test_overlapping_first_calls_on_one_grid_build_one_table(monkeypatch):
+    # two threads released together ask a fresh grid for its table while a
+    # slowed build runs: the later call waits for the earlier one's table
+    # instead of building its own, and both threads, transforming at two
+    # degrees, give the single-thread bytes
     import threading
+    import time
     from concurrent.futures import ThreadPoolExecutor
 
     G = 24
-    orders = ((G, G - 1, G, 3), (G - 1, G, 3, G - 1))
-    want = {L: _transforms_at(make_grid(G), L) for L in orders[1]}
-    low_building, high_stored, low_stored = threading.Event(), threading.Event(), threading.Event()
-    build, basis_table = transform.orthonormal_legendre_table, transform.SphereGrid.basis_table
-    builds = []
-
-    def paced_build(lmax, x):
-        builds.append(lmax)
-        if lmax == G:
-            low_building.wait(10)
-        else:
-            low_building.set()
-            high_stored.wait(10)
-        return build(lmax, x)
-
-    def paced_basis_table(grid, lmax):
-        entry = basis_table(grid, lmax)
-        (high_stored if lmax == G else low_stored).set()
-        if lmax == G:
-            low_stored.wait(10)
-        return entry
-
-    monkeypatch.setattr(transform, "orthonormal_legendre_table", paced_build)
-    monkeypatch.setattr(transform.SphereGrid, "basis_table", paced_basis_table)
+    want = {L: _transforms_at(make_grid(G), L) for L in (G, G - 1)}
     grid = make_grid(G)
+    builds = _counting_table_builds(monkeypatch)
+    counted = transform.orthonormal_legendre_table
+
+    def slow_build(lmax, x):
+        time.sleep(0.2)  # the other thread's first call lands meanwhile
+        return counted(lmax, x)
+
+    monkeypatch.setattr(transform, "orthonormal_legendre_table", slow_build)
+    start = threading.Barrier(2)
+
+    def first_call(L):
+        start.wait(10)
+        return grid.basis_table(G), _transforms_at(grid, L)
+
     with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(lambda order: [(L, _transforms_at(grid, L)) for L in order], orders))
-    assert low_building.is_set() and high_stored.is_set() and low_stored.is_set()
-    for L, got in results[0] + results[1]:
-        assert got == want[L]
-    # one build per first call; the later degree-G calls read the stored entry
-    assert sorted(builds) == [G - 1, G]
-    assert grid.basis_table(0)[0].size == (G + 1) ** 2 and len(builds) == 2
+        (high, got_high), (low, got_low) = pool.map(first_call, (G, G - 1))
+    assert high is low is grid.basis_table(G)
+    assert got_high == want[G] and got_low == want[G - 1]
+    assert builds == [G]
+
+
+def test_a_child_forked_during_a_table_build_builds_its_own():
+    # a child forked while a thread holds the build lock finds it free: its
+    # first table build must not wait on a thread it does not have
+    import time
+
+    with transform._TABLE_LOCK:
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit status only
+            status = 1
+            try:
+                status = 0 if make_grid(6).basis_table(6)[0].size == 49 else 2
+            finally:
+                os._exit(status)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's table build did not finish in 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_an_oversampled_grid_builds_the_transforms_degree(monkeypatch, tmp_path, capsys):
+    # a grid finer than the transform it serves builds a table of the
+    # transform's degree, not of its own, and loading a field builds none:
+    # an lmax-8 document on a degree-256 grid takes a table of 73 padded rows
+    # where one of the grid's own degree takes 35 MB
+    builds = _counting_table_builds(monkeypatch)
+    grid = make_grid(256)
+    f = random_expansion(3, 8, decay=1.0)
+    synthesize(f, grid)
+    rows, _, _, _, table = grid.basis_table(8)
+    assert builds == [8] and rows.size == 81 and table.shape == (73, 129)
+    doc, field, back = tmp_path / "f.json", tmp_path / "f.csv", tmp_path / "b.json"
+    save_expansion(f, doc)
+    assert main(["transform", "synthesize", "--in", str(doc), "--out", str(field), "--lmax", "256"]) == 0
+    assert main(["transform", "analyze", "--in", str(field), "--out", str(back), "--lmax", "8"]) == 0
+    capsys.readouterr()
+    assert builds == [8, 8, 8]  # one per command
+    np.testing.assert_allclose(load_expansion(back).coeffs, f.coeffs, atol=1e-12)
 
 
 def test_threads_sharing_grids_across_degrees_are_deterministic():
@@ -534,6 +567,11 @@ def test_grid_too_coarse_errors(monkeypatch):
     with pytest.raises(GridTooCoarseError, match="^grid lmax=4 < transform lmax=9$"):
         grid.basis_table(9)
     assert grid._entry is None and builds == []
+    # a negative degree is refused too, even once an entry is stored
+    entry = grid.basis_table(2)
+    with pytest.raises(ValueError, match="^lmax must be >= 0$"):
+        grid.basis_table(-1)
+    assert grid._entry is entry and builds == [2]
 
 
 def _order_block(N, L, m):
