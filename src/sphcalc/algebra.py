@@ -35,9 +35,6 @@ class DomainError(ValueError):
     """Operand outside an operator's admissible domain."""
 
 
-GENERATOR_NAMES = ("L", "M", "J+", "J-", "K+", "K-", "R+", "R-", "S+", "S-")
-
-
 class Operator:
     """Banded linear map: a name and, per input degree, one amplitude column per shift.
 
@@ -217,6 +214,7 @@ _GENERATOR_AMPLITUDES = {
     "S+": {(+1, -1): lambda l, m: _sq((l - m + 2) * (l - m + 1))},
     "S-": {(-1, +1): lambda l, m: _sq((l - m) * (l - m - 1))},
 }
+GENERATOR_NAMES = tuple(_GENERATOR_AMPLITUDES)
 
 
 def generator(name: str) -> Operator:

@@ -132,9 +132,10 @@ class BoundClaim:
     max_n: int
 
 
-# |A f|_n <= K_n * sum_q |f|_q per operator name in OPERATORS.  cosTheta's raised
-# branch shifts the degree weight like K+ does, so its constant needs the 2^n
-# factor: an n-independent constant already fails on the constant mode at n = 2.
+# |A f|_n <= K_n * sum_q |f|_q per operator name in OPERATORS; the bounds suite
+# tries each, in this order.  cosTheta's raised branch shifts the degree weight
+# like K+ does, so its constant needs the 2^n factor: an n-independent constant
+# already fails on the constant mode at n = 2.
 _CLAIMS = {
     "K+": BoundClaim(lambda n: 2.0**n, lambda n: (n + 1,), 4),
     "L": BoundClaim(lambda n: 1.0, lambda n: (n + 1,), 4),
@@ -210,6 +211,8 @@ def continuity_criterion_checks(op_names: Sequence[str], trials: int, seed: int,
     Each smooth block and each probe is drawn once and measured against every
     name, so each report equals the one-name call's.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     lhs = [np.empty((trials, _CLAIMS[name].max_n + 1)) for name in op_names]
     rhs = [np.empty_like(a) for a in lhs]
     smooth = np.flatnonzero(np.arange(trials) % 8 != 7)

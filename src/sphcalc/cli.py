@@ -39,36 +39,21 @@ def _tokenize(text: str) -> list[str]:
     tokens = []
     i = 0
     while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
+        c, j = text[i], i + 1  # the token that starts at i ends before j
         if c.isalpha():
-            j = i + 1
-            while j < len(text) and (text[j].isalnum()):
+            while j < len(text) and text[j].isalnum():
                 j += 1
-            word = text[i:j]
             # trailing +/- belongs to the name when the signed form is known
-            if j < len(text) and text[j] in "+-" and (word + text[j]) in st.OPERATORS:
-                word += text[j]
+            if j < len(text) and text[j] in "+-" and text[i:j + 1] in st.OPERATORS:
                 j += 1
-            tokens.append(word)
-            i = j
-            continue
-        if c.isdigit() or c == ".":
-            j = i
+        elif c.isdigit() or c == ".":
             while j < len(text) and (text[j].isdigit() or text[j] in ".eE"):
-                if text[j] in "eE" and j + 1 < len(text) and text[j + 1] in "+-":
-                    j += 1
-                j += 1
+                j += 2 if text[j] in "eE" and text[j + 1:j + 2] in ("+", "-") else 1
+        elif not c.isspace() and c not in "*+-[],()":
+            raise ExpressionError(f"unexpected character {c!r} in operator expression")
+        if not c.isspace():
             tokens.append(text[i:j])
-            i = j
-            continue
-        if c in "*+-[],()":
-            tokens.append(c)
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {c!r} in operator expression")
+        i = j
     return tokens
 
 

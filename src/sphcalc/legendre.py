@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -37,7 +38,9 @@ GROUP = 8  # orders per group of the table layout
 
 
 def check_lmax(lmax: int) -> None:
-    """Refuse a negative degree, or one past ``MAX_LMAX``, the recurrence's validated range."""
+    """Refuse a non-integer or negative degree, or one past ``MAX_LMAX``, the recurrence's validated range."""
+    if not isinstance(lmax, numbers.Integral):
+        raise TypeError(f"lmax must be an integer, got {lmax!r}")
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
     if lmax > MAX_LMAX:

@@ -125,7 +125,7 @@ def pointwise_multiply_oracle(
     arrays.  Exact whenever the product is band-limited at ``out_lmax`` and
     ``grid.lmax >= max(out_lmax, f.lmax) + 1``.
     """
-    field = synthesize(f.with_lmax(grid.lmax), grid)
+    field = synthesize(f.with_lmax(max(grid.lmax, f.lmax)), grid)  # a coarse grid refuses, naming both
     tt, pp = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     product = SampledField(grid, field.samples * multiplier(tt, pp))
     return analyze(product, out_lmax)

@@ -310,7 +310,7 @@ def exp_iphi_gap_report(seed: int) -> BoundReport:
 
 def suite_bounds(lmax: int, trials: int, seed: int) -> list[BoundReport]:
     lmax = min(lmax, 16)
-    reports = bnd.continuity_criterion_checks(("K+", "L", "M", "cosTheta", "dThetaLit"), trials, seed, lmax)
+    reports = bnd.continuity_criterion_checks(tuple(bnd._CLAIMS), trials, seed, lmax)
     # each function is certified at its own ten points from one table; the
     # worst pair is certified again alone, so its record has one-point bits
     n_funcs = max(4, min(trials, 100))

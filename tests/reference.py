@@ -21,7 +21,9 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
   synthesis and analysis of sample tables, one batched analysis per first
   harmonic;
 * ``product_weights_per_entry``, the coupling weights with the parity
-  coupling evaluated at every entry.
+  coupling evaluated at every entry;
+* ``tokenize_reference``, the operator-expression scanner with one
+  append-and-advance tail per token kind.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import math
 
 import numpy as np
 
-from sphcalc import HarmonicExpansion, HarmonicIndex, SpherePoint, make_grid
+from sphcalc import OPERATORS, HarmonicExpansion, HarmonicIndex, SpherePoint, make_grid
 from sphcalc import bounds as bnd
 from sphcalc.expansions import degree_order_arrays, flat_index, graded_norms
+from sphcalc.cli import ExpressionError
 from sphcalc.report import BoundReport
 from sphcalc.legendre import orthonormal_sh_values
 from sphcalc.structural import clebsch_gordan_array
@@ -259,3 +262,41 @@ def product_weights_per_entry(l1, m1, l2, m2, L) -> np.ndarray:
     parity = clebsch_gordan_array(l1, 0, l2, 0, L, 0)
     weight = parity * clebsch_gordan_array(l1, m1, l2, m2, L, np.add(m1, m2))
     return weight / math.sqrt(2.0 * math.pi) / np.sqrt(np.asarray(L) + 0.5)
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """``cli._tokenize`` as it was, one append-and-advance tail per token kind."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isalpha():
+            j = i + 1
+            while j < len(text) and (text[j].isalnum()):
+                j += 1
+            word = text[i:j]
+            # trailing +/- belongs to the name when the signed form is known
+            if j < len(text) and text[j] in "+-" and (word + text[j]) in OPERATORS:
+                word += text[j]
+                j += 1
+            tokens.append(word)
+            i = j
+            continue
+        if c.isdigit() or c == ".":
+            j = i
+            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"):
+                if text[j] in "eE" and j + 1 < len(text) and text[j + 1] in "+-":
+                    j += 1
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        if c in "*+-[],()":
+            tokens.append(c)
+            i += 1
+            continue
+        raise ExpressionError(f"unexpected character {c!r} in operator expression")
+    return tokens

@@ -54,6 +54,28 @@ def test_oversized_claim_order_raises_instead_of_inf_or_nan(monkeypatch):
         continuity_criterion_check("L", trials=16, seed=3, lmax=8)
 
 
+def test_falsifier_refuses_zero_trials_before_any_draw(monkeypatch):
+    # zero trials once ended in numpy's argmin of an empty margin table
+    draws = []
+    monkeypatch.setattr(bounds, "_random_rows", lambda *args: draws.append(args))
+    monkeypatch.setattr(bounds, "substream", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        continuity_criterion_checks(["K+", "L"], 0, 42, 16)
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        continuity_criterion_check("cosTheta", trials=0, seed=42, lmax=16)
+    with pytest.raises(ValueError, match="^trials must be >= 1, got -3$"):
+        continuity_criterion_checks(["M"], -3, 42, 16)
+    assert draws == []
+
+
+def test_suite_bounds_tries_every_registered_claim(monkeypatch):
+    # the suite falsifies the names of _CLAIMS, in its order: a claim added there is tried
+    monkeypatch.setitem(_CLAIMS, "J+", BoundClaim(lambda n: 1.0, lambda n: (n + 1,), 2))
+    checks = [r.check for r in suite_bounds(4, 8, 42)]
+    names = ["K+", "L", "M", "cosTheta", "dThetaLit", "J+"]
+    assert checks[:6] == [f"{name}_claimed_bound" for name in names]
+
+
 def test_bound_kplus_single_mode():
     lhs, rhs = margins_at("K+", HarmonicExpansion.unit(0, 0), 0)
     assert lhs == pytest.approx(math.sqrt(1 / 3), rel=1e-14)

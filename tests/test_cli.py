@@ -25,6 +25,7 @@ from sphcalc.cli import (
     parse_operator,
 )
 
+import reference
 import reference_io
 
 
@@ -75,6 +76,27 @@ def test_parse_errors():
     for bad in ("Q?", "K+*", "[J+,J-", "2.5*", "L M", "L+*M", ""):
         with pytest.raises(ExpressionError):
             parse_operator(bad)
+
+
+# whole operator names, the grammar's characters, and non-ASCII characters whose
+# str predicates part ways: a letter, a superscript and an Arabic-Indic digit
+# (isdigit), a vulgar fraction (isalnum only), and two spaces (isspace)
+_SCANNED = hs.one_of(
+    hs.sampled_from(list(OPERATORS)),
+    hs.sampled_from(list("+-*[](),.eE0123456789 \u00e9\u00b2\u0661\u00bd\u2000\u001c")),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(hs.lists(_SCANNED, max_size=12).map("".join))
+def test_scanner_matches_reference(text):
+    def scan(tokenize):
+        try:
+            return tokenize(text)
+        except ExpressionError as exc:
+            return f"ExpressionError: {exc}"
+
+    assert scan(cli._tokenize) == scan(reference.tokenize_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +583,16 @@ def test_version(capsys):
 
     assert main(["--version"]) == EXIT_OK
     assert capsys.readouterr().out == f"sphcalc {sphcalc.__version__}\n"
+
+
+def test_package_metadata_requires_numpy_2():
+    # every transform passes out= to np.fft.fft/ifft, an argument numpy added in 2.0
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    (floor,) = [re.fullmatch(r"numpy>=([\d.]+)", dep).group(1)
+                for dep in config["project"]["dependencies"] if dep.startswith("numpy")]
+    assert tuple(int(part) for part in floor.split(".")) >= (2, 0)
 
 
 def test_package_metadata_reads_the_version_from_the_package():

@@ -6,6 +6,7 @@ import pytest
 
 from sphcalc import (
     DomainError,
+    GridTooCoarseError,
     HarmonicExpansion,
     clebsch_gordan,
     clebsch_gordan_array,
@@ -274,6 +275,18 @@ def test_exp_iphi_is_not_pointwise_phase():
         f, lambda t, p: np.exp(1j * p), comp.lmax, make_grid(comp.lmax + 8)
     )
     assert np.max(np.abs(comp.coeffs - pointwise.coeffs)) > 1e-3
+
+
+def test_oracle_on_a_coarse_grid_gives_the_grids_error(monkeypatch):
+    # padding f to a grid below its degree once failed in with_lmax; the grid
+    # now refuses, naming both degrees, before any table is built
+    builds = []
+    build = transform.orthonormal_legendre_table
+    monkeypatch.setattr(transform, "orthonormal_legendre_table", lambda lmax, x: builds.append(lmax) or build(lmax, x))
+    f = random_expansion(5, 3)
+    with pytest.raises(GridTooCoarseError, match="^grid lmax=2 < transform lmax=3$"):
+        pointwise_multiply_oracle(f, lambda t, p: np.cos(t), 4, make_grid(2))
+    assert builds == []
 
 
 def test_structural_suite_oracle_calls_and_grid_tables(monkeypatch):

@@ -553,6 +553,15 @@ def test_real_field_symmetry():
     assert np.max(np.abs(c.coeffs - mirrored)) <= 1e-12
 
 
+def test_grid_refuses_a_non_integer_degree():
+    # int(lmax) once ran after the degree check, so SphereGrid(3.5) made a degree-3 grid
+    for bad in (3.5, np.float64(3.0)):
+        with pytest.raises(TypeError, match="^lmax must be an integer, got "):
+            transform.SphereGrid(bad)
+    grid = transform.SphereGrid(np.int64(3))
+    assert grid.lmax == 3 and type(grid.lmax) is int
+
+
 def test_grid_too_coarse_errors(monkeypatch):
     # the grid's basis_table is the one refusal: it names both degrees and
     # builds and stores nothing, whether a transform or a caller asks it
