@@ -101,7 +101,7 @@ class Operator:
 
     def matrix(self, lmax: int) -> np.ndarray:
         """Dense matrix on flat triangular layouts, columns = inputs."""
-        K = (lmax + 1) ** 2
+        K = degree_order_arrays(lmax)[0].size  # checks the degree before numpy sees it
         out = np.zeros(((lmax + self.band_growth + 1) ** 2, K), dtype=np.complex128)
         for src, tgt, coef in self._stencil(lmax, np.ones(K, dtype=bool)):
             out[tgt, src] += coef
@@ -109,7 +109,7 @@ class Operator:
 
     def _band(self, lmax: int):
         """``(shift, column)``: each source mode's coefficient, for a map with one shift."""
-        column = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
+        column = np.zeros(degree_order_arrays(lmax)[0].size, dtype=np.complex128)
         ((src, _, coef),) = self._stencil(lmax, np.ones(column.size, dtype=bool))
         column[src] = coef
         return self.shifts[0], column

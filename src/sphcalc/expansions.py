@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -35,6 +36,8 @@ class HarmonicIndex:
     m: int
 
     def __post_init__(self):
+        if not (isinstance(self.l, numbers.Integral) and isinstance(self.m, numbers.Integral)):
+            raise TypeError(f"degree and order must be integers, got l={self.l!r}, m={self.m!r}")
         if self.l < 0:
             raise ValueError(f"degree must be >= 0, got l={self.l}")
         if abs(self.m) > self.l:
@@ -59,7 +62,7 @@ def as_index(idx) -> HarmonicIndex:
     if isinstance(idx, HarmonicIndex):
         return idx
     l, m = idx
-    return HarmonicIndex(int(l), int(m))
+    return HarmonicIndex(l, m)
 
 
 def as_point(p) -> SpherePoint:
@@ -69,20 +72,27 @@ def as_point(p) -> SpherePoint:
     return SpherePoint(float(theta), float(phi))
 
 
+def as_degree(lmax) -> int:
+    """A degree ``lmax`` as an ``int``; anything but an integer >= 0 is refused."""
+    if not isinstance(lmax, numbers.Integral):
+        raise TypeError(f"lmax must be an integer, got {lmax!r}")
+    if lmax < 0:
+        raise ValueError("lmax must be >= 0")
+    return int(lmax)
+
+
 def flat_index(l, m):
     """Position of ``(l, m)`` in the flat triangular layout ``l*l + l + m``."""
     return l * l + l + m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a hit on 2 must not pass 2.0
 def degree_order_arrays(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays ``(ls, ms)`` listing every stored index pair in flat order."""
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
+    lmax = as_degree(lmax)
     ls = np.concatenate([np.full(2 * l + 1, l, dtype=np.int64) for l in range(lmax + 1)])
     ms = np.concatenate([np.arange(-l, l + 1, dtype=np.int64) for l in range(lmax + 1)])
-    ls.flags.writeable = False
-    ms.flags.writeable = False
+    ls.flags.writeable = ms.flags.writeable = False
     return ls, ms
 
 
@@ -92,8 +102,7 @@ class HarmonicExpansion:
     __slots__ = ("lmax", "coeffs")
 
     def __init__(self, lmax: int, coeffs):
-        if lmax < 0:
-            raise ValueError("lmax must be >= 0")
+        lmax = as_degree(lmax)
         arr = np.asarray(coeffs, dtype=np.complex128)
         size = (lmax + 1) ** 2
         if arr.shape != (size,):
@@ -110,7 +119,7 @@ class HarmonicExpansion:
 
     @classmethod
     def zeros(cls, lmax: int) -> "HarmonicExpansion":
-        return cls(lmax, np.zeros((lmax + 1) ** 2, dtype=np.complex128))
+        return cls(lmax, np.zeros((as_degree(lmax) + 1) ** 2, dtype=np.complex128))
 
     @classmethod
     def unit(cls, l: int, m: int, lmax: int | None = None) -> "HarmonicExpansion":
@@ -119,7 +128,7 @@ class HarmonicExpansion:
         lmax = idx.l if lmax is None else lmax
         if lmax < idx.l:
             raise ValueError("lmax too small for requested index")
-        c = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
+        c = np.zeros((as_degree(lmax) + 1) ** 2, dtype=np.complex128)
         c[flat_index(idx.l, idx.m)] = 1.0
         return cls(lmax, c)
 
@@ -140,7 +149,7 @@ class HarmonicExpansion:
             raise ValueError("refusing to truncate; pad target below current lmax")
         if lmax == self.lmax:
             return self
-        c = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
+        c = np.zeros((as_degree(lmax) + 1) ** 2, dtype=np.complex128)
         c[: self.coeffs.size] = self.coeffs
         return HarmonicExpansion(lmax, c)
 

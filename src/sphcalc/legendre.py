@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from .expansions import as_index, as_point, degree_order_arrays, flat_index
+from .expansions import as_degree, as_index, as_point, degree_order_arrays, flat_index
 from .report import BoundReport
 
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
@@ -37,17 +36,15 @@ MAX_LMAX = 1850  # 50 below the last degree where sum_m N(l,m)^2 held to 1e-12
 GROUP = 8  # orders per group of the table layout
 
 
-def check_lmax(lmax: int) -> None:
-    """Refuse a non-integer or negative degree, or one past ``MAX_LMAX``, the recurrence's validated range."""
-    if not isinstance(lmax, numbers.Integral):
-        raise TypeError(f"lmax must be an integer, got {lmax!r}")
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
+def check_lmax(lmax: int) -> int:
+    """``as_degree(lmax)``, refusing also a degree past ``MAX_LMAX``, the recurrence's validated range."""
+    lmax = as_degree(lmax)
     if lmax > MAX_LMAX:
         raise ValueError(f"lmax={lmax} exceeds the recurrence's validated range, lmax <= {MAX_LMAX}")
+    return lmax
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a hit on 2 must not pass 2.0
 def _table_map(lmax: int):
     """The table layout of degree ``lmax``, made once per degree: per flat
     index its table row, slot (0 for ``+m``, 1 for ``-m``) and sign
@@ -60,7 +57,7 @@ def _table_map(lmax: int):
     order ``m = m0 + j``, where ``m0`` is the group's first order and ``R``
     its row count of parity ``p``.  Blocks run group-major, even parity first.
     """
-    check_lmax(lmax)
+    lmax = check_lmax(lmax)
     m0 = np.repeat(np.arange(0, lmax + 1, GROUP), 2)
     p = np.arange(m0.size) % 2
     k = np.minimum(GROUP, lmax + 1 - m0)

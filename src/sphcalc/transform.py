@@ -18,6 +18,7 @@ import numpy as np
 
 from .expansions import (
     HarmonicExpansion,
+    as_degree,
     as_point,
     degree_order_arrays,
 )
@@ -96,8 +97,7 @@ class SphereGrid:
     __slots__ = ("lmax", "x", "w", "theta", "phi", "dphi", "_entry")
 
     def __init__(self, lmax: int):
-        check_lmax(lmax)
-        self.lmax = int(lmax)
+        self.lmax = check_lmax(lmax)
         n_theta, n_phi = _grid_shape(self.lmax)
         self.x, self.w = gauss_legendre(n_theta)
         self.phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -130,12 +130,12 @@ class SphereGrid:
         degree asked so far.  A row has the same bits at every degree, so a
         lower degree reads the table's prefix (``_block_views``).  A higher
         one is built under ``_TABLE_LOCK`` and replaces the entry; no stored
-        array is written.  A degree above the grid's own or below 0 is
-        refused before anything is built.
+        array is written.  A degree that is not an integer, below 0 or above
+        the grid's own is refused before anything is built.
         """
+        lmax = as_degree(lmax)  # a stored entry would answer a negative degree or 2.5
         if lmax > self.lmax:
             raise GridTooCoarseError(f"grid lmax={self.lmax} < transform lmax={lmax}")
-        check_lmax(lmax)  # a stored entry would answer a negative degree
         size = (lmax + 1) ** 2
         if self._entry is None or self._entry[0].size < size:
             with _TABLE_LOCK:  # a call that waited here finds the entry built
@@ -163,11 +163,9 @@ class SampledField:
 
     def __init__(self, grid: SphereGrid, samples):
         arr = np.asarray(samples, dtype=np.complex128)
-        if arr.shape != (grid.n_theta, grid.n_phi):
-            raise ValueError(
-                f"sample table shape {arr.shape} does not match grid "
-                f"({grid.n_theta}, {grid.n_phi})"
-            )
+        shape = (grid.n_theta, grid.n_phi)
+        if arr.shape != shape:
+            raise ValueError(f"sample table shape {arr.shape} does not match grid {shape}")
         self.grid = grid
         self.samples = arr
 
@@ -447,10 +445,10 @@ def load_field(path) -> SampledField:
     Accepts and rejects the same documents, with the same messages, as the
     per-line reference reader in ``tests/reference_io.py``, and loads the
     same bits.  After the leading ``#`` lines the body is parsed as one
-    array by ``np.loadtxt``, which reads a subset of what ``float`` reads and
-    rounds the same way; a body that parse refuses is read again line by
-    line, which accepts it as before or names the first bad line.  Either
-    way the rows meet the declared grid in ``_field_on_grid``.
+    array by ``np.loadtxt``, which reads a subset of what the line loop
+    reads and rounds the same way; a body that parse refuses is read again
+    line by line, which accepts it as before or names the first bad line.
+    Either way the rows meet the declared grid in ``_field_on_grid``.
     Bytes that are not UTF-8 are reported with the line they fall on (the
     path alone for a pipe).
     """
@@ -467,18 +465,9 @@ def load_field(path) -> SampledField:
         ) from exc
 
 
-# float() strips ASCII and non-ASCII spaces around a number, but np.loadtxt
-# strips every str.isspace() character, which adds U+001C..U+001F
-_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
 def _load_field_bulk(path) -> SampledField | None:
     """The field read as one array, or ``None`` where the body does not parse
     into finite rows of four values, so that the line loop names the line."""
-    with open(path, "rb") as raw:
-        for block in iter(functools.partial(raw.read, 1 << 16), b""):
-            if any(space in block for space in _LOADTXT_ONLY_SPACES):
-                return None
     lmax = None
     body = np.empty((0, 4))
     with open(path, "r", encoding="utf-8") as fh:
@@ -516,7 +505,8 @@ def _load_field_lines(path) -> SampledField:
             if len(parts) != 4:
                 raise FieldFileError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                row = tuple(float(t) for t in parts)
+                # float() alone keeps U+001C..U+001F, which np.loadtxt strips
+                row = tuple(float(t.strip()) for t in parts)
             except ValueError as exc:
                 raise FieldFileError(f"{path}:{lineno}: bad number: {line!r}") from exc
             if not all(math.isfinite(v) for v in row):

@@ -35,6 +35,8 @@ _TRIAL_BLOCK = 64
 
 
 def suite_transforms(lmax: int, trials: int, seed: int) -> list[BoundReport]:
+    if trials < 1:  # no trial would report round_trip and parseval as passed
+        raise ValueError(f"trials must be >= 1, got {trials}")
     reports = [uniform_bound_check(min(lmax, 64))]
     reports.append(orthonormality_check(lmax))
     grid = make_grid(lmax)

@@ -117,7 +117,7 @@ def load_field(path) -> SampledField:
             if len(parts) != 4:
                 raise FieldFileError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                row = tuple(float(t) for t in parts)
+                row = tuple(float(t.strip()) for t in parts)
             except ValueError as exc:
                 raise FieldFileError(f"{path}:{lineno}: bad number: {line!r}") from exc
             if not all(math.isfinite(v) for v in row):

@@ -16,6 +16,7 @@ from sphcalc import (
     hilbert_norm,
     load_expansion,
     save_expansion,
+    sh_eval,
 )
 from sphcalc.expansions import CoefficientFileError, INCONCLUSIVE, RAPID_DECAY, SLOW_DECAY
 
@@ -29,6 +30,26 @@ def test_index_invariants():
         HarmonicIndex(2, 3)
     with pytest.raises(ValueError):
         HarmonicIndex(-1, 0)
+
+
+@pytest.mark.parametrize("l, m", [(1.5, 0.5), (1.9, 0.2), (2.0, 1), (1, 0.0)])
+def test_non_integer_index_parts_are_refused(l, m):
+    # int() once truncated both parts: (1.9, 0.2) read and evaluated (1, 0)
+    message = rf"^degree and order must be integers, got l={l!r}, m={m!r}$"
+    with pytest.raises(TypeError, match=message):
+        HarmonicIndex(l, m)
+    with pytest.raises(TypeError, match=message):
+        HarmonicExpansion.unit(1, 0, 2)[(l, m)]
+    with pytest.raises(TypeError, match=message):
+        sh_eval((l, m), (0.3, 0.4))
+
+
+def test_numpy_integer_index_parts_still_work():
+    f = HarmonicExpansion.unit(2, -1)
+    l, m = np.int64(2), np.int64(-1)
+    assert HarmonicIndex(l, m) == HarmonicIndex(2, -1)
+    assert f[(l, m)] == f[(2, -1)] == 1.0
+    assert sh_eval((l, m), (0.3, 0.4)) == sh_eval((2, -1), (0.3, 0.4))
 
 
 def test_point_invariants():

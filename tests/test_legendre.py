@@ -8,6 +8,8 @@ from scipy.special import lpmv, sph_harm_y
 
 from sphcalc import (
     SH_SUP_BOUND,
+    HarmonicExpansion,
+    analyze,
     completeness_kernel,
     generator,
     make_grid,
@@ -16,6 +18,7 @@ from sphcalc import (
     pde_residual,
     sh_eval,
     so3_casimir_check,
+    synthesize,
     table_row,
     uniform_bound_check,
 )
@@ -347,25 +350,45 @@ def test_stacked_table_holds_the_packed_rows(lmax):
     assert not table[padding].any()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: orthonormal_legendre_table(-1, [0.3]),
-    lambda: orthonormal_sh_values(-1, 0.3, 0.0),
-    lambda: uniform_bound_check(-1),
-    lambda: table_row(-1, 0, 0),
-    lambda: degree_order_arrays(-1),
-    lambda: completeness_kernel(-1, (0.1, 0.2), (0.3, 0.4)),
-    lambda: pde_residual(-1, 1e-3),
-    lambda: generator("L").matrix(-1),
-    lambda: so3_casimir_check(-1),
-    lambda: random_expansion(3, -1),
-    lambda: make_grid(-1),
-    lambda: make_grid(4).basis_table(-1),
-], ids=["table", "point-values", "sup-scan", "table-row", "flat-order", "kernel", "pde", "matrix",
-        "casimir", "random-expansion", "grid", "grid-entry"])
+# every entry point that takes a degree, called at degree L
+DEGREE_CALLS = {
+    "table": lambda L: orthonormal_legendre_table(L, [0.3]),
+    "point-values": lambda L: orthonormal_sh_values(L, 0.3, 0.0),
+    "sup-scan": lambda L: uniform_bound_check(L),
+    "table-row": lambda L: table_row(L, 0, 0),
+    "flat-order": lambda L: degree_order_arrays(L),
+    "kernel": lambda L: completeness_kernel(L, (0.1, 0.2), (0.3, 0.4)),
+    "pde": lambda L: pde_residual(L, 1e-3),
+    "matrix": lambda L: generator("L").matrix(L),
+    "casimir": lambda L: so3_casimir_check(L),
+    "random-expansion": lambda L: random_expansion(3, L),
+    "grid": lambda L: make_grid(L),
+    "grid-entry": lambda L: make_grid(4).basis_table(L),
+}
+
+
+@pytest.mark.parametrize("call", DEGREE_CALLS.values(), ids=DEGREE_CALLS)
 def test_negative_degrees_name_one_error(call):
     # these once raised a bare IndexError or "need at least one array to concatenate"
     with pytest.raises(ValueError, match=r"^lmax must be >= 0$"):
-        call()
+        call(-1)
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0])
+@pytest.mark.parametrize("call", [
+    *DEGREE_CALLS.values(),
+    lambda L: HarmonicExpansion(L, np.zeros(9)),
+    lambda L: HarmonicExpansion.zeros(L),
+    lambda L: HarmonicExpansion.unit(1, 0, L),
+    lambda L: HarmonicExpansion.zeros(1).with_lmax(L),
+    lambda L: analyze(synthesize(random_expansion(3, 2), make_grid(2)), L),
+], ids=[*DEGREE_CALLS, "expansion", "zeros", "unit", "with-lmax", "analyze"])
+def test_non_integer_degrees_name_one_error(call, degree):
+    # these once failed inside range() or numpy, or took 1.0 as a degree and
+    # failed later; a degree cached as np.int64(2) must not let 2.0 through
+    call(np.int64(2))
+    with pytest.raises(TypeError, match=r"^lmax must be an integer, got "):
+        call(degree)
 
 
 def _refused_peak(call):

@@ -35,7 +35,7 @@ from sphcalc import (
 from sphcalc.bounds import random_expansion
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.legendre import GROUP, MAX_LMAX, _table_map
-from sphcalc import transform
+from sphcalc import bounds, transform
 from sphcalc.cli import main
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
 from sphcalc.verify import suite_transforms
@@ -821,6 +821,31 @@ def test_suite_round_trip_matches_per_trial_loop(seed):
     assert reports["round_trip"].passed and reports["parseval"].passed
 
 
+def test_suite_transforms_refuses_zero_trials_before_any_draw(monkeypatch):
+    # zero trials once reported round_trip and parseval as passed, having tested nothing
+    draws = []
+    monkeypatch.setattr(bounds, "_random_rows", lambda *args, **kwargs: draws.append(args))
+    monkeypatch.setattr(bounds, "substream", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        suite_transforms(4, 0, 42)
+    with pytest.raises(ValueError, match="^trials must be >= 1, got -2$"):
+        suite_transforms(4, -2, 42)
+    assert draws == []
+
+
+def test_numpy_integer_degree_is_stored_as_int(tmp_path):
+    # an np.int64 degree was kept, and save_expansion then emptied the file
+    # before json refused to write it
+    field = synthesize(random_expansion(5, 3), make_grid(3))
+    f = analyze(field, np.int64(3))
+    assert type(f.lmax) is int
+    assert f.coeffs.tobytes() == analyze(field, 3).coeffs.tobytes()
+    save_expansion(f, tmp_path / "f.json")
+    back = load_expansion(tmp_path / "f.json")
+    assert type(back.lmax) is int and back.lmax == 3
+    assert back.coeffs.tobytes() == f.coeffs.tobytes()
+
+
 def _suite_transforms_peak(trials):
     tracemalloc.start()
     try:
@@ -988,7 +1013,7 @@ FIELD_VARIANTS = {
                      " ", "1e", "١", "1.0\x00", "Infinity", "1 0"]},
     **{f"column-{column}-{token}": functools.partial(_set, row=3, column=column, value=token)
        for column in range(4) for token in ["nan", "inf", "-inf", "NaN"]},
-    # str.isspace() but not stripped by float(): rejected beside a comma, stripped at a line end
+    # str.isspace() but not stripped by float() alone: stripped beside a comma and at a line end
     **{f"separator-{ord(c):#04x}-{where}": functools.partial(_set, row=1, column=column,
                                                              value=f"0.5{c}")
        for c in "\x1c\x1d\x1e\x1f" for where, column in [("beside-comma", 2), ("at-line-end", 3)]},
@@ -1022,6 +1047,29 @@ def test_field_reader_matches_reference_on_damaged_text(tmp_path_factory, field_
     path = tmp_path_factory.mktemp("doc") / "field.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = reference_io.outcome(reference_io.load_field, path)
+    assert reference_io.outcome(load_field, path) == expected
+
+
+# every str.isspace() character but the two that end a line
+SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\n\r"]
+
+
+@pytest.mark.parametrize("column", [2, 3], ids=["beside-comma", "at-line-end"])
+@pytest.mark.parametrize("space", SPACES, ids=[f"{ord(c):#06x}" for c in SPACES])
+def test_spaces_around_numbers_skip_the_line_loop(tmp_path, monkeypatch, field_text, space, column):
+    # np.loadtxt strips every str.isspace() character around a number, and so
+    # does the line loop before float(), so no such document needs the loop
+    def no_loop(path):
+        raise AssertionError("line loop ran for a document the bulk reader accepts")
+
+    value = field_text.splitlines()[3].split(",")[column]
+    path = tmp_path / "field.csv"
+    path.write_bytes(_set(field_text, 1, column, value + space).encode("utf-8"))
+    expected = reference_io.outcome(reference_io.load_field, path)
+    clean = tmp_path / "clean.csv"
+    clean.write_text(field_text, encoding="utf-8")
+    assert expected[0] == "ok" and expected == reference_io.outcome(reference_io.load_field, clean)
+    monkeypatch.setattr("sphcalc.transform._load_field_lines", no_loop)
     assert reference_io.outcome(load_field, path) == expected
 
 
