@@ -19,6 +19,7 @@ import numpy as np
 
 from .expansions import (
     HarmonicExpansion,
+    as_degree,
     as_point,
     degree_weights,
     flat_index,
@@ -152,6 +153,7 @@ def claim_margins(op_name: str, rows: np.ndarray, lmax: int):
     ``lhs[t, n] = |A f_t|_n`` and ``rhs[t, n] = K_n * sum_q |f_t|_q``.
     ``single_mode_margins`` gives the rows of the identity block.
     """
+    lmax = as_degree(lmax)
     out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
     return _sides(_CLAIMS[op_name], lambda q: graded_norms(rows, lmax, q),
                   lambda n: graded_norms(out, out_lmax, n))
@@ -165,6 +167,7 @@ def single_mode_margins(op_name: str, lmax: int):
     two terms does not depend on their order, so the bits are the identity
     block's for every operator of at most two shifts, as every claimed one is.
     """
+    lmax = as_degree(lmax)
     op = OPERATORS[op_name]()
     K = (lmax + 1) ** 2
     stencil = op._stencil(lmax, np.ones(K, dtype=bool))
@@ -211,14 +214,22 @@ def continuity_criterion_checks(op_names: Sequence[str], trials: int, seed: int,
     Each smooth block and each probe is drawn once and measured against every
     name, so each report equals the one-name call's.
     """
+    return _criterion_checks(op_names, trials, seed, lmax, 0)[0]
+
+
+def _criterion_checks(op_names, trials, seed, lmax, n_kept):
+    # continuity_criterion_checks, returned with the smooth draws from (seed, t)
+    # for every t < n_kept, drawn once: a row's margins do not depend on its block
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    kept = _random_rows([(seed, t) for t in range(n_kept)], lmax)
     lhs = [np.empty((trials, _CLAIMS[name].max_n + 1)) for name in op_names]
     rhs = [np.empty_like(a) for a in lhs]
     smooth = np.flatnonzero(np.arange(trials) % 8 != 7)
-    for start in range(0, smooth.size, _TRIAL_BLOCK):
-        at = smooth[start:start + _TRIAL_BLOCK]
-        rows = _random_rows([(seed, t) for t in at.tolist()], lmax)
+    # the kept trials as one block, then the rest _TRIAL_BLOCK at a time
+    first = int(np.count_nonzero(smooth < n_kept)) or _TRIAL_BLOCK
+    for at in np.split(smooth, range(first, smooth.size, _TRIAL_BLOCK)):
+        rows = kept[at] if at[0] < n_kept else _random_rows([(seed, t) for t in at.tolist()], lmax)
         for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):
             lhs_n[at], rhs_n[at] = claim_margins(name, rows, lmax)
     # each rng draws its probe's degree, then its order
@@ -244,4 +255,4 @@ def continuity_criterion_checks(op_names: Sequence[str], trials: int, seed: int,
                 details={"trials": trials, "worst_trial": int(t)},
             )
         )
-    return reports
+    return reports, kept

@@ -206,6 +206,7 @@ def norm_weights(lmax: int, n: int) -> np.ndarray:
     Orders whose largest weight ``(2*lmax+1)^(2n)`` leaves the double range
     raise ``OverflowError``.
     """
+    lmax = as_degree(lmax)
     if n < 0:
         raise ValueError(f"norm order must be >= 0, got n={n}")
     if 2 * n * math.log(2 * lmax + 1) > _FLOAT_MAX_LOG:

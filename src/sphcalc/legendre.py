@@ -144,14 +144,18 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     ``phi``, a scalar or an array of the same length; columns follow the flat
     triangular order of ``degree_order_arrays(lmax)``.  At ``phi = 0`` the
     values are real: the theta factor alone.  Each phase ``exp(i*m*phi)`` is
-    computed once per order and point and gathered to the flat columns.
+    computed once per order and point and gathered to the flat columns; the
+    result is built in place, beside one real array of its shape.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    phi = np.asarray(phi, dtype=np.float64)[..., None]
-    N = orthonormal_legendre_table(lmax, x)
     rows, _, sign, _ = _table_map(lmax)
-    phase = np.exp(1j * np.arange(-lmax, lmax + 1) * phi)
-    return N[rows].T * sign * phase[..., degree_order_arrays(lmax)[1] + lmax]
+    mags = orthonormal_legendre_table(lmax, x)[rows]
+    mags *= sign[:, None]
+    # phase[m + lmax, i] = exp(i*m*phi_i), gathered to the flat rows
+    phase = np.exp(1j * np.arange(-lmax, lmax + 1)[:, None] * np.asarray(phi, dtype=np.float64))
+    values = np.broadcast_to(phase, (phase.shape[0], x.size))[degree_order_arrays(lmax)[1] + lmax]
+    values *= mags  # complex times real: the bits of real times complex
+    return values.T
 
 
 def sh_eval(idx, p) -> complex:

@@ -32,6 +32,7 @@ from .transform import (
 # and this module is neither, so a name bound here would escape its span
 
 _TRIAL_BLOCK = 64
+_POINT_BLOCK = 8  # bounds-suite functions whose point values share one table
 
 
 def suite_transforms(lmax: int, trials: int, seed: int) -> list[BoundReport]:
@@ -312,16 +313,19 @@ def exp_iphi_gap_report(seed: int) -> BoundReport:
 
 def suite_bounds(lmax: int, trials: int, seed: int) -> list[BoundReport]:
     lmax = min(lmax, 16)
-    reports = bnd.continuity_criterion_checks(tuple(bnd._CLAIMS), trials, seed, lmax)
-    # each function is certified at its own ten points from one table; the
-    # worst pair is certified again alone, so its record has one-point bits
+    # the functions are the falsifier's smooth draws (seed, t), drawn once for both
     n_funcs = max(4, min(trials, 100))
+    reports, rows = bnd._criterion_checks(tuple(bnd._CLAIMS), trials, seed, lmax, n_funcs)
+    # each function is certified at its own ten points, one table per _POINT_BLOCK
+    # functions; the worst pair is certified again alone, so its record has one-point bits
     draws = bnd.substream(seed, "points").uniform([-1, 0], [1, 2 * math.pi], size=(n_funcs, 10, 2))
     theta, phi = np.arccos(draws[..., 0]), draws[..., 1]
     x = np.cos(theta)
-    rows = bnd._random_rows([(seed, t) for t in range(n_funcs)], lmax)
-    E = orthonormal_sh_values(lmax, x.ravel(), phi.ravel()).reshape(n_funcs, 10, -1)
-    values = np.einsum("tpk,tk->tp", E, rows)
+    values = np.empty((n_funcs, 10), dtype=np.complex128)
+    for start in range(0, n_funcs, _POINT_BLOCK):
+        at = slice(start, start + _POINT_BLOCK)
+        E = orthonormal_sh_values(lmax, x[at].ravel(), phi[at].ravel()).reshape(-1, 10, rows.shape[1])
+        values[at] = np.einsum("tpk,tk->tp", E, rows[at])
     margins = bnd.functional_constant(3) * graded_norms(rows, lmax, 3)[:, None] - np.abs(values)
     # the weak eigenrelation at each function's last point, screened from one
     # image table: a pair off by half its tolerance is certified again alone,

@@ -351,12 +351,12 @@ def test_falsifiers_over_one_draw_match_per_trial(monkeypatch):
 
 
 def test_suite_bounds_draws_once_and_builds_one_probe_table_per_operator(monkeypatch):
-    calls = {"rows": 0, "tables": []}
+    calls = {"rows": [], "tables": []}
     draw, table = bounds._random_rows, bounds.single_mode_margins
 
-    def counted_draw(*args, **kwargs):
-        calls["rows"] += 1
-        return draw(*args, **kwargs)
+    def counted_draw(seeds, *args, **kwargs):
+        calls["rows"].append(list(seeds))
+        return draw(seeds, *args, **kwargs)
 
     def counted_table(name, lmax):
         calls["tables"].append((name, lmax))
@@ -365,10 +365,22 @@ def test_suite_bounds_draws_once_and_builds_one_probe_table_per_operator(monkeyp
     monkeypatch.setattr(bounds, "_random_rows", counted_draw)
     monkeypatch.setattr(bounds, "single_mode_margins", counted_table)
     suite_bounds(16, 50, 42)
-    # one smooth block for the five falsifiers, one for the point functionals
-    assert calls["rows"] == 2
+    # one block of smooth draws serves the five falsifiers and the point functionals
+    assert calls["rows"] == [[(42, t) for t in range(50)]]
     assert [name for name, _ in calls["tables"]] == list(_CLAIMS)
     assert len({lmax for _, lmax in calls["tables"]}) == 1
+
+
+def test_suite_bounds_ranks_its_point_functionals_in_small_tables():
+    # the 500 function-point values once came from one (500, 289) complex
+    # table beside its real factors: a peak of 7.3 MB warm, 8.2 MB cold
+    tracemalloc.start()
+    try:
+        suite_bounds(16, 50, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_single_mode_margins_defaults_and_wider_operators(monkeypatch):

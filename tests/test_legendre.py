@@ -10,19 +10,22 @@ from sphcalc import (
     SH_SUP_BOUND,
     HarmonicExpansion,
     analyze,
+    claim_margins,
     completeness_kernel,
     generator,
+    graded_norms,
     make_grid,
     orthonormal_legendre_table,
     orthonormal_sh_values,
     pde_residual,
     sh_eval,
+    single_mode_margins,
     so3_casimir_check,
     synthesize,
     table_row,
     uniform_bound_check,
 )
-from sphcalc.bounds import random_expansion
+from sphcalc.bounds import random_expansion, substream
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.legendre import GROUP, MAX_LMAX, _table_map
 
@@ -284,11 +287,39 @@ def test_point_values_equal_the_reference_gather(lmax, phi_kind):
     rng = np.random.default_rng(1000 + lmax)
     x = rng.uniform(-1.0, 1.0, 20)
     phi = rng.uniform(0.0, 2.0 * math.pi, 20) if phi_kind == "array" else 0.7
+    _assert_reference_gather(lmax, x, phi)
+
+
+def _assert_reference_gather(lmax, x, phi):
     got = orthonormal_sh_values(lmax, x, phi)
     want = orthonormal_sh_values_reference(lmax, x, phi)
     # bit for bit, signed zeros included; the scalar-phi product is not C-contiguous
     assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _bounds_suite_points(seed):
+    # the bounds suite's ten points for each of its 50 functions at 50 trials
+    draws = substream(seed, "points").uniform([-1, 0], [1, 2 * math.pi], size=(50, 10, 2))
+    return np.cos(np.arccos(draws[..., 0])), draws[..., 1]
+
+
+def _dtheta_points(seed):
+    # dtheta_identity_order_report's six points, each at five theta shifts
+    rng = substream(seed, "dtheta")
+    theta, phi = np.array([(rng.uniform(0.6, math.pi - 0.6), rng.uniform(0, 2 * math.pi)) for _ in range(6)]).T
+    return np.cos(theta[:, None] + np.array([0.0, 4e-3, -4e-3, 2e-3, -2e-3])).ravel(), np.repeat(phi, 5)
+
+
+@pytest.mark.parametrize("site", [
+    lambda: (16, make_grid(16).x, 0.0),  # orthonormality_check(16)
+    lambda: (12, make_grid(12).x, 0.0),  # the product law's degree-12 grid
+    lambda: (16, *(a[:8].ravel() for a in _bounds_suite_points(42))),  # one 80-point block
+    lambda: (17, *(a[:, -1] for a in _bounds_suite_points(42))),  # the weak eigenrelation's last points
+    lambda: (9, *_dtheta_points(42)),
+], ids=["gram-grid", "product-grid", "point-block", "last-points", "dtheta-fd"])
+def test_point_values_at_each_call_site_equal_the_reference_gather(site):
+    _assert_reference_gather(*site())
 
 
 def _layout_rows(lmax):
@@ -364,6 +395,9 @@ DEGREE_CALLS = {
     "random-expansion": lambda L: random_expansion(3, L),
     "grid": lambda L: make_grid(L),
     "grid-entry": lambda L: make_grid(4).basis_table(L),
+    "claim-margins": lambda L: claim_margins("L", np.ones((1, 9)), L),
+    "single-mode-margins": lambda L: single_mode_margins("L", L),
+    "graded-norms": lambda L: graded_norms(np.ones((1, 9)), L, 1),
 }
 
 
