@@ -20,6 +20,7 @@ import numpy as np
 from .expansions import (
     HarmonicExpansion,
     as_degree,
+    as_integer,
     as_point,
     degree_weights,
     flat_index,
@@ -220,6 +221,7 @@ def continuity_criterion_checks(op_names: Sequence[str], trials: int, seed: int,
 def _criterion_checks(op_names, trials, seed, lmax, n_kept):
     # continuity_criterion_checks, returned with the smooth draws from (seed, t)
     # for every t < n_kept, drawn once: a row's margins do not depend on its block
+    trials = as_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     kept = _random_rows([(seed, t) for t in range(n_kept)], lmax)

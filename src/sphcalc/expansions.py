@@ -72,11 +72,16 @@ def as_point(p) -> SpherePoint:
     return SpherePoint(float(theta), float(phi))
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an ``int``; a float, a bool or any other non-integer is refused, naming ``name``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_degree(lmax) -> int:
     """A degree ``lmax`` as an ``int``; anything but an integer >= 0 is refused."""
-    if not isinstance(lmax, numbers.Integral):
-        raise TypeError(f"lmax must be an integer, got {lmax!r}")
-    if lmax < 0:
+    if as_integer(lmax, "lmax") < 0:
         raise ValueError("lmax must be >= 0")
     return int(lmax)
 
@@ -145,11 +150,11 @@ class HarmonicExpansion:
 
     def with_lmax(self, lmax: int) -> "HarmonicExpansion":
         """Zero-padded copy; truncation is refused."""
-        if lmax < self.lmax:
+        if as_degree(lmax) < self.lmax:  # checked first: True == 1 would return self
             raise ValueError("refusing to truncate; pad target below current lmax")
         if lmax == self.lmax:
             return self
-        c = np.zeros((as_degree(lmax) + 1) ** 2, dtype=np.complex128)
+        c = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
         c[: self.coeffs.size] = self.coeffs
         return HarmonicExpansion(lmax, c)
 

@@ -134,6 +134,14 @@ def pointwise_multiply_oracle(
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan coefficients and the harmonic product law
 
+def _index_arrays(*args) -> list[np.ndarray]:
+    """The arguments broadcast as int64 arrays; float or bool indices are refused, not truncated."""
+    arrays = [np.asarray(a) for a in args]
+    if any(a.dtype.kind not in "iu" for a in arrays):
+        raise TypeError(f"Clebsch-Gordan indices must be integers, got {[a.dtype.name for a in arrays]}")
+    return np.broadcast_arrays(*(a.astype(np.int64, copy=False) for a in arrays))
+
+
 def clebsch_gordan_array(l1, m1, l2, m2, L, M) -> np.ndarray:
     """Coupling coefficients ``<l1 m1 l2 m2 | L M>``, broadcast over integer arrays.
 
@@ -142,7 +150,7 @@ def clebsch_gordan_array(l1, m1, l2, m2, L, M) -> np.ndarray:
     Out-of-domain entries give 0, and so does the all-zero-order case with
     ``l1+l2+L`` odd, exactly, by parity.
     """
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (l1, m1, l2, m2, L, M)))
+    args = _index_arrays(l1, m1, l2, m2, L, M)
     l1, m1, l2, m2, L, M = args
     valid = (
         (M == m1 + m2)
@@ -200,7 +208,7 @@ def product_weights(l1, m1, l2, m2, L) -> np.ndarray:
     ``1/sqrt(2*pi)`` times the parity coupling ``<l1 0 l2 0|L 0>`` times
     ``<l1 m1 l2 m2|L M>``, over ``sqrt(L + 1/2)`` for the orthonormal basis.
     """
-    l1, m1, l2, m2, L = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (l1, m1, l2, m2, L)))
+    l1, m1, l2, m2, L = _index_arrays(l1, m1, l2, m2, L)
     # the parity coupling depends on the degrees alone: one evaluation per
     # distinct (l1, l2, L), each triple numbered in the box the entries span
     degrees = [a.ravel() - a.min(initial=0) for a in (l1, l2, L)]

@@ -16,12 +16,7 @@ import threading
 
 import numpy as np
 
-from .expansions import (
-    HarmonicExpansion,
-    as_degree,
-    as_point,
-    degree_order_arrays,
-)
+from .expansions import HarmonicExpansion, as_degree, as_integer, as_point, degree_order_arrays
 from .legendre import _table_map, check_lmax, orthonormal_legendre_table, orthonormal_sh_values
 from .report import BoundReport
 
@@ -43,7 +38,7 @@ def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a hit on 2 must not pass 2.0
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
@@ -54,6 +49,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     Solved and checked once per node count; every grid of that count shares
     the arrays.
     """
+    n = as_integer(n, "n")
     if n < 1:
         raise ValueError("need at least one node")
     k = np.arange(n // 2 + 1, n + 1, dtype=np.float64)
@@ -79,7 +75,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # table builds run one at a time, so calls that overlap on a grid build its
 # table once; a forked child finds the lock free (a hook of this module's own
-# would keep a re-imported module, its worker pool included, alive)
+# would keep a re-imported module alive)
 _TABLE_LOCK = threading.Lock()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_TABLE_LOCK._at_fork_reinit)
@@ -177,7 +173,6 @@ class SampledField:
 # L=160 field (51,842) and lost on two L=128 rows (66,564), whose element-wise
 # stages, run by the caller alone, grow with the rows
 SPLIT_SAMPLES = 36_000
-_POOL = (None, None)  # (pid of the process that made it, executor)
 
 
 def _usable_cores() -> int:
@@ -193,55 +188,38 @@ def _workers(samples: int) -> int:
     return 1 if n < 2 else min(n, _usable_cores())
 
 
-def _pool():
-    """The module's worker pool, created at a process's first split transform;
-    only a process that splits pays the executor's import (0.7 MB and 6 ms on
-    a 2-core x86 host).
-
-    A child made by ``fork`` inherits the parent's pool but none of its
-    threads, so the pool is kept with the id of the process that made it and
-    a child makes its own.  No lock: a fork can land while another thread
-    holds one, and two threads that race here each get a working pool; the
-    one not kept is freed, and its threads end, once its caller is done.
-    """
-    global _POOL
-    pid, pool = _POOL
-    if pid != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="sphcalc-transform")
-        _POOL = os.getpid(), pool
-    return pool
-
-
 def _deal(tasks: list, workers: int) -> None:
     """Run every task, share ``k`` of ``workers`` taking tasks ``k, k + workers, ...``.
 
-    Share 0 runs in the calling thread and the others on the pool.  A task
-    writes only its own output, so the result does not depend on the split.
+    Share 0 runs in the calling thread and each other share on a thread
+    started here and joined before the return, so no thread outlives the
+    call; the error of the lowest share that raised is raised after the join.  A
+    task writes only its own output, so the result does not depend on the split.
     """
-    def share(k):
-        for task in tasks[k::workers]:
-            task()
+    errors = {}  # share -> its error
 
-    if workers == 1:
-        return share(0)
-    pool = _pool()
-    futures = [pool.submit(share, k) for k in range(1, workers)]
-    try:
-        share(0)
-    finally:
-        for future in futures:
-            future.exception()  # waits: the shares write to the caller's arrays
-    for future in futures:
-        future.result()
+    def share(k):
+        try:
+            for task in tasks[k::workers]:
+                task()
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()  # the shares write to the caller's arrays
+    if errors:
+        raise errors.pop(min(errors))  # popped: its traceback holds share's frame, and so this dict
 
 
 def _fft_rows(fft, a: np.ndarray, workers: int) -> np.ndarray:
     """``fft(a, axis=-1)`` of the 2-D ``a``, one block of rows per worker.
 
     The result is allocated here, in the calling thread: an array allocated
-    in a pool thread would grow that thread's own heap, and with it the
+    in a worker thread would grow that thread's own heap, and with it the
     process's peak memory.
     """
     out = np.empty(a.shape, dtype=np.complex128)

@@ -12,6 +12,8 @@ from sphcalc import (
     analyze,
     claim_margins,
     completeness_kernel,
+    continuity_criterion_checks,
+    gauss_legendre,
     generator,
     graded_norms,
     make_grid,
@@ -28,6 +30,7 @@ from sphcalc import (
 from sphcalc.bounds import random_expansion, substream
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.legendre import GROUP, MAX_LMAX, _table_map
+from sphcalc.verify import suite_transforms
 
 from reference import assoc_legendre, orthonormal_sh_values_reference, packed_legendre_table, packed_row
 
@@ -408,20 +411,25 @@ def test_negative_degrees_name_one_error(call):
         call(-1)
 
 
-@pytest.mark.parametrize("degree", [2.5, 2.0])
-@pytest.mark.parametrize("call", [
-    *DEGREE_CALLS.values(),
-    lambda L: HarmonicExpansion(L, np.zeros(9)),
-    lambda L: HarmonicExpansion.zeros(L),
-    lambda L: HarmonicExpansion.unit(1, 0, L),
-    lambda L: HarmonicExpansion.zeros(1).with_lmax(L),
-    lambda L: analyze(synthesize(random_expansion(3, 2), make_grid(2)), L),
-], ids=[*DEGREE_CALLS, "expansion", "zeros", "unit", "with-lmax", "analyze"])
-def test_non_integer_degrees_name_one_error(call, degree):
-    # these once failed inside range() or numpy, or took 1.0 as a degree and
-    # failed later; a degree cached as np.int64(2) must not let 2.0 through
+@pytest.mark.parametrize("degree", [2.5, 2.0, True])
+@pytest.mark.parametrize("call, name", [
+    *((call, "lmax") for call in DEGREE_CALLS.values()),
+    (lambda L: HarmonicExpansion(L, np.zeros(9)), "lmax"),
+    (lambda L: HarmonicExpansion.zeros(L), "lmax"),
+    (lambda L: HarmonicExpansion.unit(1, 0, L), "lmax"),
+    (lambda L: HarmonicExpansion.zeros(1).with_lmax(L), "lmax"),
+    (lambda L: analyze(synthesize(random_expansion(3, 2), make_grid(2)), L), "lmax"),
+    (lambda n: gauss_legendre(n), "n"),
+    (lambda T: continuity_criterion_checks(["L"], T, 0, 2), "trials"),
+    (lambda T: suite_transforms(2, T, 0), "trials"),
+], ids=[*DEGREE_CALLS, "expansion", "zeros", "unit", "with-lmax", "analyze",
+        "gauss-nodes", "criterion-trials", "suite-trials"])
+def test_non_integer_degrees_name_one_error(call, name, degree):
+    # these once failed inside range() or numpy, or took 1.0 or True as a
+    # degree and failed later or not at all; a value cached as np.int64(2)
+    # must not let 2.0 through
     call(np.int64(2))
-    with pytest.raises(TypeError, match=r"^lmax must be an integer, got "):
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {degree!r}$"):
         call(degree)
 
 

@@ -3,7 +3,9 @@ import math
 import os
 import re
 import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -139,7 +141,6 @@ def test_overlapping_first_calls_on_one_grid_build_one_table(monkeypatch):
     # slowed build runs: the later call waits for the earlier one's table
     # instead of building its own, and both threads, transforming at two
     # degrees, give the single-thread bytes
-    import threading
     import time
     from concurrent.futures import ThreadPoolExecutor
 
@@ -238,17 +239,17 @@ def _split_across(monkeypatch, workers):
     monkeypatch.setattr(transform, "_usable_cores", lambda: workers)
 
 
-def _counting_pool(monkeypatch):
-    """A list that gains an entry each time a transform deals work to the pool."""
-    pooled = []
-    pool = transform._pool
+def _counting_threads(monkeypatch):
+    """A list that gains each thread a transform starts, as it starts."""
+    started = []
 
-    def counted():
-        pooled.append(1)
-        return pool()
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(transform, "_pool", counted)
-    return pooled
+    monkeypatch.setattr(transform, "threading", types.SimpleNamespace(Thread=Counted))
+    return started
 
 
 @pytest.mark.parametrize("G, L", [(24, 24), (129, 129), (256, 256), (256, 129)],
@@ -259,7 +260,7 @@ def test_worker_count_does_not_change_the_bytes(G, L, B, monkeypatch):
     # thread runs it, so one and two workers give the same bytes
     grid = make_grid(G)
     inputs = [random_expansion(L + b, L, decay=1.0) for b in range(B)]
-    pooled = _counting_pool(monkeypatch)
+    started = _counting_threads(monkeypatch)
 
     def transforms():
         if B == 1:
@@ -270,15 +271,19 @@ def test_worker_count_does_not_change_the_bytes(G, L, B, monkeypatch):
 
     _split_across(monkeypatch, 1)
     one = transforms()
-    assert pooled == []
+    assert started == []
     _split_across(monkeypatch, 2)
+    before = threading.active_count()
     assert transforms() == one
-    assert len(pooled) == 4  # the products and the FFT rows, in each direction
+    # one thread for the products and one for the FFT rows, in each direction,
+    # each joined before its transform returned
+    assert len(started) == 4 and not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
 
 
 def test_verify_and_an_lmax_128_round_trip_start_no_worker_thread(monkeypatch, tmp_path, capsys):
     # their largest sample tables stay below two workers' SPLIT_SAMPLES each
-    pooled = _counting_pool(monkeypatch)
+    started = _counting_threads(monkeypatch)
     sizes, workers = [], transform._workers
     monkeypatch.setattr(transform, "_workers", lambda samples: sizes.append(samples) or workers(samples))
     assert main(["verify", "--suite", "all"]) == 0
@@ -290,14 +295,12 @@ def test_verify_and_an_lmax_128_round_trip_start_no_worker_thread(monkeypatch, t
     assert main(["transform", "analyze", "--in", field, "--out", back]) == 0
     capsys.readouterr()
     assert sizes == [33_282, 33_282]
-    assert pooled == []
+    assert started == []
 
 
-def test_user_threads_share_the_pool_without_deadlock(monkeypatch):
-    # two user threads split transforms on one L=256 grid over the one module
-    # pool, whose tasks never wait on it: both finish with the single-thread bytes
-    import threading
-
+def test_user_threads_split_transforms_without_deadlock(monkeypatch):
+    # two user threads split transforms on one L=256 grid, each on worker
+    # threads of its own call: both finish with the single-thread bytes
     G = 256
     grid = make_grid(G)
     inputs = [random_expansion(seed, G, decay=1.0) for seed in (1, 2)]
@@ -309,7 +312,7 @@ def test_user_threads_share_the_pool_without_deadlock(monkeypatch):
     _split_across(monkeypatch, 1)
     want = [transforms(f) for f in inputs]
     _split_across(monkeypatch, 2)
-    pooled = _counting_pool(monkeypatch)
+    started = _counting_threads(monkeypatch)
     results = ([], [])
 
     def user(k):
@@ -327,30 +330,32 @@ def test_user_threads_share_the_pool_without_deadlock(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == ([want[0]] * 3, [want[1]] * 3)
-    assert len(pooled) == 2 * 3 * 4
+    assert len(started) == 2 * 3 * 4 and not any(thread.is_alive() for thread in started)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
-    # a child made by fork after a split transform inherits the pool but not
-    # its threads: its own split transform must not wait on them
+def test_a_forked_child_splits_transforms_with_the_parents_bytes(monkeypatch):
+    # a child made by fork after a split transform splits its own transforms
+    # on threads of its own, gives the parent's bytes and keeps no thread
     import time
 
     G = 256
     grid = make_grid(G)
     f = random_expansion(3, G, decay=1.0)
     _split_across(monkeypatch, 2)
+    started = _counting_threads(monkeypatch)
     field = synthesize(f, grid)
     want = field.samples.tobytes(), analyze(field, G).coeffs.tobytes()
-    parent_pool = transform._POOL
-    assert parent_pool[0] == os.getpid()
+    assert len(started) == 4
     pid = os.fork()
     if pid == 0:  # the child reports through its exit status only
         status = 1
         try:
+            before = threading.active_count()
             child = synthesize(f, grid)
             got = child.samples.tobytes(), analyze(child, G).coeffs.tobytes()
-            status = 0 if got == want and transform._POOL[0] == os.getpid() else 2
+            threads_left = threading.active_count() - before
+            status = 0 if got == want and len(started) == 8 and threads_left == 0 else 2
         finally:
             os._exit(status)
     deadline = time.monotonic() + 120
@@ -361,7 +366,25 @@ def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
         os.waitpid(pid, 0)
         pytest.fail("the forked child's split transform did not finish in 120 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
-    assert transform._POOL is parent_pool
+
+
+@pytest.mark.parametrize("raiser", [0, 1], ids=["caller-share", "worker-share"])
+def test_an_error_in_a_split_reaches_the_caller_after_every_share_ends(raiser):
+    # share 0 takes tasks 0 and 2 in the caller, share 1 tasks 1 and 3 on a
+    # worker thread: the raising share stops, the other runs to its end, and
+    # the error is raised in the caller with no thread left behind
+    ran = []
+
+    def task(k):
+        if k == raiser:
+            raise ArithmeticError(f"task {k}")
+        ran.append(k)
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=rf"^task {raiser}$"):
+        transform._deal([functools.partial(task, k) for k in range(4)], 2)
+    assert threading.active_count() == before
+    assert sorted(ran) == [k for k in range(4) if k % 2 != raiser]
 
 
 def test_verify_all_builds_one_table_per_grid(monkeypatch, capsys):
