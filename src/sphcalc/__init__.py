@@ -24,7 +24,6 @@ from .bounds import (
     continuity_criterion_checks,
     functional_constant,
     random_expansion,
-    single_mode_margins,
     substream,
     weak_eigen_cos,
 )

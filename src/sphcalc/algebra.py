@@ -70,22 +70,20 @@ class Operator:
     def _stencil(self, lmax: int, support: np.ndarray):
         """``(src, tgt, coef)`` per column on the flat layout at ``lmax``.
 
-        ``coef`` carries the basis ratio of the column's net shift.  A
-        non-finite amplitude at a source flagged in ``support`` raises
-        ``DomainError``; at an unflagged source it contributes nothing.
+        Only the sources flagged in ``support`` get entries.  ``coef``
+        carries the basis ratio of the column's net shift; a non-finite
+        amplitude at a flagged source raises ``DomainError``.
         """
         ls, ms = degree_order_arrays(lmax)
         stencil = []
         with _overflow(f"an amplitude of {self.name} overflows"):
             for (dl, dm), column in self._columns(lmax).items():
                 lt, mt = ls + dl, ms + dm
-                src = np.nonzero((lt >= 0) & (np.abs(mt) <= lt))[0]
+                src = np.nonzero(support & (lt >= 0) & (np.abs(mt) <= lt))[0]
                 amp = column[src]
-                singular = ~np.isfinite(amp)
-                hit = src[singular & support[src]]
+                hit = src[~np.isfinite(amp)]
                 if hit.size:
                     raise DomainError(f"{self.name} is undefined on the ({ls[hit[0]]},{ms[hit[0]]}) mode")
-                amp[singular] = 0.0
                 ratio = np.sqrt((2.0 * ls[src] + 1.0) / (2.0 * lt[src] + 1.0))
                 stencil.append((src, flat_index(lt[src], mt[src]), amp * ratio))
         return stencil

@@ -26,7 +26,6 @@ from .expansions import (
     flat_index,
     graded_norm,
     graded_norms,
-    norm_weights,
 )
 from .report import BoundReport
 from .structural import OPERATORS, cos_theta_op
@@ -76,7 +75,7 @@ def functional_constant(p: int) -> float:
     plus an integral bound on the tail beyond it.  Diverges for ``p < 2``;
     rejected.
     """
-    if p < 2:
+    if as_integer(p, "order") < 2:
         raise ValueError("functional constant needs order p >= 2")
     lmax_tail = 4000
     degs = np.arange(lmax_tail + 1, dtype=np.float64)
@@ -152,43 +151,16 @@ def claim_margins(op_name: str, rows: np.ndarray, lmax: int):
 
     Returns ``(lhs, rhs)``, each of shape ``(trials, max_n + 1)``:
     ``lhs[t, n] = |A f_t|_n`` and ``rhs[t, n] = K_n * sum_q |f_t|_q``.
-    ``single_mode_margins`` gives the rows of the identity block.
+    A unit row's margins do not depend on ``lmax``: its stencil entries and
+    norm weights are functions of its own ``(l, m)`` and of its image's
+    modes, and every other term of its norms is an exact zero.
     """
     lmax = as_degree(lmax)
+    claim = _CLAIMS[op_name]
     out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
-    return _sides(_CLAIMS[op_name], lambda q: graded_norms(rows, lmax, q),
-                  lambda n: graded_norms(out, out_lmax, n))
-
-
-def single_mode_margins(op_name: str, lmax: int):
-    """``claim_margins(op_name, np.eye(K), lmax)``, bit for bit, from the stencil.
-
-    A unit mode's image holds one stencil entry per shift, so each norm is
-    the root of the per-shift terms' sum.  Adding zeros is exact and a sum of
-    two terms does not depend on their order, so the bits are the identity
-    block's for every operator of at most two shifts, as every claimed one is.
-    """
-    lmax = as_degree(lmax)
-    op = OPERATORS[op_name]()
-    K = (lmax + 1) ** 2
-    stencil = op._stencil(lmax, np.ones(K, dtype=bool))
-
-    def image_norms(n):
-        weights = norm_weights(lmax + op.band_growth, n)
-        terms = np.zeros((len(stencil), K))
-        for term, (src, tgt, coef) in zip(terms, stencil):
-            term[src] = weights[tgt] * (coef.real**2 + coef.imag**2)
-        return np.sqrt(terms.sum(axis=0))
-
-    # a unit row's order-q norm is the root of its one weight
-    return _sides(_CLAIMS[op_name], lambda q: np.sqrt(norm_weights(lmax, q)), image_norms)
-
-
-def _sides(claim: BoundClaim, source_norms, image_norms):
-    # (lhs, rhs) columns n = 0..max_n from the input's and the image's norms of order q
     ns = range(claim.max_n + 1)
-    source = {q: source_norms(q) for q in {q for n in ns for q in claim.indices(n)}}
-    lhs = np.column_stack([image_norms(n) for n in ns])
+    source = {q: graded_norms(rows, lmax, q) for q in {q for n in ns for q in claim.indices(n)}}
+    lhs = np.column_stack([graded_norms(out, out_lmax, n) for n in ns])
     rhs = np.column_stack(
         [claim.constant(n) * sum(source[q] for q in claim.indices(n)) for n in ns]
     )
@@ -207,13 +179,13 @@ def continuity_criterion_checks(op_names: Sequence[str], trials: int, seed: int,
     (``t % 8 == 7``) is a single high-degree mode instead of the smooth
     ensemble; those are the inputs that break over-optimistic claims.  Each
     report's ``lhs``/``rhs`` are the first worst margin in ``(trial, n)``
-    order.  Smooth trials are drawn and measured ``_TRIAL_BLOCK`` at a time,
-    so memory beyond the two ``(trials, max_n + 1)`` margin arrays per name
-    does not grow with ``trials``.  A probe of degree ``l`` is row
-    ``flat_index(l, m)`` of one ``single_mode_margins`` table at the highest
-    probe degree: a unit mode's margins do not depend on the table's degree.
-    Each smooth block and each probe is drawn once and measured against every
-    name, so each report equals the one-name call's.
+    order.  Smooth trials are drawn and measured ``_TRIAL_BLOCK`` at a time.
+    Each probe is a unit row at the highest probe degree, whose margins are
+    those at its own degree (``claim_margins``), measured in blocks of at
+    most ``_TRIAL_BLOCK * (lmax + 1)**2`` coefficients, a smooth block's
+    size.  So memory beyond the two ``(trials, max_n + 1)`` margin arrays per
+    name does not grow with ``trials``.  Each block is drawn once and
+    measured against every name, so each report equals the one-name call's.
     """
     return _criterion_checks(op_names, trials, seed, lmax, 0)[0]
 
@@ -227,21 +199,9 @@ def _criterion_checks(op_names, trials, seed, lmax, n_kept):
     kept = _random_rows([(seed, t) for t in range(n_kept)], lmax)
     lhs = [np.empty((trials, _CLAIMS[name].max_n + 1)) for name in op_names]
     rhs = [np.empty_like(a) for a in lhs]
-    smooth = np.flatnonzero(np.arange(trials) % 8 != 7)
-    # the kept trials as one block, then the rest _TRIAL_BLOCK at a time
-    first = int(np.count_nonzero(smooth < n_kept)) or _TRIAL_BLOCK
-    for at in np.split(smooth, range(first, smooth.size, _TRIAL_BLOCK)):
-        rows = kept[at] if at[0] < n_kept else _random_rows([(seed, t) for t in at.tolist()], lmax)
+    for at, rows, degree in _trial_blocks(trials, seed, lmax, kept):
         for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):
-            lhs_n[at], rhs_n[at] = claim_margins(name, rows, lmax)
-    # each rng draws its probe's degree, then its order
-    rngs = [substream(seed, t) for t in range(7, trials, 8)]
-    degrees = [int(rng.integers(lmax, 4 * lmax + 8)) for rng in rngs]
-    modes = [flat_index(l, int(rng.integers(-l, l + 1))) for rng, l in zip(rngs, degrees)]
-    if degrees:
-        for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):
-            unit_lhs, unit_rhs = single_mode_margins(name, max(degrees))
-            lhs_n[7::8], rhs_n[7::8] = unit_lhs[modes], unit_rhs[modes]
+            lhs_n[at], rhs_n[at] = claim_margins(name, rows, degree)
     reports = []
     for name, lhs_n, rhs_n in zip(op_names, lhs, rhs):
         t, n = np.unravel_index(np.argmin(rhs_n - lhs_n), lhs_n.shape)
@@ -258,3 +218,25 @@ def _criterion_checks(op_names, trials, seed, lmax, n_kept):
             )
         )
     return reports, kept
+
+
+def _trial_blocks(trials, seed, lmax, kept):
+    # (trial indices, rows, degree) per block: the kept smooth trials, then the
+    # other smooth ones _TRIAL_BLOCK at a time, then the probes as unit rows
+    smooth = np.flatnonzero(np.arange(trials) % 8 != 7)
+    first = int(np.count_nonzero(smooth < len(kept))) or _TRIAL_BLOCK
+    for at in np.split(smooth, range(first, smooth.size, _TRIAL_BLOCK)):
+        yield at, kept[at] if at[0] < len(kept) else _random_rows([(seed, t) for t in at.tolist()], lmax), lmax
+    # each rng draws its probe's degree, then its order
+    probes = np.arange(7, trials, 8)
+    rngs = [substream(seed, t) for t in probes.tolist()]
+    degrees = [int(rng.integers(lmax, 4 * lmax + 8)) for rng in rngs]
+    modes = [flat_index(l, int(rng.integers(-l, l + 1))) for rng, l in zip(rngs, degrees)]
+    top = max(degrees, default=lmax)
+    # at least 4 rows a block, as top < 4 * lmax + 8
+    size = _TRIAL_BLOCK * (lmax + 1) ** 2 // (top + 1) ** 2
+    for start in range(0, probes.size, size):
+        block = modes[start:start + size]
+        unit = np.zeros((len(block), (top + 1) ** 2), dtype=np.complex128)
+        unit[np.arange(len(block)), block] = 1.0
+        yield probes[start:start + size], unit, top

@@ -36,8 +36,8 @@ class HarmonicIndex:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.l, numbers.Integral) and isinstance(self.m, numbers.Integral)):
-            raise TypeError(f"degree and order must be integers, got l={self.l!r}, m={self.m!r}")
+        as_integer(self.l, "degree l")
+        as_integer(self.m, "order m")
         if self.l < 0:
             raise ValueError(f"degree must be >= 0, got l={self.l}")
         if abs(self.m) > self.l:
@@ -77,6 +77,15 @@ def as_integer(value, name: str) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_integer_arrays(name: str, *values) -> list[np.ndarray]:
+    """``values`` broadcast as int64 arrays; a float or bool one is refused, as by ``as_integer``, not truncated."""
+    arrays = [np.asarray(value) for value in values]
+    for value, array in zip(values, arrays):
+        if array.dtype.kind not in "iu":
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    return np.broadcast_arrays(*(a.astype(np.int64, copy=False) for a in arrays))
 
 
 def as_degree(lmax) -> int:
@@ -212,7 +221,7 @@ def norm_weights(lmax: int, n: int) -> np.ndarray:
     raise ``OverflowError``.
     """
     lmax = as_degree(lmax)
-    if n < 0:
+    if as_integer(n, "norm order") < 0:
         raise ValueError(f"norm order must be >= 0, got n={n}")
     if 2 * n * math.log(2 * lmax + 1) > _FLOAT_MAX_LOG:
         raise OverflowError(f"norm order n={n} overflows at lmax={lmax}")

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .expansions import as_degree, as_index, as_point, degree_order_arrays, flat_index
+from .expansions import as_degree, as_index, as_integer_arrays, as_point, degree_order_arrays, flat_index
 from .report import BoundReport
 
 SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
@@ -79,6 +79,7 @@ def table_row(lmax: int, l, m):
     Elementwise; a pair outside ``|m| <= l <= lmax`` raises ``ValueError``.
     """
     rows = _table_map(lmax)[0]
+    l, m = as_integer_arrays("table_row index", l, m)
     if not np.all((np.abs(m) <= l) & (l <= lmax)):
         raise ValueError(f"table_row needs |m| <= l <= lmax, with lmax={lmax}")
     return rows[flat_index(l, m)]

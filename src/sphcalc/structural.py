@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import GENERATOR_NAMES, Operator, _sq, generator
-from .expansions import HarmonicExpansion, as_index, degree_order_arrays, flat_index
+from .expansions import HarmonicExpansion, as_index, as_integer, as_integer_arrays, degree_order_arrays, flat_index
 from .legendre import orthonormal_sh_values
 from .transform import SampledField, SphereGrid, analyze, synthesize
 
@@ -43,7 +43,7 @@ def sin_exp_op(sign: int) -> Operator:
     Amplitudes follow from the degree recurrences of ``sqrt(1-x^2) P_l^m``
     with the transferred phase tracked, so the map is pointwise-correct.
     """
-    if sign == +1:
+    if as_integer(sign, "sign") == +1:
         return Operator("sinExp+", {
             (+1, +1): lambda l, m: -_sq((l + m + 1) * (l + m + 2)) / (2 * l + 1),
             (-1, +1): lambda l, m: _sq((l - m) * (l - m - 1)) / (2 * l + 1),
@@ -134,14 +134,6 @@ def pointwise_multiply_oracle(
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan coefficients and the harmonic product law
 
-def _index_arrays(*args) -> list[np.ndarray]:
-    """The arguments broadcast as int64 arrays; float or bool indices are refused, not truncated."""
-    arrays = [np.asarray(a) for a in args]
-    if any(a.dtype.kind not in "iu" for a in arrays):
-        raise TypeError(f"Clebsch-Gordan indices must be integers, got {[a.dtype.name for a in arrays]}")
-    return np.broadcast_arrays(*(a.astype(np.int64, copy=False) for a in arrays))
-
-
 def clebsch_gordan_array(l1, m1, l2, m2, L, M) -> np.ndarray:
     """Coupling coefficients ``<l1 m1 l2 m2 | L M>``, broadcast over integer arrays.
 
@@ -150,7 +142,7 @@ def clebsch_gordan_array(l1, m1, l2, m2, L, M) -> np.ndarray:
     Out-of-domain entries give 0, and so does the all-zero-order case with
     ``l1+l2+L`` odd, exactly, by parity.
     """
-    args = _index_arrays(l1, m1, l2, m2, L, M)
+    args = as_integer_arrays("Clebsch-Gordan index", l1, m1, l2, m2, L, M)
     l1, m1, l2, m2, L, M = args
     valid = (
         (M == m1 + m2)
@@ -208,7 +200,7 @@ def product_weights(l1, m1, l2, m2, L) -> np.ndarray:
     ``1/sqrt(2*pi)`` times the parity coupling ``<l1 0 l2 0|L 0>`` times
     ``<l1 m1 l2 m2|L M>``, over ``sqrt(L + 1/2)`` for the orthonormal basis.
     """
-    l1, m1, l2, m2, L = _index_arrays(l1, m1, l2, m2, L)
+    l1, m1, l2, m2, L = as_integer_arrays("Clebsch-Gordan index", l1, m1, l2, m2, L)
     # the parity coupling depends on the degrees alone: one evaluation per
     # distinct (l1, l2, L), each triple numbered in the box the entries span
     degrees = [a.ravel() - a.min(initial=0) for a in (l1, l2, L)]

@@ -319,6 +319,23 @@ def test_singular_amplitude_raises_no_warning():
             inv_sin.matrix(4)
 
 
+def test_stencil_covers_only_the_flagged_sources():
+    # a probe block flags a few modes of a degree-71 table; the stencil once
+    # gave every valid source an entry, about 5,000 per shift
+    ls, ms = degree_order_arrays(6)
+    support = np.isin(np.arange(ls.size), flat_index(np.array([2, 3, 6]), np.array([1, -2, 6])))
+    domain = (ms != 0) & (ms != -1)  # in every operator's domain, the flagged modes included
+    for name, make in OPERATORS.items():
+        op = make()
+        for (src, tgt, coef), (whole_src, whole_tgt, whole_coef) in zip(
+            op._stencil(6, support), op._stencil(6, domain), strict=True
+        ):
+            keep = support[whole_src]
+            assert src.tolist() == whole_src[keep].tolist(), name
+            assert tgt.tolist() == whole_tgt[keep].tolist(), name
+            assert coef.tobytes() == whole_coef[keep].tobytes(), name
+
+
 @pytest.mark.parametrize("expr, lmax", [
     (lambda: OPERATORS["K-"]() * OPERATORS["K+"](), 3),
     (lambda: OPERATORS["K+"]() * OPERATORS["K-"](), 3),

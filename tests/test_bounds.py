@@ -22,7 +22,8 @@ from sphcalc import (
     weak_eigen_cos,
 )
 from sphcalc import bounds, structural
-from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, single_mode_margins, substream
+from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, substream
+from sphcalc.expansions import flat_index
 from sphcalc.verify import suite_bounds
 
 from reference import suite_bounds_reference
@@ -300,36 +301,39 @@ def test_falsifier_memory_does_not_grow_with_trials():
     assert peak(4000) <= 1.5 * peak(500)
 
 
+def unit_rows(modes, lmax):
+    """One unit row per flat index in ``modes``, each of ``(lmax + 1)**2`` coefficients."""
+    rows = np.zeros((len(modes), (lmax + 1) ** 2), dtype=np.complex128)
+    rows[np.arange(len(modes)), modes] = 1.0
+    return rows
+
+
 @pytest.mark.parametrize("lmax", [0, 1, 2, 10, 24, 48])
 def test_single_mode_margins_equal_identity_rows(monkeypatch, lmax):
+    # a block of unit rows gets a stencil over its own modes only; each row's
+    # margins must be those it has beside a row carrying every mode, whose
+    # stencil is the whole identity block's
     K = (lmax + 1) ** 2
-    identity = np.eye(K, dtype=np.complex128)
+    units = unit_rows(np.arange(K - 1, -1, -11), lmax)
     for name, claim in [*_CLAIMS.items(), *FALSE_CLAIMS]:
         with monkeypatch.context() as patch:
             patch.setitem(_CLAIMS, name, claim)
-            got = single_mode_margins(name, lmax)
-            # the identity block in slices of 16 rows: rows are measured
-            # independently, and at l = 48 the whole block's image is 100 MB
-            slices = [claim_margins(name, identity[a:a + 16], lmax) for a in range(0, K, 16)]
-        for side, expected in zip(got, zip(*slices)):
-            assert side.tobytes() == np.concatenate(expected).tobytes(), (name, lmax)
+            sparse = claim_margins(name, units, lmax)
+            dense = claim_margins(name, np.vstack([units, np.ones((1, K))]), lmax)
+        for side, expected in zip(sparse, dense):
+            assert side.tobytes() == expected[:-1].tobytes(), (name, lmax)
 
 
-def test_claimed_operators_have_at_most_two_shifts():
-    # single_mode_margins sums each unit image's per-shift terms; with at most
-    # two nonzero terms that sum has the bits of the identity row's norm
-    for name in _CLAIMS:
-        assert len(OPERATORS[name]().shifts) <= 2, name
-
-
-@pytest.mark.parametrize("lmax", [0, 1, 16, 47])
-def test_single_mode_margins_do_not_depend_on_the_table_degree(lmax):
-    # the falsifier reads every probe from one table at its highest probe
+@pytest.mark.parametrize("l", [0, 1, 16, 47])
+def test_single_mode_margins_do_not_depend_on_the_table_degree(l):
+    # the falsifier measures every probe as a unit row at its highest probe
     # degree; 71 is the highest it reaches at lmax 16
-    K = (lmax + 1) ** 2
+    modes = flat_index(l, np.arange(-l, l + 1))
     for name in _CLAIMS:
-        for top, own in zip(single_mode_margins(name, 71), single_mode_margins(name, lmax)):
-            assert top[:K].tobytes() == own.tobytes(), name
+        top = claim_margins(name, unit_rows(modes, 71), 71)
+        own = claim_margins(name, unit_rows(modes, l), l)
+        for side, expected in zip(top, own):
+            assert side.tobytes() == expected.tobytes(), name
 
 
 def test_falsifiers_over_one_draw_match_per_trial(monkeypatch):
@@ -351,24 +355,27 @@ def test_falsifiers_over_one_draw_match_per_trial(monkeypatch):
 
 
 def test_suite_bounds_draws_once_and_builds_one_probe_table_per_operator(monkeypatch):
-    calls = {"rows": [], "tables": []}
-    draw, table = bounds._random_rows, bounds.single_mode_margins
+    calls = {"rows": [], "margins": []}
+    draw, margins = bounds._random_rows, bounds.claim_margins
 
     def counted_draw(seeds, *args, **kwargs):
         calls["rows"].append(list(seeds))
         return draw(seeds, *args, **kwargs)
 
-    def counted_table(name, lmax):
-        calls["tables"].append((name, lmax))
-        return table(name, lmax)
+    def counted_margins(name, rows, lmax):
+        calls["margins"].append((name, rows.shape[0], lmax))
+        return margins(name, rows, lmax)
 
     monkeypatch.setattr(bounds, "_random_rows", counted_draw)
-    monkeypatch.setattr(bounds, "single_mode_margins", counted_table)
+    monkeypatch.setattr(bounds, "claim_margins", counted_margins)
     suite_bounds(16, 50, 42)
     # one block of smooth draws serves the five falsifiers and the point functionals
     assert calls["rows"] == [[(42, t) for t in range(50)]]
-    assert [name for name, _ in calls["tables"]] == list(_CLAIMS)
-    assert len({lmax for _, lmax in calls["tables"]}) == 1
+    # then the six probes, one block of unit rows at the top probe degree
+    smooth, probes = calls["margins"][:len(_CLAIMS)], calls["margins"][len(_CLAIMS):]
+    assert smooth == [(name, 44, 16) for name in _CLAIMS]
+    top = probes[0][2]
+    assert top > 16 and probes == [(name, 6, top) for name in _CLAIMS]
 
 
 def test_suite_bounds_ranks_its_point_functionals_in_small_tables():
@@ -385,23 +392,24 @@ def test_suite_bounds_ranks_its_point_functionals_in_small_tables():
 
 def test_single_mode_margins_defaults_and_wider_operators(monkeypatch):
     # each call reads the operator's claim from the table
-    lhs, rhs = single_mode_margins("K+", 6)
+    identity = np.eye(49, dtype=np.complex128)
+    lhs, rhs = claim_margins("K+", identity, 6)
     claim = _CLAIMS["K+"]
     with monkeypatch.context() as patch:
         patch.setitem(_CLAIMS, "K+", BoundClaim(lambda n: 2.0 * claim.constant(n), claim.indices, claim.max_n))
-        doubled = single_mode_margins("K+", 6)
+        doubled = claim_margins("K+", identity, 6)
     assert doubled[0].tobytes() == lhs.tobytes() and doubled[1].tobytes() == (2.0 * rhs).tobytes()
     with pytest.raises(KeyError):
-        single_mode_margins("J+", 3)  # registered operator, no registered claim
-    # expIPhi has four shifts; its one unit image at lmax 0 holds two nonzero
-    # terms, so the per-shift sum still has the identity row's bits
+        claim_margins("J+", identity, 6)  # registered operator, no registered claim
+    # expIPhi has four shifts; the unit row's image norms are those of its applied image
     monkeypatch.setitem(_CLAIMS, "expIPhi", BoundClaim(lambda n: 1.0, lambda n: (n,), 2))
-    assert len(OPERATORS["expIPhi"]().shifts) == 4
-    expected = claim_margins("expIPhi", np.eye(1, dtype=np.complex128), 0)
-    for side, reference in zip(single_mode_margins("expIPhi", 0), expected):
-        assert side.tobytes() == reference.tobytes()
+    op = OPERATORS["expIPhi"]()
+    assert len(op.shifts) == 4
+    lhs, rhs = claim_margins("expIPhi", np.eye(1, dtype=np.complex128), 0)
+    image = op.apply(HarmonicExpansion.unit(0, 0))
+    assert lhs.tolist() == [[graded_norm(image, n) for n in range(3)]] and rhs.tolist() == [[1.0, 1.0, 1.0]]
     with pytest.raises(DomainError, match=re.escape("(1,-1)")):
-        single_mode_margins("expIPhi", 1)
+        claim_margins("expIPhi", unit_rows([flat_index(1, -1)], 1), 1)
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,19 @@ def test_apply_overflowing_image_is_usage_error(tmp_path, capsys, op, value, mes
     assert not (tmp_path / "o.json").exists()
 
 
+def test_apply_reads_no_amplitude_of_a_mode_the_input_lacks(tmp_path):
+    # 1.7e308*K- takes (1,0) to (0,0) with an amplitude whose product with the
+    # basis ratio sqrt(3) overflows; a document holding only (0,0) carries no
+    # (1,0) term, so its image is zero, where the overflow once exited 2
+    src = write_unit(tmp_path, 0, 0, 1)
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["apply", "--op=1.7e308*K-", "--in", str(src), "--out", str(out)]) == EXIT_OK
+    image = load_expansion(out)
+    assert image.lmax == 1 and not image.coeffs.any()
+
+
 def test_transform_round_trip(tmp_path):
     from sphcalc.bounds import random_expansion
 

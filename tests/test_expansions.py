@@ -35,7 +35,8 @@ def test_index_invariants():
 @pytest.mark.parametrize("l, m", [(1.5, 0.5), (1.9, 0.2), (2.0, 1), (1, 0.0)])
 def test_non_integer_index_parts_are_refused(l, m):
     # int() once truncated both parts: (1.9, 0.2) read and evaluated (1, 0)
-    message = rf"^degree and order must be integers, got l={l!r}, m={m!r}$"
+    name, value = ("order m", m) if type(l) is int else ("degree l", l)
+    message = rf"^{name} must be an integer, got {value!r}$"
     with pytest.raises(TypeError, match=message):
         HarmonicIndex(l, m)
     with pytest.raises(TypeError, match=message):

@@ -9,19 +9,23 @@ from scipy.special import lpmv, sph_harm_y
 from sphcalc import (
     SH_SUP_BOUND,
     HarmonicExpansion,
+    HarmonicIndex,
     analyze,
+    bound_point_functional,
     claim_margins,
     completeness_kernel,
     continuity_criterion_checks,
+    functional_constant,
     gauss_legendre,
     generator,
+    graded_norm,
     graded_norms,
     make_grid,
     orthonormal_legendre_table,
     orthonormal_sh_values,
     pde_residual,
     sh_eval,
-    single_mode_margins,
+    sin_exp_op,
     so3_casimir_check,
     synthesize,
     table_row,
@@ -399,7 +403,6 @@ DEGREE_CALLS = {
     "grid": lambda L: make_grid(L),
     "grid-entry": lambda L: make_grid(4).basis_table(L),
     "claim-margins": lambda L: claim_margins("L", np.ones((1, 9)), L),
-    "single-mode-margins": lambda L: single_mode_margins("L", L),
     "graded-norms": lambda L: graded_norms(np.ones((1, 9)), L, 1),
 }
 
@@ -422,8 +425,19 @@ def test_negative_degrees_name_one_error(call):
     (lambda n: gauss_legendre(n), "n"),
     (lambda T: continuity_criterion_checks(["L"], T, 0, 2), "trials"),
     (lambda T: suite_transforms(2, T, 0), "trials"),
+    (lambda l: HarmonicIndex(l, 0), "degree l"),
+    (lambda m: HarmonicIndex(2, m), "order m"),
+    (lambda l: table_row(4, l, 0), "table_row index"),
+    (lambda n: graded_norms(np.ones((1, 9)), 2, n), "norm order"),
+    (lambda n: graded_norm(random_expansion(3, 2), n), "norm order"),
+    (lambda p: functional_constant(p), "order"),
+    (lambda p: bound_point_functional(random_expansion(3, 2), (0.3, 0.4), p), "order"),
+    # 2 is no sign: the integer case passes np.int64(-1)
+    (lambda s: sin_exp_op(s - 3 if type(s) is np.int64 else s), "sign"),
 ], ids=[*DEGREE_CALLS, "expansion", "zeros", "unit", "with-lmax", "analyze",
-        "gauss-nodes", "criterion-trials", "suite-trials"])
+        "gauss-nodes", "criterion-trials", "suite-trials", "index-degree", "index-order",
+        "table-row-index", "norm-order", "graded-norm-order", "functional-order",
+        "point-bound-order", "sin-exp-sign"])
 def test_non_integer_degrees_name_one_error(call, name, degree):
     # these once failed inside range() or numpy, or took 1.0 or True as a
     # degree and failed later or not at all; a value cached as np.int64(2)
