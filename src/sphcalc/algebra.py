@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .expansions import HarmonicExpansion, degree_order_arrays, flat_index
+from .expansions import HarmonicExpansion, as_degree, degree_order_arrays, flat_index
 from .report import BoundReport
 
 
@@ -242,7 +242,7 @@ def derive_structure_constants(lmax: int):
     label carries a half-unit shift.  The unit is therefore always a basis
     column, and those central terms are its ``"1"`` coefficients.
     """
-    if lmax < 4:
+    if as_degree(lmax) < 4:
         raise ValueError("closure check needs lmax >= 4")
     gens = {name: generator(name) for name in GENERATOR_NAMES}
     bands = {name: op._band(lmax) for name, op in gens.items()}
@@ -269,6 +269,7 @@ def closure_check(lmax: int) -> BoundReport:
     outputs; the report carries the non-zero ones (rounded) in its details,
     including the central identity coefficients of the opposite-ladder pairs.
     """
+    lmax = as_degree(lmax)
     constants, worst = derive_structure_constants(lmax)
     table = {}
     for (a, b), comb in constants.items():
@@ -289,6 +290,7 @@ def closure_check(lmax: int) -> BoundReport:
 
 def so3_casimir_check(lmax: int) -> BoundReport:
     """``(J+J- + J-J+)/2 + M^2`` must act as ``l(l+1)``, to 1e-12, on every basis element."""
+    lmax = as_degree(lmax)
     jp, jm, M = generator("J+"), generator("J-"), generator("M")
     cas = 0.5 * (jp * jm + jm * jp) + M * M
     _, column = cas._band(lmax)
@@ -305,6 +307,7 @@ def so3_casimir_check(lmax: int) -> BoundReport:
 
 def boundary_vanishing_check(lmax: int) -> BoundReport:
     """Amplitudes must be exactly zero wherever the target leaves the triangle."""
+    lmax = as_degree(lmax)
     worst = 0.0
     ls, ms = degree_order_arrays(lmax)
     for name in GENERATOR_NAMES:

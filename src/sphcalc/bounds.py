@@ -22,6 +22,7 @@ from .expansions import (
     as_degree,
     as_integer,
     as_point,
+    at_least,
     degree_weights,
     flat_index,
     graded_norm,
@@ -75,8 +76,7 @@ def functional_constant(p: int) -> float:
     plus an integral bound on the tail beyond it.  Diverges for ``p < 2``;
     rejected.
     """
-    if as_integer(p, "order") < 2:
-        raise ValueError("functional constant needs order p >= 2")
+    p = at_least(p, "order", 2)
     lmax_tail = 4000
     degs = np.arange(lmax_tail + 1, dtype=np.float64)
     # from p = 43 the high-degree powers pass the double range: those terms are 0
@@ -96,7 +96,7 @@ def bound_point_functional(f: HarmonicExpansion, p, order: int, seed=None) -> Bo
         rhs=functional_constant(order) * graded_norm(f, order),
         seed=seed,
         lmax=f.lmax,
-        n=order,
+        n=as_integer(order, "order"),
     )
 
 
@@ -155,11 +155,11 @@ def claim_margins(op_name: str, rows: np.ndarray, lmax: int):
     norm weights are functions of its own ``(l, m)`` and of its image's
     modes, and every other term of its norms is an exact zero.
     """
-    lmax = as_degree(lmax)
     claim = _CLAIMS[op_name]
-    out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
     ns = range(claim.max_n + 1)
+    # first: graded_norms refuses a bad degree or row width before the operator reads the rows
     source = {q: graded_norms(rows, lmax, q) for q in {q for n in ns for q in claim.indices(n)}}
+    out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
     lhs = np.column_stack([graded_norms(out, out_lmax, n) for n in ns])
     rhs = np.column_stack(
         [claim.constant(n) * sum(source[q] for q in claim.indices(n)) for n in ns]
@@ -193,9 +193,7 @@ def continuity_criterion_checks(op_names: Sequence[str], trials: int, seed: int,
 def _criterion_checks(op_names, trials, seed, lmax, n_kept):
     # continuity_criterion_checks, returned with the smooth draws from (seed, t)
     # for every t < n_kept, drawn once: a row's margins do not depend on its block
-    trials = as_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials, seed, lmax = at_least(trials, "trials", 1), at_least(seed, "seed", 0), as_degree(lmax)
     kept = _random_rows([(seed, t) for t in range(n_kept)], lmax)
     lhs = [np.empty((trials, _CLAIMS[name].max_n + 1)) for name in op_names]
     rhs = [np.empty_like(a) for a in lhs]

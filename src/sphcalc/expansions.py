@@ -36,10 +36,8 @@ class HarmonicIndex:
     m: int
 
     def __post_init__(self):
-        as_integer(self.l, "degree l")
-        as_integer(self.m, "order m")
-        if self.l < 0:
-            raise ValueError(f"degree must be >= 0, got l={self.l}")
+        object.__setattr__(self, "l", at_least(self.l, "degree l", 0))
+        object.__setattr__(self, "m", as_integer(self.m, "order m"))
         if abs(self.m) > self.l:
             raise ValueError(f"order out of range: |m|={abs(self.m)} > l={self.l}")
 
@@ -76,6 +74,13 @@ def as_integer(value, name: str) -> int:
     """``value`` as an ``int``; a float, a bool or any other non-integer is refused, naming ``name``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def at_least(value, name: str, low: int) -> int:
+    """``as_integer(value, name)``, refusing also a value below ``low``, naming ``name``."""
+    if as_integer(value, name) < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -139,10 +144,10 @@ class HarmonicExpansion:
     def unit(cls, l: int, m: int, lmax: int | None = None) -> "HarmonicExpansion":
         """Basis expansion with a single coefficient 1 at ``(l, m)``."""
         idx = HarmonicIndex(l, m)
-        lmax = idx.l if lmax is None else lmax
+        lmax = idx.l if lmax is None else as_degree(lmax)
         if lmax < idx.l:
             raise ValueError("lmax too small for requested index")
-        c = np.zeros((as_degree(lmax) + 1) ** 2, dtype=np.complex128)
+        c = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
         c[flat_index(idx.l, idx.m)] = 1.0
         return cls(lmax, c)
 
@@ -221,8 +226,7 @@ def norm_weights(lmax: int, n: int) -> np.ndarray:
     raise ``OverflowError``.
     """
     lmax = as_degree(lmax)
-    if as_integer(n, "norm order") < 0:
-        raise ValueError(f"norm order must be >= 0, got n={n}")
+    n = at_least(n, "norm order", 0)
     if 2 * n * math.log(2 * lmax + 1) > _FLOAT_MAX_LOG:
         raise OverflowError(f"norm order n={n} overflows at lmax={lmax}")
     return degree_weights(lmax) ** (2 * n)
@@ -232,8 +236,11 @@ def graded_norms(table: np.ndarray, lmax: int, n: int) -> np.ndarray:
     """Order-``n`` graded norm of every row of a ``(..., K)`` coefficient table.
 
     Row ``r`` gives sqrt of sum of ``norm_weights(lmax, n)[k] * |table[r, k]|^2``.
+    A last axis other than ``K = (lmax + 1)**2`` is refused, not broadcast.
     """
     weights = norm_weights(lmax, n)
+    if table.shape[-1:] != weights.shape:
+        raise ValueError(f"table shape {table.shape}: rows need (lmax + 1)**2 = {weights.size} values at lmax={lmax}")
     mag2 = table.real**2 + table.imag**2
     return np.sqrt(np.sum(weights * mag2, axis=-1))
 

@@ -173,6 +173,7 @@ def uniform_bound_check(lmax: int) -> BoundReport:
     The supremum is attained (``m = 0`` at the poles), so the margin is zero
     up to roundoff; the report tolerance absorbs that.
     """
+    lmax = check_lmax(lmax)
     # |Y_l^m| = |N[row]| / sqrt(l + 1/2): phase factors drop out of the modulus.
     # Each row's largest modulus, then divided, gives the bits of the largest
     # quotient, as division by a positive constant rounds monotonically; one

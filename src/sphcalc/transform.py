@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from .expansions import HarmonicExpansion, as_degree, as_integer, as_point, degree_order_arrays
+from .expansions import HarmonicExpansion, as_degree, as_point, at_least, degree_order_arrays
 from .legendre import _table_map, check_lmax, orthonormal_legendre_table, orthonormal_sh_values
 from .report import BoundReport
 
@@ -49,9 +49,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     Solved and checked once per node count; every grid of that count shares
     the arrays.
     """
-    n = as_integer(n, "n")
-    if n < 1:
-        raise ValueError("need at least one node")
+    n = at_least(n, "n", 1)
     k = np.arange(n // 2 + 1, n + 1, dtype=np.float64)
     x = np.cos(math.pi * (k - 0.25) / (n + 0.5))  # descending from the centre
     for _ in range(100):
@@ -115,6 +113,7 @@ class SphereGrid:
         entry ``d + dmax``: the phi factor of every product of harmonics whose
         orders differ by ``d``, ``2*pi`` at ``d = 0`` and roundoff elsewhere
         while ``|d| < n_phi``."""
+        dmax = at_least(dmax, "dmax", 0)
         d = np.arange(-dmax, dmax + 1)
         return self.dphi * np.exp(1j * np.outer(d, self.phi)).sum(axis=1)
 
@@ -371,7 +370,7 @@ def orthonormality_check(lmax: int) -> BoundReport:
         anchor="integral of conj(Y_l^m) (l+1/2) Y_l'^m' over the sphere = delta_ll' delta_mm'",
         lhs=dev,
         rhs=1e-10,
-        lmax=lmax,
+        lmax=grid.lmax,
     )
 
 
@@ -424,56 +423,58 @@ def load_field(path) -> SampledField:
     per-line reference reader in ``tests/reference_io.py``, and loads the
     same bits.  After the leading ``#`` lines the body is parsed as one
     array by ``np.loadtxt``, which reads a subset of what the line loop
-    reads and rounds the same way; a body that parse refuses is read again
-    line by line, which accepts it as before or names the first bad line.
-    Either way the rows meet the declared grid in ``_field_on_grid``.
-    Bytes that are not UTF-8 are reported with the line they fall on (the
-    path alone for a pipe).
+    reads and rounds the same way; a document that parse refuses is read
+    again line by line, which accepts it as before or names the first bad
+    line in file order, a line that is not UTF-8 text included.  Either way
+    the rows meet the declared grid in ``_field_on_grid``.
     """
-    # the bulk reader and the decode report read the file again, so a pipe
-    # or other stream goes straight to the line loop, which reads it once
-    regular = os.path.isfile(path)
-    try:
-        field = _load_field_bulk(path) if regular else None
-        return field if field is not None else _load_field_lines(path)
-    except UnicodeDecodeError as exc:
-        where = f"{path}:{_undecodable_line(path)}" if regular else str(path)
-        raise FieldFileError(
-            f"{where}: not UTF-8 text: byte {exc.object[exc.start]:#04x}: {exc.reason}"
-        ) from exc
+    # a document the bulk reader refuses is read a second time, so a pipe or
+    # other stream goes straight to the line loop, which reads it once
+    field = _load_field_bulk(path) if os.path.isfile(path) else None
+    return field if field is not None else _load_field_lines(path)
 
 
 def _load_field_bulk(path) -> SampledField | None:
-    """The field read as one array, or ``None`` where the body does not parse
-    into finite rows of four values, so that the line loop names the line."""
+    """The field read as one array, or ``None`` where the text does not
+    decode, a header or the body does not parse, or a row is not four finite
+    values, so that the line loop names the line."""
     lmax = None
     body = np.empty((0, 4))
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text.startswith("#"):
-                lmax = _header_lmax(path, lineno, text, lmax)
-            elif text:
-                # comments=None: a later '#' line fails the parse, so only
-                # the line loop reads a header past the first row
-                try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if text.startswith("#"):
+                    lmax = _header_lmax(path, lineno, text, lmax)
+                elif text:
+                    # comments=None: a later '#' line fails the parse, so only
+                    # the line loop reads a header past the first row
                     body = np.loadtxt(itertools.chain([line], fh), dtype=np.float64,
                                       delimiter=",", comments=None, ndmin=2)
-                except ValueError:
-                    return None
-                break
+                    break
+    except ValueError:  # UnicodeDecodeError and FieldFileError among them
+        return None
     if body.shape[1] != 4 or not np.all(np.isfinite(body)):
         return None
     return _field_on_grid(path, lmax, body)
 
 
 def _load_field_lines(path) -> SampledField:
-    """Per-line loop: the field, or the first bad line's error."""
+    """Per-line loop over the raw bytes: the field, or the error of the first
+    bad line in file order.  Lines end where text-mode reading ends them
+    (``\\n``, ``\\r\\n`` or a lone ``\\r``), and each is decoded with its
+    ending, so a cut UTF-8 sequence reports what decoding the whole file does."""
     lmax = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        lines = (piece for chunk in fh for piece in chunk.splitlines(keepends=True))
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FieldFileError(
+                    f"{path}:{lineno}: not UTF-8 text: byte {raw[exc.start]:#04x}: {exc.reason}"
+                ) from exc
             if not line:
                 continue
             if line.startswith("#"):
@@ -511,14 +512,3 @@ def _field_on_grid(path, lmax, body: np.ndarray) -> SampledField:
         raise FieldFileError(f"{path}: row {off.argmax()} nodes do not match the declared grid")
     return SampledField(grid, np.ascontiguousarray(body[..., 2:]).view(np.complex128)[..., 0])
 
-
-def _undecodable_line(path) -> int:
-    """Line of the first byte sequence that is not UTF-8, counting lines as
-    text-mode reading does (``\\n``, ``\\r\\n`` or a lone ``\\r``)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1

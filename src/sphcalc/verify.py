@@ -18,7 +18,7 @@ from . import bounds as bnd
 from . import structural as st
 from .algebra import DomainError, boundary_vanishing_check, generator, so3_casimir_check
 from .expansions import (
-    HarmonicExpansion, SpherePoint, as_integer, degree_order_arrays, flat_index, graded_norms, hilbert_norm,
+    HarmonicExpansion, SpherePoint, at_least, degree_order_arrays, flat_index, graded_norms, hilbert_norm,
 )
 from .legendre import orthonormal_sh_values, uniform_bound_check
 from .report import BoundReport
@@ -36,9 +36,7 @@ _POINT_BLOCK = 8  # bounds-suite functions whose point values share one table
 
 
 def suite_transforms(lmax: int, trials: int, seed: int) -> list[BoundReport]:
-    trials = as_integer(trials, "trials")
-    if trials < 1:  # no trial would report round_trip and parseval as passed
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = at_least(trials, "trials", 1)  # no trial would report round_trip and parseval as passed
     reports = [uniform_bound_check(min(lmax, 64))]
     reports.append(orthonormality_check(lmax))
     grid = make_grid(lmax)

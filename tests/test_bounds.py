@@ -21,7 +21,7 @@ from sphcalc import (
     point_eval,
     weak_eigen_cos,
 )
-from sphcalc import bounds, structural
+from sphcalc import algebra, bounds, structural
 from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, substream
 from sphcalc.expansions import flat_index
 from sphcalc.verify import suite_bounds
@@ -472,3 +472,13 @@ def test_random_expansion_reproducible():
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
     c = random_expansion((3, 5), 6)
     assert np.max(np.abs(a.coeffs - c.coeffs)) > 0
+
+
+def test_claim_margins_refuse_rows_of_the_wrong_width_before_applying(monkeypatch):
+    # rows of one column once reached the operator and ended in an IndexError
+    def no_apply(self, rows, lmax):
+        raise AssertionError("the operator read rows of the wrong width")
+
+    monkeypatch.setattr(algebra.Operator, "_apply_table", no_apply)
+    with pytest.raises(ValueError, match=r"^table shape \(2, 1\): rows need \(lmax \+ 1\)\*\*2 = 9 values at lmax=2$"):
+        claim_margins("L", np.ones((2, 1)), 2)

@@ -111,6 +111,15 @@ def test_graded_norms_rows_equal_graded_norm_bitwise():
             assert graded_norms(table[t], lmax, n) == one
 
 
+@pytest.mark.parametrize("shape, lmax, n", [((3, 1), 2, 1), ((1,), 3, 0), ((2, 5), 1, 0), ((4, 0), 0, 2)])
+def test_graded_norms_refuse_a_table_of_the_wrong_width(shape, lmax, n):
+    # one column was broadcast against the (lmax + 1)**2 weights: np.ones((3, 1))
+    # at lmax 2 read 10.677 a row, np.ones(1) at lmax 3 read 4.0
+    with pytest.raises(ValueError, match=rf"^table shape \({shape[0]},.*\): rows need "
+                                         rf"\(lmax \+ 1\)\*\*2 = {(lmax + 1) ** 2} values at lmax={lmax}$"):
+        graded_norms(np.ones(shape), lmax, n)
+
+
 def test_norm_profile_examples():
     # the graded norms of orders 0..N
     f = HarmonicExpansion.unit(1, 0)

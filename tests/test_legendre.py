@@ -1,20 +1,32 @@
+import dataclasses
+import functools
+import inspect
 import math
 import tracemalloc
 import warnings
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.special import lpmv, sph_harm_y
 
+import sphcalc
 from sphcalc import (
     SH_SUP_BOUND,
     HarmonicExpansion,
     HarmonicIndex,
+    SphereGrid,
     analyze,
     bound_point_functional,
+    boundary_vanishing_check,
     claim_margins,
+    clebsch_gordan,
+    closure_check,
     completeness_kernel,
+    continuity_criterion_check,
     continuity_criterion_checks,
+    derive_structure_constants,
     functional_constant,
     gauss_legendre,
     generator,
@@ -23,7 +35,9 @@ from sphcalc import (
     make_grid,
     orthonormal_legendre_table,
     orthonormal_sh_values,
+    orthonormality_check,
     pde_residual,
+    pointwise_multiply_oracle,
     sh_eval,
     sin_exp_op,
     so3_casimir_check,
@@ -388,63 +402,169 @@ def test_stacked_table_holds_the_packed_rows(lmax):
     assert not table[padding].any()
 
 
-# every entry point that takes a degree, called at degree L
+class Row(NamedTuple):
+    """One integer argument of one entry point."""
+
+    call: Callable  # the entry point, that argument its one parameter
+    covers: str | None  # the exported "callable.parameter" it checks, None for a helper
+    name: str = "lmax"  # the argument as its errors name it
+    good: int = 2  # an integer the call accepts
+    negative: str | None = r"^lmax must be >= 0$"  # what -1 raises; None: -1 is accepted
+
+
+def _cg(at, index):
+    """``clebsch_gordan`` of <1 0 1 0|2 0> with argument ``at`` set to ``index``."""
+    args = [1, 0, 1, 0, 2, 0]
+    args[at] = index
+    return clebsch_gordan(*args)
+
+
+# ROADMAP item 15's one contract for integer arguments: per row, 2.0, 2.5 and
+# True raise TypeError naming the argument, -1 raises the row's ValueError or
+# is accepted, and a numpy integer gives the int's result, type for type
 DEGREE_CALLS = {
-    "table": lambda L: orthonormal_legendre_table(L, [0.3]),
-    "point-values": lambda L: orthonormal_sh_values(L, 0.3, 0.0),
-    "sup-scan": lambda L: uniform_bound_check(L),
-    "table-row": lambda L: table_row(L, 0, 0),
-    "flat-order": lambda L: degree_order_arrays(L),
-    "kernel": lambda L: completeness_kernel(L, (0.1, 0.2), (0.3, 0.4)),
-    "pde": lambda L: pde_residual(L, 1e-3),
-    "matrix": lambda L: generator("L").matrix(L),
-    "casimir": lambda L: so3_casimir_check(L),
-    "random-expansion": lambda L: random_expansion(3, L),
-    "grid": lambda L: make_grid(L),
-    "grid-entry": lambda L: make_grid(4).basis_table(L),
-    "claim-margins": lambda L: claim_margins("L", np.ones((1, 9)), L),
-    "graded-norms": lambda L: graded_norms(np.ones((1, 9)), L, 1),
+    "table": Row(lambda L: orthonormal_legendre_table(L, [0.3]), "orthonormal_legendre_table.lmax"),
+    "point-values": Row(lambda L: orthonormal_sh_values(L, 0.3, 0.0), "orthonormal_sh_values.lmax"),
+    "sup-scan": Row(uniform_bound_check, "uniform_bound_check.lmax"),
+    "table-row": Row(lambda L: table_row(L, 0, 0), "table_row.lmax"),
+    "flat-order": Row(degree_order_arrays, None),
+    "kernel": Row(lambda L: completeness_kernel(L, (0.1, 0.2), (0.3, 0.4)), "completeness_kernel.lmax"),
+    "pde": Row(lambda L: pde_residual(L, 1e-3), "pde_residual.lmax"),
+    "matrix": Row(lambda L: generator("L").matrix(L), "Operator.matrix.lmax"),
+    "casimir": Row(so3_casimir_check, "so3_casimir_check.lmax"),
+    "random-expansion": Row(lambda L: random_expansion(3, L), "random_expansion.lmax"),
+    "grid": Row(make_grid, "make_grid.lmax"),
+    "grid-class": Row(SphereGrid, "SphereGrid.lmax"),
+    "grid-entry": Row(lambda L: make_grid(4).basis_table(L), "SphereGrid.basis_table.lmax"),
+    "claim-margins": Row(lambda L: claim_margins("L", np.ones((1, 9)), L), "claim_margins.lmax"),
+    "graded-norms": Row(lambda L: graded_norms(np.ones((1, 9)), L, 1), "graded_norms.lmax"),
+    "expansion": Row(lambda L: HarmonicExpansion(L, np.zeros(9)), "HarmonicExpansion.lmax"),
+    "zeros": Row(HarmonicExpansion.zeros, "HarmonicExpansion.zeros.lmax"),
+    # at l = 2 a degree of True is below the index, which once hid the check
+    "unit": Row(lambda L: HarmonicExpansion.unit(2, 0, L), "HarmonicExpansion.unit.lmax"),
+    "with-lmax": Row(lambda L: HarmonicExpansion.zeros(1).with_lmax(L), "HarmonicExpansion.with_lmax.lmax"),
+    "analyze": Row(lambda L: analyze(synthesize(random_expansion(3, 2), make_grid(2)), L), "analyze.lmax"),
+    "oracle": Row(lambda L: pointwise_multiply_oracle(random_expansion(3, 2), lambda t, p: np.cos(t), L,
+                                                      make_grid(4)), "pointwise_multiply_oracle.out_lmax"),
+    "orthonormality": Row(orthonormality_check, "orthonormality_check.lmax"),
+    "boundary": Row(boundary_vanishing_check, "boundary_vanishing_check.lmax"),
+    # the closure fit needs lmax >= 4: compared with it, True and 2.0 were refused as too small
+    "closure": Row(closure_check, "closure_check.lmax", good=4),
+    "structure-constants": Row(derive_structure_constants, "derive_structure_constants.lmax", good=4),
+    "criterion-lmax": Row(lambda L: continuity_criterion_checks(["L"], 9, 0, L), "continuity_criterion_checks.lmax"),
+    "criterion-one-lmax": Row(lambda L: continuity_criterion_check("L", 9, 0, L), "continuity_criterion_check.lmax"),
+    "gauss-nodes": Row(gauss_legendre, "gauss_legendre.n", "n", negative=r"^n must be >= 1, got -1$"),
+    "criterion-trials": Row(lambda T: continuity_criterion_checks(["L"], T, 0, 2), "continuity_criterion_checks.trials",
+                            "trials", negative=r"^trials must be >= 1, got -1$"),
+    "criterion-one-trials": Row(lambda T: continuity_criterion_check("L", T, 0, 2), "continuity_criterion_check.trials",
+                                "trials", negative=r"^trials must be >= 1, got -1$"),
+    "suite-trials": Row(lambda T: suite_transforms(2, T, 0), None, "trials", negative=r"^trials must be >= 1, got -1$"),
+    # True was written into the record as "seed": true, and 2.5 and -1 failed inside numpy
+    "criterion-seed": Row(lambda s: continuity_criterion_checks(["L"], 9, s, 2), "continuity_criterion_checks.seed",
+                          "seed", negative=r"^seed must be >= 0, got -1$"),
+    "criterion-one-seed": Row(lambda s: continuity_criterion_check("L", 9, s, 2), "continuity_criterion_check.seed",
+                              "seed", negative=r"^seed must be >= 0, got -1$"),
+    # 2.5 gave six sums, True three, and -2 none
+    "phi-sums": Row(lambda d: make_grid(2).phi_sums(d), "SphereGrid.phi_sums.dmax", "dmax",
+                    negative=r"^dmax must be >= 0, got -1$"),
+    "index-degree": Row(lambda l: HarmonicIndex(l, 0), "HarmonicIndex.l", "degree l",
+                        negative=r"^degree l must be >= 0, got -1$"),
+    "index-order": Row(lambda m: HarmonicIndex(2, m), "HarmonicIndex.m", "order m", negative=None),
+    "unit-degree": Row(lambda l: HarmonicExpansion.unit(l, 0, 3), "HarmonicExpansion.unit.l", "degree l",
+                       negative=r"^degree l must be >= 0, got -1$"),
+    "unit-order": Row(lambda m: HarmonicExpansion.unit(2, m, 3), "HarmonicExpansion.unit.m", "order m", negative=None),
+    "table-row-index": Row(lambda l: table_row(4, l, 0), None, "table_row index",
+                           negative=r"^table_row needs \|m\| <= l <= lmax, with lmax=4$"),
+    # a coefficient outside the coupling rules is 0, a negative index included
+    **{f"clebsch-gordan-{arg}": Row(functools.partial(_cg, at), f"clebsch_gordan.{arg}", "Clebsch-Gordan index",
+                                    negative=None)
+       for at, arg in enumerate(["l1", "m1", "l2", "m2", "L", "M"])},
+    "norm-order": Row(lambda n: graded_norms(np.ones((1, 9)), 2, n), "graded_norms.n", "norm order",
+                      negative=r"^norm order must be >= 0, got -1$"),
+    "graded-norm-order": Row(lambda n: graded_norm(random_expansion(3, 2), n), "graded_norm.n", "norm order",
+                             negative=r"^norm order must be >= 0, got -1$"),
+    "functional-order": Row(functional_constant, "functional_constant.p", "order",
+                            negative=r"^order must be >= 2, got -1$"),
+    "point-bound-order": Row(lambda p: bound_point_functional(random_expansion(3, 2), (0.3, 0.4), p),
+                             "bound_point_functional.order", "order",
+                             negative=r"^order must be >= 2, got -1$"),
+    # 2 is no sign
+    "sin-exp-sign": Row(lambda s: sin_exp_op(s).matrix(2), "sin_exp_op.sign", "sign", good=-1, negative=None),
 }
 
+# exported integer parameters that have no row, each with its reason
+NO_ROW = {f"BoundReport.{field}": "a record field, stored as the check that builds the record passes it"
+          for field in ("seed", "lmax", "n")}
 
-@pytest.mark.parametrize("call", DEGREE_CALLS.values(), ids=DEGREE_CALLS)
-def test_negative_degrees_name_one_error(call):
+
+@pytest.mark.parametrize("row", DEGREE_CALLS.values(), ids=DEGREE_CALLS)
+def test_negative_degrees_name_one_error(row):
     # these once raised a bare IndexError or "need at least one array to concatenate"
-    with pytest.raises(ValueError, match=r"^lmax must be >= 0$"):
-        call(-1)
+    if row.negative is None:
+        row.call(-1)
+    else:
+        with pytest.raises(ValueError, match=row.negative):
+            row.call(-1)
 
 
 @pytest.mark.parametrize("degree", [2.5, 2.0, True])
-@pytest.mark.parametrize("call, name", [
-    *((call, "lmax") for call in DEGREE_CALLS.values()),
-    (lambda L: HarmonicExpansion(L, np.zeros(9)), "lmax"),
-    (lambda L: HarmonicExpansion.zeros(L), "lmax"),
-    (lambda L: HarmonicExpansion.unit(1, 0, L), "lmax"),
-    (lambda L: HarmonicExpansion.zeros(1).with_lmax(L), "lmax"),
-    (lambda L: analyze(synthesize(random_expansion(3, 2), make_grid(2)), L), "lmax"),
-    (lambda n: gauss_legendre(n), "n"),
-    (lambda T: continuity_criterion_checks(["L"], T, 0, 2), "trials"),
-    (lambda T: suite_transforms(2, T, 0), "trials"),
-    (lambda l: HarmonicIndex(l, 0), "degree l"),
-    (lambda m: HarmonicIndex(2, m), "order m"),
-    (lambda l: table_row(4, l, 0), "table_row index"),
-    (lambda n: graded_norms(np.ones((1, 9)), 2, n), "norm order"),
-    (lambda n: graded_norm(random_expansion(3, 2), n), "norm order"),
-    (lambda p: functional_constant(p), "order"),
-    (lambda p: bound_point_functional(random_expansion(3, 2), (0.3, 0.4), p), "order"),
-    # 2 is no sign: the integer case passes np.int64(-1)
-    (lambda s: sin_exp_op(s - 3 if type(s) is np.int64 else s), "sign"),
-], ids=[*DEGREE_CALLS, "expansion", "zeros", "unit", "with-lmax", "analyze",
-        "gauss-nodes", "criterion-trials", "suite-trials", "index-degree", "index-order",
-        "table-row-index", "norm-order", "graded-norm-order", "functional-order",
-        "point-bound-order", "sin-exp-sign"])
-def test_non_integer_degrees_name_one_error(call, name, degree):
+@pytest.mark.parametrize("row", DEGREE_CALLS.values(), ids=DEGREE_CALLS)
+def test_non_integer_degrees_name_one_error(row, degree):
     # these once failed inside range() or numpy, or took 1.0 or True as a
-    # degree and failed later or not at all; a value cached as np.int64(2)
-    # must not let 2.0 through
-    call(np.int64(2))
-    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {degree!r}$"):
-        call(degree)
+    # degree and failed later or not at all; a value cached as a numpy
+    # integer must not let 2.0 through
+    row.call(np.int64(row.good))
+    with pytest.raises(TypeError, match=rf"^{row.name} must be an integer, got {degree!r}$"):
+        row.call(degree)
+
+
+def _parts(value):
+    """``value`` as nested tuples of types, reprs and array bytes: two
+    results give equal parts only if every part has the same type and bits."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (tuple, list)):
+        return (type(value), *map(_parts, value))
+    if isinstance(value, dict):
+        return (dict, *((_parts(k), _parts(v)) for k, v in value.items()))
+    if dataclasses.is_dataclass(value):
+        return (type(value), *(_parts(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, (HarmonicExpansion, SphereGrid)):
+        return (type(value), *(_parts(getattr(value, s)) for s in type(value).__slots__ if s[0] != "_"))
+    return (type(value), repr(value))
+
+
+@pytest.mark.parametrize("row", DEGREE_CALLS.values(), ids=DEGREE_CALLS)
+def test_numpy_integers_give_the_int_result(row):
+    assert _parts(row.call(np.int64(row.good))) == _parts(row.call(row.good))
+
+
+def _integer_parameters():
+    """``"callable.parameter"`` for every parameter annotated ``int`` or ``int | None``
+    of a callable that ``sphcalc`` exports, or of an exported class's public methods."""
+    targets = []
+    for name, value in vars(sphcalc).items():
+        if name.startswith("_") or not callable(value):
+            continue
+        targets.append((name, value))
+        if inspect.isclass(value):
+            targets += [(f"{name}.{attr}", getattr(value, attr)) for attr in vars(value)
+                        if not attr.startswith("_") and callable(getattr(value, attr))]
+    found = set()
+    for name, target in targets:
+        try:
+            parameters = inspect.signature(target).parameters.values()
+        except ValueError:  # a class that inherits a builtin's constructor
+            continue
+        found.update(f"{name}.{p.name}" for p in parameters if p.annotation in ("int", "int | None"))
+    return found
+
+
+def test_every_integer_parameter_of_the_api_has_a_row():
+    # a new entry point cannot skip the contract: its integer arguments need a
+    # row above, or an entry in NO_ROW with the reason
+    covered = {row.covers for row in DEGREE_CALLS.values()} - {None}
+    assert sorted(_integer_parameters()) == sorted(covered | set(NO_ROW))
 
 
 def _refused_peak(call):

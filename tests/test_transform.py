@@ -1114,6 +1114,60 @@ def test_field_document_from_a_pipe_is_read_once(tmp_path, field_text):
     assert expected[0] == "ok" and got == expected
 
 
+def test_the_first_bad_line_in_file_order_is_reported(tmp_path, field_text):
+    # text-mode reading decoded ahead of the loop, so the undecodable byte on
+    # line 9 was reported before the bad number on line 3
+    lines = _set(field_text, 0, 3, "x").encode("utf-8").splitlines(keepends=True)
+    lines[8] = lines[8].replace(b",", b",\xff", 1)
+    path = tmp_path / "field.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(FieldFileError, match=re.escape(f"{path}:3: bad number: ")):
+        load_field(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_non_utf8_field_document_from_a_pipe_names_the_line(field_text):
+    # a pipe is read once, so its undecodable byte was reported with the path alone
+    lines = field_text.encode("utf-8").splitlines(keepends=True)
+    lines[5] = lines[5].replace(b",", b",\xff", 1)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"".join(lines))
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(FieldFileError) as raised:
+            load_field(path)
+    finally:
+        os.close(read_end)
+    assert str(raised.value) == f"{path}:6: not UTF-8 text: byte 0xff: invalid start byte"
+
+
+def _decode_fault(data):
+    """What decoding all of ``data`` as UTF-8 reports: the byte and the reason."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"byte {data[exc.start]:#04x}: {exc.reason}"
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("at_end", [False, True], ids=["mid-file", "end-of-file"])
+def test_a_cut_utf8_sequence_reports_what_decoding_the_whole_file_does(tmp_path, field_text, ending, at_end):
+    # each line is decoded with its ending, so the cut sequence b"\xe2" meets the
+    # ending as the whole file's decode does, not the end of a stripped line
+    lines = field_text.encode("utf-8").splitlines()
+    at = len(lines) - 1 if at_end else 4
+    lines[at] += b"\xe2"
+    data = ending.join(lines) + (b"" if at_end else ending)
+    path = tmp_path / "field.csv"
+    path.write_bytes(data)
+    fault = _decode_fault(data)
+    assert fault == ("byte 0xe2: unexpected end of data" if at_end else "byte 0xe2: invalid continuation byte")
+    with pytest.raises(FieldFileError) as raised:
+        load_field(path)
+    assert str(raised.value) == f"{path}:{at + 1}: not UTF-8 text: {fault}"
+
+
 def test_clean_field_document_skips_the_line_loop(tmp_path, monkeypatch, field_text):
     def no_loop(path):
         raise AssertionError("line loop ran for a clean document")
