@@ -34,6 +34,7 @@ from .transform import point_eval
 
 DEFAULT_DECAY = 6.0
 _TRIAL_BLOCK = 256  # smooth falsifier trials drawn and measured together
+WEAK_EIGEN_TOL = 1e-10  # relative tolerance of weak_eigen_cos and of suite_bounds' screen for it
 
 
 def _seed_entropy(seed):
@@ -104,7 +105,7 @@ def weak_eigen_cos(f: HarmonicExpansion, p, seed=None) -> BoundReport:
     """Weak eigenrelation of ``cos(theta)`` against one test function.
 
     Compares ``(cos(Theta) f)(p)`` with ``cos(theta_p) * f(p)``; equality up
-    to roundoff (relative 1e-10) is the assertable form of the generalized
+    to roundoff (relative ``WEAK_EIGEN_TOL``) is the assertable form of the generalized
     eigenvalue statement for the evaluation functionals.
     """
     p = as_point(p)
@@ -115,7 +116,7 @@ def weak_eigen_cos(f: HarmonicExpansion, p, seed=None) -> BoundReport:
         check="weak_eigen_cos",
         anchor="(cos(Theta) f)(theta,phi) = cos(theta) f(theta,phi)",
         lhs=abs(lhs_val - rhs_val),
-        rhs=1e-10 * scale,
+        rhs=WEAK_EIGEN_TOL * scale,
         seed=seed,
         lmax=f.lmax,
     )

@@ -95,9 +95,7 @@ def as_integer_arrays(name: str, *values) -> list[np.ndarray]:
 
 def as_degree(lmax) -> int:
     """A degree ``lmax`` as an ``int``; anything but an integer >= 0 is refused."""
-    if as_integer(lmax, "lmax") < 0:
-        raise ValueError("lmax must be >= 0")
-    return int(lmax)
+    return at_least(lmax, "lmax", 0)
 
 
 def flat_index(l, m):

@@ -24,7 +24,8 @@ from functools import partial
 import numpy as np
 
 from .algebra import GENERATOR_NAMES, Operator, _sq, generator
-from .expansions import HarmonicExpansion, as_index, as_integer, as_integer_arrays, degree_order_arrays, flat_index
+from .expansions import (HarmonicExpansion, as_index, as_integer, as_integer_arrays, at_least,
+                         degree_order_arrays, flat_index)
 from .legendre import orthonormal_sh_values
 from .transform import SampledField, SphereGrid, analyze, synthesize
 
@@ -125,10 +126,10 @@ def pointwise_multiply_oracle(
     arrays.  Exact whenever the product is band-limited at ``out_lmax`` and
     ``grid.lmax >= max(out_lmax, f.lmax) + 1``.
     """
+    out_lmax = at_least(out_lmax, "out_lmax", 0)  # before any transform runs
     field = synthesize(f.with_lmax(max(grid.lmax, f.lmax)), grid)  # a coarse grid refuses, naming both
     tt, pp = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    product = SampledField(grid, field.samples * multiplier(tt, pp))
-    return analyze(product, out_lmax)
+    return analyze(SampledField(grid, field.samples * multiplier(tt, pp)), out_lmax)
 
 
 # ---------------------------------------------------------------------------

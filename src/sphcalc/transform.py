@@ -167,10 +167,10 @@ class SampledField:
 
 # samples per worker: a transform of at least twice this many deals its block
 # products and its phi-stage FFT rows to one thread per this many, at most one
-# per usable core.  On a 2-core x86 host two threads won at least 7 of 8
-# timing rounds from one L=176 field (62,658 samples) up, broke even near one
-# L=160 field (51,842) and lost on two L=128 rows (66,564), whose element-wise
-# stages, run by the caller alone, grow with the rows
+# per usable core.  BENCH_36.json: on a 2-core x86 host, L=256 transform_warm
+# (132,098 samples, two workers) against the same tree with nothing split read
+# a latency_p50_ms of 21.5 vs 28.4 ms host-scaled (12/12 order-alternated
+# pairs) and 18.4 vs 19.8 ms wall-clock (9/12)
 SPLIT_SAMPLES = 36_000
 
 

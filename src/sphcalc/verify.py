@@ -333,7 +333,7 @@ def suite_bounds(lmax: int, trials: int, seed: int) -> list[BoundReport]:
     lhs = np.einsum("tk,tk->t", orthonormal_sh_values(image_lmax, x[:, -1], phi[:, -1]), image)
     rhs = x[:, -1] * values[:, -1]
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    for t in np.flatnonzero(np.abs(lhs - rhs) > 0.5e-10 * scale).tolist():
+    for t in np.flatnonzero(np.abs(lhs - rhs) > 0.5 * bnd.WEAK_EIGEN_TOL * scale).tolist():
         last = SpherePoint(float(theta[t, -1]), float(phi[t, -1]))
         r = bnd.weak_eigen_cos(HarmonicExpansion(lmax, rows[t]), last, seed=seed)
         if r.margin < 0:

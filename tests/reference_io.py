@@ -4,7 +4,9 @@ These are the coefficient and field document functions as they stood before
 the library moved to whole-array I/O.  Tests require the library's writers to
 produce the same bytes as ``save_expansion`` and ``save_field`` here, and its
 readers to return the same bits, or raise the same exception with the same
-message, as ``load_expansion`` and ``load_field`` here.
+message, as ``load_expansion`` and ``load_field`` here.  ``load_field`` also
+states the field reader's rule for bytes that are not UTF-8, from one decode
+of the whole file where the reader decodes line by line.
 """
 
 from __future__ import annotations
@@ -100,8 +102,18 @@ def save_field(field: SampledField, path) -> None:
 def load_field(path) -> SampledField:
     lmax = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # the whole file decoded at once, each undecodable byte kept as an escape:
+    # the first line that holds one is refused, naming the byte and the reason
+    # that decoding that line's bytes gives
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            raw = line.encode("utf-8", "surrogateescape")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FieldFileError(
+                    f"{path}:{lineno}: not UTF-8 text: byte {raw[exc.start]:#04x}: {exc.reason}"
+                ) from exc
             line = line.strip()
             if not line:
                 continue

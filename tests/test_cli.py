@@ -237,7 +237,7 @@ def test_transform_analyze_negative_lmax_is_usage_error(tmp_path, capsys):
     out = tmp_path / "o.json"
     code = main(["transform", "analyze", "--in", str(field), "--lmax", "-1", "--out", str(out)])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == "error: lmax must be >= 0\n"
+    assert capsys.readouterr().err == "error: lmax must be >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -409,7 +409,7 @@ class Row(NamedTuple):
     covers: str | None  # the exported "callable.parameter" it checks, None for a helper
     name: str = "lmax"  # the argument as its errors name it
     good: int = 2  # an integer the call accepts
-    negative: str | None = r"^lmax must be >= 0$"  # what -1 raises; None: -1 is accepted
+    negative: str | None = r"^lmax must be >= 0, got -1$"  # what -1 raises; None: -1 is accepted
 
 
 def _cg(at, index):
@@ -444,8 +444,10 @@ DEGREE_CALLS = {
     "unit": Row(lambda L: HarmonicExpansion.unit(2, 0, L), "HarmonicExpansion.unit.lmax"),
     "with-lmax": Row(lambda L: HarmonicExpansion.zeros(1).with_lmax(L), "HarmonicExpansion.with_lmax.lmax"),
     "analyze": Row(lambda L: analyze(synthesize(random_expansion(3, 2), make_grid(2)), L), "analyze.lmax"),
+    # checked first, naming out_lmax: 2.5 once failed in the last step's analyze, as "lmax"
     "oracle": Row(lambda L: pointwise_multiply_oracle(random_expansion(3, 2), lambda t, p: np.cos(t), L,
-                                                      make_grid(4)), "pointwise_multiply_oracle.out_lmax"),
+                                                      make_grid(4)), "pointwise_multiply_oracle.out_lmax",
+                  "out_lmax", negative=r"^out_lmax must be >= 0, got -1$"),
     "orthonormality": Row(orthonormality_check, "orthonormality_check.lmax"),
     "boundary": Row(boundary_vanishing_check, "boundary_vanishing_check.lmax"),
     # the closure fit needs lmax >= 4: compared with it, True and 2.0 were refused as too small

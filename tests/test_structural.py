@@ -291,6 +291,18 @@ def test_oracle_on_a_coarse_grid_gives_the_grids_error(monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("out_lmax, error", [(2.5, TypeError), (-1, ValueError)])
+def test_oracle_checks_out_lmax_before_it_transforms(monkeypatch, out_lmax, error):
+    # out_lmax was once checked only by the last step's analyze, after the
+    # synthesis and the product, and its errors named "lmax"
+    def no_synthesis(*args):
+        raise AssertionError("synthesized before out_lmax was checked")
+
+    monkeypatch.setattr(structural, "synthesize", no_synthesis)
+    with pytest.raises(error, match="^out_lmax must be "):
+        pointwise_multiply_oracle(random_expansion(3, 2), lambda t, p: np.cos(t), out_lmax, make_grid(4))
+
+
 def test_structural_suite_oracle_calls_and_grid_tables(monkeypatch):
     # the three banded-vs-pointwise checks share one grid of degree lmax + 2,
     # whose table is built once; the exp(i phi) record makes one oracle call

@@ -601,7 +601,7 @@ def test_grid_too_coarse_errors(monkeypatch):
     assert grid._entry is None and builds == []
     # a negative degree is refused too, even once an entry is stored
     entry = grid.basis_table(2)
-    with pytest.raises(ValueError, match="^lmax must be >= 0$"):
+    with pytest.raises(ValueError, match="^lmax must be >= 0, got -1$"):
         grid.basis_table(-1)
     assert grid._entry is entry and builds == [2]
 
@@ -1051,26 +1051,44 @@ def test_field_reader_matches_reference_reader(tmp_path, field_text, variant):
     assert reference_io.outcome(load_field, path) == expected
 
 
-FIELD_PIECES = hs.sampled_from([",", " ", "#", "\r", "\n", "\t", "e", "+", "-", ".", "_", "0", "1",
-                                "9", "nan", "inf", "lmax=", "=", "x", "\x00", "\x1c", "\x1f",
-                                "\xa0", "﻿", "١"])
+# text pieces, encoded, then raw bytes: not UTF-8 (a lone 0xff, a three-byte
+# sequence cut after one byte or two), a whole two-byte sequence, two line ends
+FIELD_PIECES = hs.sampled_from([p.encode("utf-8") for p in [
+    ",", " ", "#", "\n", "\t", "e", "+", "-", ".", "_", "0", "1", "9", "nan", "inf", "lmax=", "=", "x",
+    "\x00", "\x1c", "\x1f", "\xa0", "﻿", "١"]] + [b"\xff", b"\xe2", b"\xe2\x82", b"\xc3\xa9", b"\r", b"\r\n"])
 
 
+def _pipe_outcome(data, path):
+    """``load_field``'s outcome on ``data`` read from a pipe, its errors naming ``path``."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        got = reference_io.outcome(load_field, pipe)
+    finally:
+        os.close(read_end)
+    return got[:2] + (got[2].replace(pipe, str(path)),) if got[0] == "error" else got
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(hs.data())
 def test_field_reader_matches_reference_on_damaged_text(tmp_path_factory, field_text, data):
-    text = field_text
+    # a regular file may take the bulk path first, a pipe goes to the line
+    # loop at once: both must give the reference's outcome
+    doc = field_text.encode("utf-8")
     for _ in range(data.draw(hs.integers(1, 3))):
-        at = data.draw(hs.integers(0, len(text)))
+        at = data.draw(hs.integers(0, len(doc)))
         if data.draw(hs.booleans()):
-            pieces = data.draw(hs.lists(FIELD_PIECES, min_size=1, max_size=3))
-            text = text[:at] + "".join(pieces) + text[at:]
+            doc = doc[:at] + b"".join(data.draw(hs.lists(FIELD_PIECES, min_size=1, max_size=3))) + doc[at:]
         else:
-            text = text[:at] + text[at + data.draw(hs.integers(1, 8)):]
+            doc = doc[:at] + doc[at + data.draw(hs.integers(1, 8)):]
     path = tmp_path_factory.mktemp("doc") / "field.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(doc)
     expected = reference_io.outcome(reference_io.load_field, path)
     assert reference_io.outcome(load_field, path) == expected
+    assert _pipe_outcome(doc, path) == expected
 
 
 # every str.isspace() character but the two that end a line
