@@ -47,8 +47,8 @@ def _seed_entropy(seed):
 
 
 def substream(*seed) -> np.random.Generator:
-    """Deterministic generator for a seed path of integers and labels."""
-    return np.random.default_rng(_seed_entropy(seed))
+    """Deterministic generator for a seed path of integers and labels (``default_rng``'s stream)."""
+    return np.random.Generator(np.random.PCG64(_seed_entropy(seed)))
 
 
 def _random_rows(seeds, lmax: int, decay: float = DEFAULT_DECAY) -> np.ndarray:
@@ -57,7 +57,7 @@ def _random_rows(seeds, lmax: int, decay: float = DEFAULT_DECAY) -> np.ndarray:
     K = scale.size
     rows = np.empty((len(seeds), K), dtype=np.complex128)
     for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(_seed_entropy(seed))
+        rng = np.random.Generator(np.random.PCG64(_seed_entropy(seed)))
         rows[i] = scale * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
     return rows
 

@@ -11,13 +11,13 @@ Every harmonic value comes from one fully-normalised recurrence,
 ``orthonormal_legendre_table``, into one table layout (``_table_map``: per
 group of ``GROUP`` orders and parity of ``l+m`` one zero-padded block), read
 through one per-flat-index map by point values (``orthonormal_sh_values``,
-``sh_eval``), the sup-bound scan and the transforms' grids.  It is the only
-recurrence for harmonic values (the Gauss node solve in ``transform`` runs a
-plain ``P_n`` recurrence of its own); the plain ``P_l^m`` recurrence it is
-tested against is ``assoc_legendre`` in ``tests/reference.py``.  Its
-diagonal seed ``N(m,m) ~ sin(theta)^m`` underflows at high order, so a
-degree past ``MAX_LMAX`` is refused (``check_lmax``, also run by
-``SphereGrid``).
+``sh_eval``), the sup-bound scan and the transforms' grids.  The map and the
+recurrence's constants (``_recurrence``) are made once per degree and kept.
+It is the only recurrence for harmonic values (the Gauss node solve in
+``transform`` runs a plain ``P_n`` recurrence of its own); the plain ``P_l^m``
+recurrence it is tested against is ``assoc_legendre`` in ``tests/reference.py``.
+Its diagonal seed ``N(m,m) ~ sin(theta)^m`` underflows at high order, so a
+degree past ``MAX_LMAX`` is refused (``check_lmax``, also run by ``SphereGrid``).
 """
 
 from __future__ import annotations
@@ -73,6 +73,21 @@ def _table_map(lmax: int):
     return arrays
 
 
+@functools.lru_cache(maxsize=None)
+def _recurrence(lmax: int):
+    """The build's constants at degree ``lmax``, made once per degree, read-only: the two-term factors
+    ``a`` and ``b`` (degree-major), then the diagonal and sub-diagonal seeds' factors and table rows."""
+    l, m = np.tril_indices(max(lmax - 1, 0))
+    l, deg, rows = l + 2, np.arange(1, lmax + 1), _table_map(lmax)[0]
+    arrays = (np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None],
+              np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None],
+              -np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None], np.sqrt(2 * deg + 1.0)[:, None],
+              rows[np.arange(1, lmax + 2) ** 2 - 1], rows[(deg + 1) ** 2 - 2])  # (l, l) and (l, l-1)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def table_row(lmax: int, l, m):
     """Row of degree ``l``, order ``m`` or ``-m`` in the table of degree ``lmax``.
 
@@ -97,31 +112,24 @@ def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
     first, then each degree is one two-term step over its orders
     ``m <= l-2``; every entry takes the same arithmetic as the order-by-order
     recurrence, so the values are bit-identical to it.  Beside the table the
-    build holds two work arrays of ``lmax + 1`` rows.
+    build holds two work arrays of ``lmax + 1`` rows, and ``_recurrence`` keeps the constants.
     """
     rows, _, _, blocks = _table_map(lmax)
-    # two-term steps, degree-major: degree l holds entries [(l-1)(l-2)/2, l(l-1)/2)
-    l, m = np.tril_indices(max(lmax - 1, 0))
-    l += 2
-    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
-    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-    del l, m  # before the table, beside which they would stay
+    a, b, diag, sub, diag_rows, sub_rows = _recurrence(lmax)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument out of range: |x| > 1")
     N = np.zeros((blocks[:, 1] @ blocks[:, 4], x.size))  # k*R rows per block
     work = np.empty((2, lmax + 1, x.size))
-    # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product;
-    # (l, l) is flat index (l+1)^2 - 1, and (l, l-1) the one before it
-    deg = np.arange(1, lmax + 1)
+    # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product
     d, t = work[0], work[1, :lmax]
     d[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    np.multiply(-np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None], np.sqrt(np.maximum(1.0 - x * x, 0.0)), out=d[1:])
-    N[rows[np.arange(1, lmax + 2) ** 2 - 1]] = np.cumprod(d, axis=0, out=d)
+    np.multiply(diag, np.sqrt(np.maximum(1.0 - x * x, 0.0)), out=d[1:])
+    N[diag_rows] = np.cumprod(d, axis=0, out=d)
     # N[l, l-1] = (sqrt(2l+1) * x) * N[l-1, l-1]
-    np.multiply(np.sqrt(2 * deg + 1.0)[:, None], x, out=t)
+    np.multiply(sub, x, out=t)
     t *= d[:-1]
-    N[rows[(deg + 1) ** 2 - 2]] = t
+    N[sub_rows] = t
     for k in range(2, lmax + 1):
         # N[k, m] = a * (x * N[k-1, m] - b * N[k-2, m]), rounded as written, in
         # the work rows; orders 0..k-2 of degree l are flat indices l^2 + l + m,
@@ -146,15 +154,19 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
     triangular order of ``degree_order_arrays(lmax)``.  At ``phi = 0`` the
     values are real: the theta factor alone.  Each phase ``exp(i*m*phi)`` is
     computed once per order and point and gathered to the flat columns; the
-    result is built in place, beside one real array of its shape.
+    result is built in place, beside the table and one real array of its shape.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return _table_values(lmax, orthonormal_legendre_table(lmax, x), phi)
+
+
+def _table_values(lmax: int, N, phi) -> np.ndarray:
+    """``orthonormal_sh_values`` at the points of ``N``: ``orthonormal_legendre_table`` or some of its columns."""
     rows, _, sign, _ = _table_map(lmax)
-    mags = orthonormal_legendre_table(lmax, x)[rows]
+    mags = N[rows]
     mags *= sign[:, None]
     # phase[m + lmax, i] = exp(i*m*phi_i), gathered to the flat rows
     phase = np.exp(1j * np.arange(-lmax, lmax + 1)[:, None] * np.asarray(phi, dtype=np.float64))
-    values = np.broadcast_to(phase, (phase.shape[0], x.size))[degree_order_arrays(lmax)[1] + lmax]
+    values = np.broadcast_to(phase, (phase.shape[0], N.shape[1]))[degree_order_arrays(lmax)[1] + lmax]
     values *= mags  # complex times real: the bits of real times complex
     return values.T
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import algebra, transform
+from . import algebra, legendre, transform
 from . import bounds as bnd
 from . import structural as st
 from .algebra import DomainError, boundary_vanishing_check, generator, so3_casimir_check
@@ -32,7 +32,7 @@ from .transform import (
 # and this module is neither, so a name bound here would escape its span
 
 _TRIAL_BLOCK = 64
-_POINT_BLOCK = 8  # bounds-suite functions whose point values share one table
+_POINT_BLOCK = 8  # bounds-suite functions whose point values are gathered at once from its one table
 
 
 def suite_transforms(lmax: int, trials: int, seed: int) -> list[BoundReport]:
@@ -315,15 +315,16 @@ def suite_bounds(lmax: int, trials: int, seed: int) -> list[BoundReport]:
     # the functions are the falsifier's smooth draws (seed, t), drawn once for both
     n_funcs = max(4, min(trials, 100))
     reports, rows = bnd._criterion_checks(tuple(bnd._CLAIMS), trials, seed, lmax, n_funcs)
-    # each function is certified at its own ten points, one table per _POINT_BLOCK
-    # functions; the worst pair is certified again alone, so its record has one-point bits
+    # each function is certified at its own ten points, all in one table gathered _POINT_BLOCK
+    # functions at a time; the worst pair is certified again alone, so its record has one-point bits
     draws = bnd.substream(seed, "points").uniform([-1, 0], [1, 2 * math.pi], size=(n_funcs, 10, 2))
     theta, phi = np.arccos(draws[..., 0]), draws[..., 1]
     x = np.cos(theta)
+    N = legendre.orthonormal_legendre_table(lmax, x.ravel())  # on the module: --trace sees it
     values = np.empty((n_funcs, 10), dtype=np.complex128)
     for start in range(0, n_funcs, _POINT_BLOCK):
         at = slice(start, start + _POINT_BLOCK)
-        E = orthonormal_sh_values(lmax, x[at].ravel(), phi[at].ravel()).reshape(-1, 10, rows.shape[1])
+        E = legendre._table_values(lmax, N[:, 10 * start:10 * at.stop], phi[at].ravel()).reshape(-1, 10, rows.shape[1])
         values[at] = np.einsum("tpk,tk->tp", E, rows[at])
     margins = bnd.functional_constant(3) * graded_norms(rows, lmax, 3)[:, None] - np.abs(values)
     # the weak eigenrelation at each function's last point, screened from one

@@ -300,3 +300,22 @@ def tokenize_reference(text: str) -> list[str]:
             continue
         raise ExpressionError(f"unexpected character {c!r} in operator expression")
     return tokens
+
+
+def dense_orthonormality_check(lmax: int) -> BoundReport:
+    """``orthonormality_check`` with the whole K x K Gram matrix formed at
+    once, then its distance from ``np.eye(K)``."""
+    grid = make_grid(lmax)
+    T = orthonormal_sh_values(lmax, grid.x, 0.0).real
+    theta_gram = T.T @ (grid.w[:, None] * T)
+    phi_sum = grid.phi_sums(2 * lmax)
+    _, ms = degree_order_arrays(lmax)
+    gram = theta_gram * phi_sum[ms[None, :] - ms[:, None] + 2 * lmax]
+    dev = float(np.max(np.abs(gram - np.eye(ms.size))))
+    return BoundReport(
+        check="orthonormality",
+        anchor="integral of conj(Y_l^m) (l+1/2) Y_l'^m' over the sphere = delta_ll' delta_mm'",
+        lhs=dev,
+        rhs=1e-10,
+        lmax=grid.lmax,
+    )

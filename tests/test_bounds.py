@@ -21,9 +21,9 @@ from sphcalc import (
     point_eval,
     weak_eigen_cos,
 )
-from sphcalc import algebra, bounds, structural
+from sphcalc import algebra, bounds, legendre, structural
 from sphcalc.bounds import _CLAIMS, BoundClaim, random_expansion, substream
-from sphcalc.expansions import flat_index
+from sphcalc.expansions import degree_weights, flat_index
 from sphcalc.verify import suite_bounds
 
 from reference import suite_bounds_reference
@@ -388,6 +388,35 @@ def test_suite_bounds_ranks_its_point_functionals_in_small_tables():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_suite_bounds_builds_one_table_for_its_points(monkeypatch):
+    # the 500 function-point values once took seven tables, one per 8 functions;
+    # the image's last points take one more, the worst pair's point certificate
+    # one, and the weak eigenrelation record at (pi/3, 0) two: f and its image
+    built, build = [], legendre.orthonormal_legendre_table
+
+    def counted(lmax, x):
+        built.append((lmax, np.size(x)))
+        return build(lmax, x)
+
+    monkeypatch.setattr(legendre, "orthonormal_legendre_table", counted)
+    suite_bounds(16, 50, 42)
+    assert built == [(16, 500), (17, 50), (16, 1), (17, 1), (16, 1)]
+
+
+@pytest.mark.parametrize("seed", [42, "points", (7, ("real", (3, "x")))], ids=["integer", "label", "nested-tuple"])
+def test_generators_draw_the_default_rng_stream(seed):
+    # substream and _random_rows build Generator(PCG64(entropy)) directly:
+    # default_rng(entropy) returns that generator, so the draws are the same
+    want = np.random.default_rng(bounds._seed_entropy((seed, "sub")))
+    got = substream(seed, "sub")
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.standard_normal(32).tobytes() == want.standard_normal(32).tobytes()
+    rng = np.random.default_rng(bounds._seed_entropy(seed))
+    scale = degree_weights(6) ** -1.5
+    want = scale * (rng.standard_normal(scale.size) + 1j * rng.standard_normal(scale.size))
+    assert bounds._random_rows([seed], 6, 1.5)[0].tobytes() == want.tobytes()
 
 
 def test_single_mode_margins_defaults_and_wider_operators(monkeypatch):

@@ -47,7 +47,7 @@ from sphcalc import (
 )
 from sphcalc.bounds import random_expansion, substream
 from sphcalc.expansions import degree_order_arrays, flat_index
-from sphcalc.legendre import GROUP, MAX_LMAX, _table_map
+from sphcalc.legendre import GROUP, MAX_LMAX, _recurrence, _table_map, _table_values
 from sphcalc.verify import suite_transforms
 
 from reference import assoc_legendre, orthonormal_sh_values_reference, packed_legendre_table, packed_row
@@ -311,8 +311,8 @@ def test_point_values_equal_the_reference_gather(lmax, phi_kind):
     _assert_reference_gather(lmax, x, phi)
 
 
-def _assert_reference_gather(lmax, x, phi):
-    got = orthonormal_sh_values(lmax, x, phi)
+def _assert_reference_gather(lmax, x, phi, values=orthonormal_sh_values):
+    got = values(lmax, x, phi)
     want = orthonormal_sh_values_reference(lmax, x, phi)
     # bit for bit, signed zeros included; the scalar-phi product is not C-contiguous
     assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
@@ -332,15 +332,41 @@ def _dtheta_points(seed):
     return np.cos(theta[:, None] + np.array([0.0, 4e-3, -4e-3, 2e-3, -2e-3])).ravel(), np.repeat(phi, 5)
 
 
+def _one_table_gather(lmax, x, phi):
+    # the bounds suite's gather: one table at every point, whose columns and
+    # phases are taken 80 at a time (8 functions of ten points)
+    N = orthonormal_legendre_table(lmax, x)
+    return np.concatenate([_table_values(lmax, N[:, s:s + 80], phi[s:s + 80]) for s in range(0, x.size, 80)])
+
+
 @pytest.mark.parametrize("site", [
     lambda: (16, make_grid(16).x, 0.0),  # orthonormality_check(16)
     lambda: (12, make_grid(12).x, 0.0),  # the product law's degree-12 grid
     lambda: (16, *(a[:8].ravel() for a in _bounds_suite_points(42))),  # one 80-point block
+    lambda: (16, *(a.ravel() for a in _bounds_suite_points(42)), _one_table_gather),  # all 500 in one table
     lambda: (17, *(a[:, -1] for a in _bounds_suite_points(42))),  # the weak eigenrelation's last points
     lambda: (9, *_dtheta_points(42)),
-], ids=["gram-grid", "product-grid", "point-block", "last-points", "dtheta-fd"])
+], ids=["gram-grid", "product-grid", "point-block", "point-table", "last-points", "dtheta-fd"])
 def test_point_values_at_each_call_site_equal_the_reference_gather(site):
     _assert_reference_gather(*site())
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 2, 16])
+def test_recurrence_constants_are_made_once_and_read_only(lmax):
+    constants = _recurrence(lmax)
+    assert not any(a.flags.writeable for a in constants)
+    assert all(a is b for a, b in zip(_recurrence(lmax), constants, strict=True))
+    # the factors as each build once computed them, bit for bit
+    a, b, diag, sub, diag_rows, sub_rows = constants
+    l, m = np.tril_indices(max(lmax - 1, 0))
+    l += 2
+    assert a.tobytes() == np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)).tobytes()
+    assert b.tobytes() == np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)).tobytes()
+    deg = np.arange(1, lmax + 1)
+    assert diag.tobytes() == (-np.sqrt((2 * deg + 1) / (2.0 * deg))).tobytes()
+    assert sub.tobytes() == np.sqrt(2 * deg + 1.0).tobytes()
+    assert diag_rows.tolist() == [table_row(lmax, l, l) for l in range(lmax + 1)]
+    assert sub_rows.tolist() == [table_row(lmax, l, l - 1) for l in range(1, lmax + 1)]
 
 
 def _layout_rows(lmax):
