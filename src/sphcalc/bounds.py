@@ -57,7 +57,7 @@ def _random_rows(seeds, lmax: int, decay: float = DEFAULT_DECAY) -> np.ndarray:
     K = scale.size
     rows = np.empty((len(seeds), K), dtype=np.complex128)
     for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(_seed_entropy(seed)))
+        rng = substream(seed)
         rows[i] = scale * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
     return rows
 

@@ -8,11 +8,11 @@ use ``P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m``, equivalently ``Y_l^{-m} =
 (-1)^m conj(Y_l^m)``.
 
 Every harmonic value comes from one fully-normalised recurrence,
-``orthonormal_legendre_table``, into one table layout (``_table_map``: per
-group of ``GROUP`` orders and parity of ``l+m`` one zero-padded block), read
-through one per-flat-index map by point values (``orthonormal_sh_values``,
-``sh_eval``), the sup-bound scan and the transforms' grids.  The map and the
-recurrence's constants (``_recurrence``) are made once per degree and kept.
+``orthonormal_legendre_table``, into one table layout (per group of ``GROUP``
+orders and parity of ``l+m`` one zero-padded block), read through one
+per-flat-index map by point values (``orthonormal_sh_values``, ``sh_eval``),
+the sup-bound scan and the transforms' grids.  One record per degree,
+``_table_map``, made once and kept, holds the map and the recurrence's constants.
 It is the only recurrence for harmonic values (the Gauss node solve in
 ``transform`` runs a plain ``P_n`` recurrence of its own); the plain ``P_l^m``
 recurrence it is tested against is ``assoc_legendre`` in ``tests/reference.py``.
@@ -22,6 +22,7 @@ degree past ``MAX_LMAX`` is refused (``check_lmax``, also run by ``SphereGrid``)
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -34,6 +35,7 @@ SH_SUP_BOUND = 1.0 / math.sqrt(2.0 * math.pi)
 _SUP_SCAN_NODES = 2048
 MAX_LMAX = 1850  # 50 below the last degree where sum_m N(l,m)^2 held to 1e-12
 GROUP = 8  # orders per group of the table layout
+_TableMap = collections.namedtuple("_TableMap", "rows slot sign blocks a b diag sub diag_rows sub_rows")
 
 
 def check_lmax(lmax: int) -> int:
@@ -46,10 +48,12 @@ def check_lmax(lmax: int) -> int:
 
 @functools.lru_cache(maxsize=None, typed=True)  # typed: a hit on 2 must not pass 2.0
 def _table_map(lmax: int):
-    """The table layout of degree ``lmax``, made once per degree: per flat
-    index its table row, slot (0 for ``+m``, 1 for ``-m``) and sign
-    (``(-1)^m`` for ``m < 0``, else 1), both int8; then one record ``(m0, k,
-    p, start, R)`` per block, in table order.  Read-only.
+    """The one record of degree ``lmax``, made once, every array read-only: the layout,
+    per flat index its table ``rows``, ``slot`` (0 for ``+m``, 1 for ``-m``) and ``sign``
+    (``(-1)^m`` for ``m < 0``, else 1), both int8, and ``blocks``, one ``(m0, k, p, start,
+    R)`` per block, in table order; then the recurrence's constants, the two-term factors
+    ``a`` and ``b`` (degree-major), and the diagonal and sub-diagonal seeds' factors
+    ``diag`` and ``sub`` and table rows ``diag_rows`` and ``sub_rows``.
 
     Orders go in groups of ``GROUP``; per group and parity ``p`` of ``l+m``
     one zero-padded block of ``k`` orders x ``R`` rows holds, at block row
@@ -65,27 +69,19 @@ def _table_map(lmax: int):
     start = np.cumsum(k * R) - k * R
     ls, ms = degree_order_arrays(lmax)
     m, neg = np.abs(ms), ms < 0
-    b = 2 * (m // GROUP) + (ls - m) % 2
-    arrays = (start[b] + m % GROUP * R[b] + (ls - m) // 2, neg.astype(np.int8),
-              np.where(neg & (ms % 2 == 1), np.int8(-1), np.int8(1)), np.stack([m0, k, p, start, R], axis=1))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=None)
-def _recurrence(lmax: int):
-    """The build's constants at degree ``lmax``, made once per degree, read-only: the two-term factors
-    ``a`` and ``b`` (degree-major), then the diagonal and sub-diagonal seeds' factors and table rows."""
+    block = 2 * (m // GROUP) + (ls - m) % 2
+    rows = start[block] + m % GROUP * R[block] + (ls - m) // 2
     l, m = np.tril_indices(max(lmax - 1, 0))
-    l, deg, rows = l + 2, np.arange(1, lmax + 1), _table_map(lmax)[0]
-    arrays = (np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None],
-              np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None],
-              -np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None], np.sqrt(2 * deg + 1.0)[:, None],
-              rows[np.arange(1, lmax + 2) ** 2 - 1], rows[(deg + 1) ** 2 - 2])  # (l, l) and (l, l-1)
-    for a in arrays:
+    l, deg = l + 2, np.arange(1, lmax + 1)
+    record = _TableMap(rows, neg.astype(np.int8), np.where(neg & (ms % 2 == 1), np.int8(-1), np.int8(1)),
+                       np.stack([m0, k, p, start, R], axis=1),
+                       np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None],
+                       np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None],
+                       -np.sqrt((2 * deg + 1) / (2.0 * deg))[:, None], np.sqrt(2 * deg + 1.0)[:, None],
+                       rows[np.arange(1, lmax + 2) ** 2 - 1], rows[(deg + 1) ** 2 - 2])  # (l, l) and (l, l-1)
+    for a in record:
         a.flags.writeable = False
-    return arrays
+    return record
 
 
 def table_row(lmax: int, l, m):
@@ -93,7 +89,7 @@ def table_row(lmax: int, l, m):
 
     Elementwise; a pair outside ``|m| <= l <= lmax`` raises ``ValueError``.
     """
-    rows = _table_map(lmax)[0]
+    rows = _table_map(lmax).rows
     l, m = as_integer_arrays("table_row index", l, m)
     if not np.all((np.abs(m) <= l) & (l <= lmax)):
         raise ValueError(f"table_row needs |m| <= l <= lmax, with lmax={lmax}")
@@ -112,37 +108,36 @@ def orthonormal_legendre_table(lmax: int, x) -> np.ndarray:
     first, then each degree is one two-term step over its orders
     ``m <= l-2``; every entry takes the same arithmetic as the order-by-order
     recurrence, so the values are bit-identical to it.  Beside the table the
-    build holds two work arrays of ``lmax + 1`` rows, and ``_recurrence`` keeps the constants.
+    build holds two work arrays of ``lmax + 1`` rows, and ``_table_map`` keeps the constants.
     """
-    rows, _, _, blocks = _table_map(lmax)
-    a, b, diag, sub, diag_rows, sub_rows = _recurrence(lmax)
+    rec = _table_map(lmax)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument out of range: |x| > 1")
-    N = np.zeros((blocks[:, 1] @ blocks[:, 4], x.size))  # k*R rows per block
+    N = np.zeros((rec.blocks[:, 1] @ rec.blocks[:, 4], x.size))  # k*R rows per block
     work = np.empty((2, lmax + 1, x.size))
     # N[l, l] = (-sqrt((2l+1)/2l) * s) * N[l-1, l-1]: one running product
     d, t = work[0], work[1, :lmax]
     d[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    np.multiply(diag, np.sqrt(np.maximum(1.0 - x * x, 0.0)), out=d[1:])
-    N[diag_rows] = np.cumprod(d, axis=0, out=d)
+    np.multiply(rec.diag, np.sqrt(np.maximum(1.0 - x * x, 0.0)), out=d[1:])
+    N[rec.diag_rows] = np.cumprod(d, axis=0, out=d)
     # N[l, l-1] = (sqrt(2l+1) * x) * N[l-1, l-1]
-    np.multiply(sub, x, out=t)
+    np.multiply(rec.sub, x, out=t)
     t *= d[:-1]
-    N[sub_rows] = t
+    N[rec.sub_rows] = t
     for k in range(2, lmax + 1):
         # N[k, m] = a * (x * N[k-1, m] - b * N[k-2, m]), rounded as written, in
         # the work rows; orders 0..k-2 of degree l are flat indices l^2 + l + m,
         # one slice of the map ("clip" takes no buffer; no index is out of range)
         j = slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
         t, u = work[0, :k - 1], work[1, :k - 1]
-        N.take(rows[k * k - k:k * k - 1], axis=0, out=t, mode="clip")
+        N.take(rec.rows[k * k - k:k * k - 1], axis=0, out=t, mode="clip")
         t *= x
-        N.take(rows[k * k - 3 * k + 2:k * k - 2 * k + 1], axis=0, out=u, mode="clip")
-        u *= b[j]
+        N.take(rec.rows[k * k - 3 * k + 2:k * k - 2 * k + 1], axis=0, out=u, mode="clip")
+        u *= rec.b[j]
         t -= u
-        t *= a[j]
-        N[rows[k * k + k:k * k + 2 * k - 1]] = t
+        t *= rec.a[j]
+        N[rec.rows[k * k + k:k * k + 2 * k - 1]] = t
     return N
 
 
@@ -161,9 +156,9 @@ def orthonormal_sh_values(lmax: int, x, phi) -> np.ndarray:
 
 def _table_values(lmax: int, N, phi) -> np.ndarray:
     """``orthonormal_sh_values`` at the points of ``N``: ``orthonormal_legendre_table`` or some of its columns."""
-    rows, _, sign, _ = _table_map(lmax)
-    mags = N[rows]
-    mags *= sign[:, None]
+    rec = _table_map(lmax)
+    mags = N[rec.rows]
+    mags *= rec.sign[:, None]
     # phase[m + lmax, i] = exp(i*m*phi_i), gathered to the flat rows
     phase = np.exp(1j * np.arange(-lmax, lmax + 1)[:, None] * np.asarray(phi, dtype=np.float64))
     values = np.broadcast_to(phase, (phase.shape[0], N.shape[1]))[degree_order_arrays(lmax)[1] + lmax]
@@ -195,7 +190,7 @@ def uniform_bound_check(lmax: int) -> BoundReport:
         N = orthonormal_legendre_table(lmax, x)
         peaks.append(np.abs(N, out=N).max(axis=1))
         del N
-    worst = float((np.max(peaks, axis=0)[_table_map(lmax)[0]] / np.sqrt(degree_order_arrays(lmax)[0] + 0.5)).max())
+    worst = float((np.max(peaks, axis=0)[_table_map(lmax).rows] / np.sqrt(degree_order_arrays(lmax)[0] + 0.5)).max())
     return BoundReport(
         check="uniform_sup_bound",
         anchor="|Y_l^m(theta,phi)| <= 1/sqrt(2*pi)",

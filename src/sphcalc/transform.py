@@ -119,7 +119,7 @@ class SphereGrid:
 
     def basis_table(self, lmax: int):
         """The grid's one entry ``(rows, slot, sign, blocks, table)``, of degree G >= ``lmax``:
-        ``legendre._table_map(G)`` and ``orthonormal_legendre_table(G)`` at
+        the layout fields of ``legendre._table_map(G)`` and ``orthonormal_legendre_table(G)`` at
         the nodes with ``x >= 0`` (column ``j`` is node ``n_theta // 2 + j``;
         node ``-x`` holds ``(-1)^(l+m)`` times its values), G the highest
         degree asked so far.  A row has the same bits at every degree, so a
@@ -135,7 +135,7 @@ class SphereGrid:
         if self._entry is None or self._entry[0].size < size:
             with _TABLE_LOCK:  # a call that waited here finds the entry built
                 if self._entry is None or self._entry[0].size < size:
-                    self._entry = (*_table_map(lmax), orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
+                    self._entry = (*_table_map(lmax)[:4], orthonormal_legendre_table(lmax, self.x[self.n_theta // 2:]))
         return self._entry
 
     def __repr__(self):

@@ -4,15 +4,17 @@ These are the coefficient and field document functions as they stood before
 the library moved to whole-array I/O.  Tests require the library's writers to
 produce the same bytes as ``save_expansion`` and ``save_field`` here, and its
 readers to return the same bits, or raise the same exception with the same
-message, as ``load_expansion`` and ``load_field`` here.  ``load_field`` also
-states the field reader's rule for bytes that are not UTF-8, from one decode
-of the whole file where the reader decodes line by line.
+message, as ``load_expansion`` and ``load_field`` here.  Both also state
+their reader's rule for bytes that are not UTF-8, from one decode of the whole
+file: ``load_expansion`` names the path, ``load_field`` the first line that
+holds such a byte, where the field reader decodes line by line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -26,6 +28,11 @@ from sphcalc.expansions import (
 )
 from sphcalc.transform import FieldFileError, SampledField, _grid_shape, make_grid
 
+# raw bytes the damaged-document fuzzes insert: not UTF-8 (a lone 0xff, a
+# three-byte sequence cut after one byte or two), a whole two-byte sequence,
+# two line ends
+RAW_PIECES = [b"\xff", b"\xe2", b"\xe2\x82", b"\xc3\xa9", b"\r", b"\r\n"]
+
 
 def save_expansion(f: HarmonicExpansion, path) -> None:
     records = [
@@ -38,11 +45,17 @@ def save_expansion(f: HarmonicExpansion, path) -> None:
 
 
 def load_expansion(path) -> HarmonicExpansion:
+    # the whole file decoded at once: an undecodable byte is refused, naming the
+    # path and the reason that decoding the file's bytes gives
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CoefficientFileError(f"{path}: not valid JSON: {exc}") from exc
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CoefficientFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CoefficientFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CoefficientFileError(f"{path}: top level must be an object, not {type(doc).__name__}")
     for key in ("lmax", "basis", "coefficients"):
@@ -163,3 +176,16 @@ def outcome(load, path):
     data = result.coeffs if isinstance(result, HarmonicExpansion) else result.samples
     lmax = result.lmax if isinstance(result, HarmonicExpansion) else result.grid.lmax
     return "ok", lmax, data.view(np.float64).tobytes()
+
+
+def pipe_outcome(load, data, path):
+    """``outcome(load, ...)`` on the bytes ``data`` read from a pipe, its errors naming ``path``."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        got = outcome(load, pipe)
+    finally:
+        os.close(read_end)
+    return got[:2] + (got[2].replace(pipe, str(path)),) if got[0] == "error" else got

@@ -309,7 +309,7 @@ def unit_rows(modes, lmax):
 
 
 @pytest.mark.parametrize("lmax", [0, 1, 2, 10, 24, 48])
-def test_single_mode_margins_equal_identity_rows(monkeypatch, lmax):
+def test_unit_row_margins_equal_identity_rows(monkeypatch, lmax):
     # a block of unit rows gets a stencil over its own modes only; each row's
     # margins must be those it has beside a row carrying every mode, whose
     # stencil is the whole identity block's
@@ -325,7 +325,7 @@ def test_single_mode_margins_equal_identity_rows(monkeypatch, lmax):
 
 
 @pytest.mark.parametrize("l", [0, 1, 16, 47])
-def test_single_mode_margins_do_not_depend_on_the_table_degree(l):
+def test_unit_row_margins_do_not_depend_on_the_table_degree(l):
     # the falsifier measures every probe as a unit row at its highest probe
     # degree; 71 is the highest it reaches at lmax 16
     modes = flat_index(l, np.arange(-l, l + 1))
@@ -419,7 +419,7 @@ def test_generators_draw_the_default_rng_stream(seed):
     assert bounds._random_rows([seed], 6, 1.5)[0].tobytes() == want.tobytes()
 
 
-def test_single_mode_margins_defaults_and_wider_operators(monkeypatch):
+def test_unit_row_margins_read_the_claim_table_and_wider_operators(monkeypatch):
     # each call reads the operator's claim from the table
     identity = np.eye(49, dtype=np.complex128)
     lhs, rhs = claim_margins("K+", identity, 6)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -392,9 +393,12 @@ def test_malformed_documents_exit_cleanly(tmp_path_factory, data):
         assert text.startswith("error:") and text.count("\n") == 1 and str(path) in text
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(hs.data())
 def test_coefficient_reader_matches_reference_on_damaged_documents(tmp_path_factory, data):
+    # damaged records, then raw bytes anywhere in the encoded document: a
+    # regular file and a pipe must both give the reference's outcome
     lmax = data.draw(hs.integers(0, 2))
     finite = hs.floats(allow_nan=False, allow_infinity=False)
     doc = _document(lmax, [
@@ -403,10 +407,15 @@ def test_coefficient_reader_matches_reference_on_damaged_documents(tmp_path_fact
     ])
     for _ in range(data.draw(hs.integers(0, 3))):
         _mutate(data, doc)
+    raw = json.dumps(doc).encode("utf-8")
+    for _ in range(data.draw(hs.integers(0, 2))):
+        at = data.draw(hs.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(hs.sampled_from(reference_io.RAW_PIECES)) + raw[at:]
     path = tmp_path_factory.mktemp("doc") / "in.json"
-    path.write_text(json.dumps(doc))
-    assert reference_io.outcome(load_expansion, path) == reference_io.outcome(
-        reference_io.load_expansion, path)
+    path.write_bytes(raw)
+    expected = reference_io.outcome(reference_io.load_expansion, path)
+    assert reference_io.outcome(load_expansion, path) == expected
+    assert reference_io.pipe_outcome(load_expansion, raw, path) == expected
 
 
 def _records_with(k, **fields):

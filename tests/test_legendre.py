@@ -47,7 +47,7 @@ from sphcalc import (
 )
 from sphcalc.bounds import random_expansion, substream
 from sphcalc.expansions import degree_order_arrays, flat_index
-from sphcalc.legendre import GROUP, MAX_LMAX, _recurrence, _table_map, _table_values
+from sphcalc.legendre import GROUP, MAX_LMAX, _table_map, _table_values
 from sphcalc.verify import suite_transforms
 
 from reference import assoc_legendre, orthonormal_sh_values_reference, packed_legendre_table, packed_row
@@ -353,20 +353,24 @@ def test_point_values_at_each_call_site_equal_the_reference_gather(site):
 
 @pytest.mark.parametrize("lmax", [0, 1, 2, 16])
 def test_recurrence_constants_are_made_once_and_read_only(lmax):
-    constants = _recurrence(lmax)
-    assert not any(a.flags.writeable for a in constants)
-    assert all(a is b for a, b in zip(_recurrence(lmax), constants, strict=True))
+    # the constants live in the degree's one record, beside the layout, and
+    # the record is the module's one cache
+    record = _table_map(lmax)
+    assert not any(a.flags.writeable for a in record)
+    assert _table_map(lmax) is record
+    legendre = sphcalc.legendre
+    assert [f for f in vars(legendre).values()
+            if hasattr(f, "cache_info") and f.__module__ == legendre.__name__] == [_table_map]
     # the factors as each build once computed them, bit for bit
-    a, b, diag, sub, diag_rows, sub_rows = constants
     l, m = np.tril_indices(max(lmax - 1, 0))
     l += 2
-    assert a.tobytes() == np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)).tobytes()
-    assert b.tobytes() == np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)).tobytes()
+    assert record.a.tobytes() == np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)).tobytes()
+    assert record.b.tobytes() == np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)).tobytes()
     deg = np.arange(1, lmax + 1)
-    assert diag.tobytes() == (-np.sqrt((2 * deg + 1) / (2.0 * deg))).tobytes()
-    assert sub.tobytes() == np.sqrt(2 * deg + 1.0).tobytes()
-    assert diag_rows.tolist() == [table_row(lmax, l, l) for l in range(lmax + 1)]
-    assert sub_rows.tolist() == [table_row(lmax, l, l - 1) for l in range(1, lmax + 1)]
+    assert record.diag.tobytes() == (-np.sqrt((2 * deg + 1) / (2.0 * deg))).tobytes()
+    assert record.sub.tobytes() == np.sqrt(2 * deg + 1.0).tobytes()
+    assert record.diag_rows.tolist() == [table_row(lmax, l, l) for l in range(lmax + 1)]
+    assert record.sub_rows.tolist() == [table_row(lmax, l, l - 1) for l in range(1, lmax + 1)]
 
 
 def _layout_rows(lmax):
@@ -388,7 +392,7 @@ def _layout_rows(lmax):
 
 @pytest.mark.parametrize("lmax", [0, 1, 16])
 def test_table_map_is_read_only_and_matches_the_layout(lmax):
-    rows, slot, sign, blocks = _table_map(lmax)
+    rows, slot, sign, blocks = _table_map(lmax)[:4]
     assert not any(a.flags.writeable for a in (rows, slot, sign, blocks))
     want_blocks, row, _ = _layout_rows(lmax)
     assert blocks.tolist() == want_blocks

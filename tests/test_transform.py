@@ -36,7 +36,7 @@ from sphcalc import (
 )
 from sphcalc.bounds import random_expansion
 from sphcalc.expansions import degree_order_arrays, flat_index
-from sphcalc.legendre import GROUP, MAX_LMAX, _recurrence, _table_map
+from sphcalc.legendre import GROUP, MAX_LMAX, _table_map
 from sphcalc import bounds, transform
 from sphcalc.cli import main
 from sphcalc.transform import FieldFileError, _analyze_table, _synthesize_table
@@ -111,7 +111,7 @@ def test_grid_entry_holds_legendres_table_map(monkeypatch):
     order0 = flat_index(np.arange(6), 0)  # order 0, degrees 0..5
     assert np.array_equal(table[rows[order0]], low[-1][low[0][order0]])
     assert not any(a.flags.writeable for a in (rows, slot, sign, blocks))
-    assert all(got is ref for got, ref in zip(entry, _table_map(12)))
+    assert all(got is ref for got, ref in zip(entry[:4], _table_map(12)[:4], strict=True))
     ls, ms = degree_order_arrays(12)
     assert table[rows].tobytes() == packed_legendre_table(12, grid.x[6:])[packed_row(12, ls, ms)].tobytes()
 
@@ -810,11 +810,11 @@ def test_round_trip_and_parseval_at_l512():
 
 
 def test_grid_table_build_peaks_near_the_table():
-    # a cold build at L=256 holds about 3 MB beside the 35 MB table: the map,
-    # made before the table, and the recurrence's two work arrays; a map made
-    # beside the table, gathering a block record per flat index, goes past it
+    # a cold build at L=256 holds about 3 MB beside the 35 MB table: the degree's
+    # record (map and constants), made before the table, and the recurrence's two
+    # work arrays; a map made beside the table, gathering a block record per flat
+    # index, goes past it
     _table_map.cache_clear()
-    _recurrence.cache_clear()
     degree_order_arrays.cache_clear()
     tracemalloc.start()
     try:
@@ -1073,24 +1073,10 @@ def test_field_reader_matches_reference_reader(tmp_path, field_text, variant):
     assert reference_io.outcome(load_field, path) == expected
 
 
-# text pieces, encoded, then raw bytes: not UTF-8 (a lone 0xff, a three-byte
-# sequence cut after one byte or two), a whole two-byte sequence, two line ends
+# text pieces, encoded, then the raw byte pieces
 FIELD_PIECES = hs.sampled_from([p.encode("utf-8") for p in [
     ",", " ", "#", "\n", "\t", "e", "+", "-", ".", "_", "0", "1", "9", "nan", "inf", "lmax=", "=", "x",
-    "\x00", "\x1c", "\x1f", "\xa0", "﻿", "١"]] + [b"\xff", b"\xe2", b"\xe2\x82", b"\xc3\xa9", b"\r", b"\r\n"])
-
-
-def _pipe_outcome(data, path):
-    """``load_field``'s outcome on ``data`` read from a pipe, its errors naming ``path``."""
-    read_end, write_end = os.pipe()
-    try:
-        os.write(write_end, data)
-        os.close(write_end)
-        pipe = f"/dev/fd/{read_end}"
-        got = reference_io.outcome(load_field, pipe)
-    finally:
-        os.close(read_end)
-    return got[:2] + (got[2].replace(pipe, str(path)),) if got[0] == "error" else got
+    "\x00", "\x1c", "\x1f", "\xa0", "﻿", "١"]] + reference_io.RAW_PIECES)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -1110,7 +1096,7 @@ def test_field_reader_matches_reference_on_damaged_text(tmp_path_factory, field_
     path.write_bytes(doc)
     expected = reference_io.outcome(reference_io.load_field, path)
     assert reference_io.outcome(load_field, path) == expected
-    assert _pipe_outcome(doc, path) == expected
+    assert reference_io.pipe_outcome(load_field, doc, path) == expected
 
 
 # every str.isspace() character but the two that end a line
