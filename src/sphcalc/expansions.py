@@ -313,25 +313,12 @@ def save_expansion(f: HarmonicExpansion, path) -> None:
         fh.write("\n ]\n}\n")
 
 
-def _is_int(value) -> bool:
-    # JSON integers only: int() would truncate 1.7 and read true as 1
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    # JSON numbers only (type() rules out bool): float() would read "1.5" and
-    # true; NaN, Infinity and integers past the double range fail the bound
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def load_expansion(path) -> HarmonicExpansion:
     """Read a JSON coefficient document, validating every record.
 
     Accepts and rejects the same documents, with the same messages, as the
     per-record reference reader in ``tests/reference_io.py``, and loads the
-    same bits.  Records are checked as whole columns; a document that fails
-    any column check goes through the per-record loop, which names the first
-    bad record.
+    same bits.  One pass over the records names the first bad one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -354,7 +341,7 @@ def load_expansion(path) -> HarmonicExpansion:
             f"{path}: basis {doc['basis']!r} does not match {BASIS_TAG!r}"
         )
     lmax = doc["lmax"]
-    if not _is_int(lmax) or lmax < 0:
+    if type(lmax) is not int or lmax < 0:
         raise CoefficientFileError(f"{path}: lmax must be an integer >= 0, got {lmax!r}")
     size = (lmax + 1) ** 2
     records = doc["coefficients"]
@@ -366,63 +353,27 @@ def load_expansion(path) -> HarmonicExpansion:
             f"{path}: {len(records)} records for lmax={lmax}, expected {size}:"
             " entries missing or surplus"
         )
-    coeffs = _columns_to_coefficients(records, lmax)
-    if coeffs is None:
-        coeffs = _records_to_coefficients(path, records, lmax)
-    return HarmonicExpansion(lmax, coeffs)
-
-
-def _columns_to_coefficients(records: list, lmax: int) -> np.ndarray | None:
-    """Flat coefficients of ``(lmax+1)**2`` records, checked as whole columns.
-
-    ``None`` unless every record has integer ``l``, ``m`` in range, finite
-    float ``re``, ``im`` and no ``(l, m)`` repeats: such documents, and valid
-    ones with integer amplitudes, go through ``_records_to_coefficients``.
-    """
-    try:
-        l, m, re, im = zip(*map(_RECORD_FIELDS, records))
-    except (KeyError, TypeError):
-        return None
-    if {*map(type, l), *map(type, m)} != {int} or {*map(type, re), *map(type, im)} != {float}:
-        return None
-    try:
-        ls = np.array(l, dtype=np.int64)
-        ms = np.array(m, dtype=np.int64)
-    except OverflowError:
-        return None
-    values = np.array([re, im], dtype=np.float64)
-    # -ls <= ms, not abs(ms) <= ls: abs wraps at the most negative int64
-    if not (np.all((ls >= 0) & (ls <= lmax) & (ms >= -ls) & (ms <= ls))
-            and np.all(np.isfinite(values))):
-        return None
-    pos = flat_index(ls, ms)
-    seen = np.zeros(ls.size, dtype=bool)
-    seen[pos] = True
-    if not seen.all():  # as many records as slots: a repeat leaves a slot empty
-        return None
-    coeffs = np.empty(ls.size, dtype=np.complex128)
-    coeffs.real[pos], coeffs.imag[pos] = values
-    return coeffs
-
-
-def _records_to_coefficients(path, records: list, lmax: int) -> np.ndarray:
-    """Per-record loop: the flat coefficients, or the first bad record's error."""
-    size = len(records)
-    coeffs = np.zeros(size, dtype=np.complex128)
-    seen = np.zeros(size, dtype=bool)
+    re_list, im_list, seen = [0.0] * size, [0.0] * size, bytearray(size)
+    # JSON numbers only (type() rules out bool, which float() would read as 1);
+    # NaN, Infinity and integers past the double range fail the bound
+    number_types, top = {int, float}, sys.float_info.max
     for k, rec in enumerate(records):
         try:
-            l, m, re, im = rec["l"], rec["m"], rec["re"], rec["im"]
+            l, m, re, im = _RECORD_FIELDS(rec)
         except (KeyError, TypeError) as exc:
             raise CoefficientFileError(f"{path}: bad record #{k}: {rec!r}") from exc
-        if not (_is_finite_number(re) and _is_finite_number(im)):
+        if not (type(re) in number_types and abs(re) <= top and type(im) in number_types and abs(im) <= top):
             raise CoefficientFileError(f"{path}: record #{k} re/im not finite numbers: {rec!r}")
-        if not (_is_int(l) and _is_int(m)) or l < 0 or l > lmax or abs(m) > l:
+        # JSON integers only: json makes no int subclass but bool, which type() rules out
+        if type(l) is not int or type(m) is not int or not 0 <= l <= lmax or abs(m) > l:
             raise CoefficientFileError(f"{path}: record #{k} index ({l!r},{m!r}) out of range")
-        pos = flat_index(l, m)
+        pos = l * l + l + m
         if seen[pos]:
             raise CoefficientFileError(f"{path}: duplicate entry for ({l},{m})")
-        seen[pos] = True
-        coeffs[pos] = complex(re, im)
-    # size distinct in-range records leave no (l, m) missing
-    return coeffs
+        seen[pos] = 1
+        re_list[pos], im_list[pos] = re, im
+    # size distinct in-range records leave no (l, m) missing; the list
+    # assignment keeps -0.0 and rounds integer amplitudes as float() does
+    coeffs = np.empty(size, dtype=np.complex128)
+    coeffs.real, coeffs.imag = re_list, im_list
+    return HarmonicExpansion(lmax, coeffs)

@@ -1,13 +1,17 @@
 """Per-record and per-line document I/O: the reference for the library's writers and readers.
 
 These are the coefficient and field document functions as they stood before
-the library moved to whole-array I/O.  Tests require the library's writers to
-produce the same bytes as ``save_expansion`` and ``save_field`` here, and its
-readers to return the same bits, or raise the same exception with the same
-message, as ``load_expansion`` and ``load_field`` here.  Both also state
-their reader's rule for bytes that are not UTF-8, from one decode of the whole
-file: ``load_expansion`` names the path, ``load_field`` the first line that
-holds such a byte, where the field reader decodes line by line.
+the library moved to whole-array writers and a bulk field reader.  The
+library's coefficient reader is one pass over the records again, with its
+rules written inline; the reference states them with its own ``_is_int`` and
+``_is_finite_number``, not the library's.  Tests require the library's
+writers to produce the same bytes as ``save_expansion`` and ``save_field``
+here, and its readers to return the same bits, or raise the same exception
+with the same message, as ``load_expansion`` and ``load_field`` here.  Both
+also state their reader's rule for bytes that are not UTF-8, from one decode
+of the whole file: ``load_expansion`` names the path, ``load_field`` the
+first line that holds such a byte, where the field reader decodes line by
+line.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -22,8 +27,6 @@ from sphcalc.expansions import (
     BASIS_TAG,
     CoefficientFileError,
     HarmonicExpansion,
-    _is_finite_number,
-    _is_int,
     flat_index,
 )
 from sphcalc.transform import FieldFileError, SampledField, _grid_shape, make_grid
@@ -32,6 +35,17 @@ from sphcalc.transform import FieldFileError, SampledField, _grid_shape, make_gr
 # three-byte sequence cut after one byte or two), a whole two-byte sequence,
 # two line ends
 RAW_PIECES = [b"\xff", b"\xe2", b"\xe2\x82", b"\xc3\xa9", b"\r", b"\r\n"]
+
+
+def _is_int(value) -> bool:
+    # JSON integers only: int() would truncate 1.7 and read true as 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # JSON numbers only (type() rules out bool): float() would read "1.5" and
+    # true; NaN, Infinity and integers past the double range fail the bound
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def save_expansion(f: HarmonicExpansion, path) -> None:

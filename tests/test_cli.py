@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -338,9 +339,10 @@ def test_non_numeric_or_non_finite_coefficient_is_usage_error(tmp_path, capsys, 
     assert err.startswith("error:") and str(bad) in err and "record #2" in err
 
 
-# values of every JSON type, plus an integer past the double range
+# values of every JSON type, plus an integer past the double range, each drawn
+# as a copy: _mutate edits a drawn list or record in place
 JUNK = hs.sampled_from(["1.5", "", "sqrt(l+1/2)Y", True, False, None, [], [1.0, 0.0], {},
-                        {"l": 0}, 0.5, -1, 3, 10**400])
+                        {"l": 0}, 0.5, -1, 3, 10**400]).map(copy.deepcopy)
 
 
 def _mutate(data, doc):
@@ -426,11 +428,24 @@ def _records_with(k, **fields):
 
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
-# valid documents the column checks pass or leave to the record loop, and one
-# document per record fault; every one must read the same as the reference
+
+def _shuffled_lmax16_records():
+    """Every lmax-16 record, in a seeded order, with float, integer, -0.0 and subnormal amplitudes."""
+    rng = np.random.default_rng(16)
+    amplitudes = [lambda: float(rng.standard_normal()), lambda: int(rng.integers(-99, 100)),
+                  lambda: -0.0, lambda: float(rng.integers(1, 2**52)) * 5e-324]
+    pairs = [(l, m) for l in range(17) for m in range(-l, l + 1)]
+    records = [{"l": l, "m": m, "re": amplitudes[k % 4](), "im": amplitudes[(k + 1) % 4]()}
+               for k, (l, m) in enumerate(pairs)]
+    return [records[k] for k in rng.permutation(len(records))]
+
+
+# valid documents, among them a shuffled lmax-16 one, and one document per
+# record fault; every one must read the same as the reference
 COEFFICIENT_VARIANTS = {name: json.dumps(doc) for name, doc in {
     "as-written": _document(1, _LMAX1_RECORDS),
     "shuffled": _document(1, _LMAX1_RECORDS[::-1]),
+    "lmax-16": _document(16, _shuffled_lmax16_records()),
     "extra-key": _document(1, _records_with(1, note="x")),
     "signed-zero-and-subnormal": _document(1, _records_with(2, re=-0.0, im=5e-324)),
     "integer-amplitudes": _document(1, _records_with(3, re=2, im=-7)),
@@ -458,7 +473,7 @@ COEFFICIENT_VARIANTS = {name: json.dumps(doc) for name, doc in {
     "amplitude-boolean": _document(1, _records_with(0, re=False)),
     "amplitude-null": _document(1, _records_with(0, im=None)),
 }.items()}
-# parsed as an infinite float, which the column checks hand back
+# parsed as an infinite float
 COEFFICIENT_VARIANTS["amplitude-1e999"] = COEFFICIENT_VARIANTS["as-written"].replace(
     "1.0", "1e999", 1)
 
@@ -469,17 +484,6 @@ def test_coefficient_reader_matches_reference_reader(tmp_path, variant):
     path.write_text(COEFFICIENT_VARIANTS[variant])
     assert reference_io.outcome(load_expansion, path) == reference_io.outcome(
         reference_io.load_expansion, path)
-
-
-def test_clean_coefficient_document_skips_the_record_loop(tmp_path, monkeypatch):
-    def no_loop(path, records, lmax):
-        raise AssertionError("record loop ran for a clean document")
-
-    monkeypatch.setattr("sphcalc.expansions._records_to_coefficients", no_loop)
-    path = tmp_path / "in.json"
-    f = HarmonicExpansion(2, np.arange(9) * (1.0 - 0.5j))
-    save_expansion(f, path)
-    assert load_expansion(path).coeffs.tobytes() == f.coeffs.tobytes()
 
 
 def _cli_error(argv):
