@@ -157,11 +157,12 @@ def claim_margins(op_name: str, rows: np.ndarray, lmax: int):
     modes, and every other term of its norms is an exact zero.
     """
     claim = _CLAIMS[op_name]
-    ns = range(claim.max_n + 1)
+    ns = tuple(range(claim.max_n + 1))
+    qs = tuple(sorted({q for n in ns for q in claim.indices(n)}))
     # first: graded_norms refuses a bad degree or row width before the operator reads the rows
-    source = {q: graded_norms(rows, lmax, q) for q in {q for n in ns for q in claim.indices(n)}}
+    source = dict(zip(qs, graded_norms(rows, lmax, qs).T))
     out, out_lmax = OPERATORS[op_name]()._apply_table(rows, lmax)
-    lhs = np.column_stack([graded_norms(out, out_lmax, n) for n in ns])
+    lhs = graded_norms(out, out_lmax, ns)
     rhs = np.column_stack(
         [claim.constant(n) * sum(source[q] for q in claim.indices(n)) for n in ns]
     )

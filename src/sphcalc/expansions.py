@@ -217,30 +217,26 @@ def degree_weights(lmax: int) -> np.ndarray:
     return (ls + np.abs(ms) + 1).astype(np.float64)
 
 
-def norm_weights(lmax: int, n: int) -> np.ndarray:
-    """Order-``n`` norm weights ``(l+|m|+1)^(2n)`` in flat order.
-
-    Orders whose largest weight ``(2*lmax+1)^(2n)`` leaves the double range
-    raise ``OverflowError``.
-    """
-    lmax = as_degree(lmax)
-    n = at_least(n, "norm order", 0)
-    if 2 * n * math.log(2 * lmax + 1) > _FLOAT_MAX_LOG:
-        raise OverflowError(f"norm order n={n} overflows at lmax={lmax}")
-    return degree_weights(lmax) ** (2 * n)
-
-
-def graded_norms(table: np.ndarray, lmax: int, n: int) -> np.ndarray:
+def graded_norms(table: np.ndarray, lmax: int, n: int | tuple[int, ...]) -> np.ndarray:
     """Order-``n`` graded norm of every row of a ``(..., K)`` coefficient table.
 
-    Row ``r`` gives sqrt of sum of ``norm_weights(lmax, n)[k] * |table[r, k]|^2``.
-    A last axis other than ``K = (lmax + 1)**2`` is refused, not broadcast.
+    Row ``r`` gives sqrt of sum of ``(l+|m|+1)^(2n) * |table[r, k]|^2``.  A
+    tuple of orders gives one norm per order, along a new last axis, from
+    squared magnitudes and weight bases formed once.  An order whose largest
+    weight ``(2*lmax+1)^(2n)`` leaves the double range raises ``OverflowError``;
+    a last axis other than ``K = (lmax + 1)**2`` is refused, not broadcast.
     """
-    weights = norm_weights(lmax, n)
-    if table.shape[-1:] != weights.shape:
-        raise ValueError(f"table shape {table.shape}: rows need (lmax + 1)**2 = {weights.size} values at lmax={lmax}")
+    lmax = as_degree(lmax)
+    orders = [at_least(q, "norm order", 0) for q in (n if isinstance(n, tuple) else (n,))]
+    for q in orders:
+        if 2 * q * math.log(2 * lmax + 1) > _FLOAT_MAX_LOG:
+            raise OverflowError(f"norm order n={q} overflows at lmax={lmax}")
+    base = degree_weights(lmax)
+    if table.shape[-1:] != base.shape:
+        raise ValueError(f"table shape {table.shape}: rows need (lmax + 1)**2 = {base.size} values at lmax={lmax}")
     mag2 = table.real**2 + table.imag**2
-    return np.sqrt(np.sum(weights * mag2, axis=-1))
+    norms = [np.sqrt(np.sum(base ** (2 * q) * mag2, axis=-1)) for q in orders]
+    return np.stack(norms, axis=-1) if isinstance(n, tuple) else norms[0]
 
 
 def graded_norm(f: HarmonicExpansion, n: int) -> float:

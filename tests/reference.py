@@ -23,7 +23,10 @@ comes from ``orthonormal_legendre_table`` and every coupling coefficient from
 * ``product_weights_per_entry``, the coupling weights with the parity
   coupling evaluated at every entry;
 * ``tokenize_reference``, the operator-expression scanner with one
-  append-and-advance tail per token kind.
+  append-and-advance tail per token kind;
+* ``exp_iphi_projection_reference``, the coefficients of ``exp(i*phi) * f``
+  by Gauss-Legendre quadrature in theta, one degree pair at a time, with
+  ``assoc_legendre`` values.
 """
 
 from __future__ import annotations
@@ -319,3 +322,27 @@ def dense_orthonormality_check(lmax: int) -> BoundReport:
         rhs=1e-10,
         lmax=grid.lmax,
     )
+
+
+def exp_iphi_projection_reference(f: HarmonicExpansion, top: int) -> np.ndarray:
+    """Flat coefficients up to degree ``top`` of ``exp(i*phi) * f``, each
+    ``sum_l f_{l,m} * 2*pi * int_0^pi N_L^{m+1} N_l^m sin(theta) dtheta`` by
+    64-node Gauss-Legendre quadrature in theta (not in ``x = cos(theta)``),
+    with ``N`` from ``assoc_legendre`` and its normalisation, one pair at a time.
+    """
+    t, w = np.polynomial.legendre.leggauss(64)
+    theta, w = (t + 1.0) * (math.pi / 2), w * (math.pi / 2)
+    x = np.cos(theta)
+
+    def factor(l, m):  # sqrt(l + 1/2) Y_l^m at phi = 0, the (-1)^m of a negative order included
+        a = abs(m)
+        norm = math.sqrt((2 * l + 1) / (4 * math.pi) * math.exp(math.lgamma(l - a + 1) - math.lgamma(l + a + 1)))
+        return norm * assoc_legendre(l, a, x) * ((-1) ** a if m < 0 else 1)
+
+    out = np.zeros((top + 1) ** 2, dtype=np.complex128)
+    for L in range(top + 1):
+        for M in range(-L, L + 1):
+            for l in range(abs(M - 1), f.lmax + 1):
+                weight = 2 * math.pi * float(np.sum(w * factor(L, M) * factor(l, M - 1) * np.sin(theta)))
+                out[flat_index(L, M)] += weight * f.coeffs[flat_index(l, M - 1)]
+    return out

@@ -111,7 +111,27 @@ def test_graded_norms_rows_equal_graded_norm_bitwise():
             assert graded_norms(table[t], lmax, n) == one
 
 
-@pytest.mark.parametrize("shape, lmax, n", [((3, 1), 2, 1), ((1,), 3, 0), ((2, 5), 1, 0), ((4, 0), 0, 2)])
+def test_graded_norms_of_several_orders_equal_one_call_per_order_bitwise():
+    # a tuple of orders gives one column per order, in the order given, each
+    # with the bits of that order's own call, for a table and for one row
+    rng = np.random.default_rng(9)
+    for lmax, rows in [(0, (3,)), (7, (6,)), (16, (44,)), (5, ())]:
+        K = (lmax + 1) ** 2
+        table = np.logspace(0, -9, K) * (rng.standard_normal(rows + (K,)) + 1j * rng.standard_normal(rows + (K,)))
+        orders = (3, 0, 5, 2, 3)
+        columns = graded_norms(table, lmax, orders)
+        assert columns.shape == rows + (len(orders),)
+        for i, n in enumerate(orders):
+            assert columns[..., i].tobytes() == graded_norms(table, lmax, n).tobytes()
+
+
+def test_graded_norms_name_the_order_that_overflows():
+    with pytest.raises(OverflowError, match=r"^norm order n=400 overflows at lmax=2$"):
+        graded_norms(np.ones(9), 2, (1, 400))
+
+
+@pytest.mark.parametrize("shape, lmax, n", [((3, 1), 2, 1), ((1,), 3, 0), ((2, 5), 1, 0), ((4, 0), 0, 2),
+                                            ((3, 1), 2, (0, 1))])
 def test_graded_norms_refuse_a_table_of_the_wrong_width(shape, lmax, n):
     # one column was broadcast against the (lmax + 1)**2 weights: np.ones((3, 1))
     # at lmax 2 read 10.677 a row, np.ones(1) at lmax 3 read 4.0

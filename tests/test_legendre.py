@@ -513,6 +513,8 @@ DEGREE_CALLS = {
        for at, arg in enumerate(["l1", "m1", "l2", "m2", "L", "M"])},
     "norm-order": Row(lambda n: graded_norms(np.ones((1, 9)), 2, n), "graded_norms.n", "norm order",
                       negative=r"^norm order must be >= 0, got -1$"),
+    "norm-orders": Row(lambda n: graded_norms(np.ones((1, 9)), 2, (0, n)), None, "norm order",
+                       negative=r"^norm order must be >= 0, got -1$"),
     "graded-norm-order": Row(lambda n: graded_norm(random_expansion(3, 2), n), "graded_norm.n", "norm order",
                              negative=r"^norm order must be >= 0, got -1$"),
     "functional-order": Row(functional_constant, "functional_constant.p", "order",
@@ -572,8 +574,9 @@ def test_numpy_integers_give_the_int_result(row):
 
 
 def _integer_parameters():
-    """``"callable.parameter"`` for every parameter annotated ``int`` or ``int | None``
-    of a callable that ``sphcalc`` exports, or of an exported class's public methods."""
+    """``"callable.parameter"`` for every parameter annotated ``int``, ``int | None`` or
+    ``int | tuple[int, ...]`` of a callable that ``sphcalc`` exports, or of an exported
+    class's public methods."""
     targets = []
     for name, value in vars(sphcalc).items():
         if name.startswith("_") or not callable(value):
@@ -588,7 +591,8 @@ def _integer_parameters():
             parameters = inspect.signature(target).parameters.values()
         except ValueError:  # a class that inherits a builtin's constructor
             continue
-        found.update(f"{name}.{p.name}" for p in parameters if p.annotation in ("int", "int | None"))
+        found.update(f"{name}.{p.name}" for p in parameters
+                     if p.annotation in ("int", "int | None", "int | tuple[int, ...]"))
     return found
 
 

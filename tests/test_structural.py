@@ -25,7 +25,7 @@ from sphcalc import (
     sh_product,
     sin_exp_op,
 )
-from sphcalc.bounds import random_expansion, substream
+from sphcalc.bounds import _random_rows, random_expansion, substream
 from sphcalc.expansions import degree_order_arrays, flat_index
 from sphcalc.transform import SampledField, analyze, make_grid, point_eval, synthesize
 from sphcalc import structural, transform, verify
@@ -305,11 +305,10 @@ def test_oracle_checks_out_lmax_before_it_transforms(monkeypatch, out_lmax, erro
 
 def test_structural_suite_oracle_calls_and_grid_tables(monkeypatch):
     # the three banded-vs-pointwise checks share one grid of degree lmax + 2,
-    # whose table is built once; the exp(i phi) record makes one oracle call
-    # per cap, on a grid of degree cap + 8, and reads its gap from the call at
-    # cap composite.lmax = 10
-    builds, calls = [], []
-    build, oracle = transform.orthonormal_legendre_table, structural.pointwise_multiply_oracle
+    # whose table is built once; the exp(i phi) record makes no oracle call,
+    # asks for no grid and builds no grid table
+    builds, calls, grids = [], [], []
+    build, oracle, grid_of = transform.orthonormal_legendre_table, structural.pointwise_multiply_oracle, verify.make_grid
 
     def counted_build(lmax, x):
         builds.append(lmax)
@@ -319,14 +318,57 @@ def test_structural_suite_oracle_calls_and_grid_tables(monkeypatch):
         calls.append((out_lmax, grid))
         return oracle(f, multiplier, out_lmax, grid)
 
+    def counted_grid(lmax):
+        grids.append(lmax)
+        return grid_of(lmax)
+
     monkeypatch.setattr(transform, "orthonormal_legendre_table", counted_build)
     monkeypatch.setattr(structural, "pointwise_multiply_oracle", counted_oracle)
+    monkeypatch.setattr(verify, "make_grid", counted_grid)
     verify.suite_structural(16, 1, 42)
-    checks, gap = calls[:3], calls[3:]
-    assert [(out, grid.lmax) for out, grid in checks] == [(17, 18)] * 3
-    assert checks[0][1] is checks[1][1] is checks[2][1]
-    assert [(out, grid.lmax) for out, grid in gap] == [(cap, cap + 8) for cap in range(9, 16)]
-    assert builds == [18, *range(17, 24)]
+    assert [(out, grid.lmax) for out, grid in calls] == [(17, 18)] * 3
+    assert calls[0][1] is calls[1][1] is calls[2][1]
+    # the product law's quadrature reads the nodes of a degree-12 grid, but no table
+    assert grids == [18, 12]
+    assert builds == [18]
+    del calls[:], grids[:], builds[:]
+    verify.exp_iphi_gap_report(42)
+    assert calls == grids == builds == []
+
+
+def _exp_iphi_input(seed):
+    # the exp(i phi) record's f: its first draw, with the m = -1 column zeroed
+    rows = _random_rows([(seed, "expiphi")], 8, decay=3.0)
+    rows[:, degree_order_arrays(8)[1] == -1] = 0.0
+    return HarmonicExpansion(8, rows[0])
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123456])
+def test_exp_iphi_tails_and_gap_equal_an_independent_exact_sum(seed):
+    # 64-node Gauss-Legendre in theta of the projections: exp(i phi) * f is not
+    # band-limited, so a grid quadrature of it aliases and reads the tails low
+    f = _exp_iphi_input(seed)
+    exact = reference.exp_iphi_projection_reference(f, 15)
+    total = float(np.sum(np.abs(f.coeffs) ** 2))
+    tails = [math.sqrt(total - float(np.sum(np.abs(exact[:(cap + 1) ** 2]) ** 2))) for cap in range(9, 16)]
+    composite = structural.exp_iphi_composite().apply(f)
+    gap = float(np.max(np.abs(exact[:composite.coeffs.size] - composite.coeffs)))
+    record = verify.exp_iphi_gap_report(seed)
+    assert record.details["truncation_delta"] == list(range(7))
+    assert record.details["truncation_tail"] == pytest.approx(tails, rel=0, abs=1e-10)
+    assert record.details["banded_vs_pointwise_coeff_gap"] == pytest.approx(gap, rel=0, abs=1e-10)
+    assert record.lhs == record.details["banded_vs_pointwise_coeff_gap"]
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123456])
+def test_exp_iphi_projection_is_exact_at_its_node_count(seed):
+    # degree 15 from degree 8: the integrands reach degree 24, so 13 intervals
+    # are the fewest exact ones; twice as many move nothing past roundoff,
+    # and one fewer aliases the degree-24 terms
+    f = _exp_iphi_input(seed)
+    once, twice = verify._exp_iphi_projection(f, 15, 13), verify._exp_iphi_projection(f, 15, 26)
+    assert np.max(np.abs(once - twice)) <= 1e-14
+    assert np.max(np.abs(verify._exp_iphi_projection(f, 15, 12) - twice)) > 1e-4
 
 
 # ---------------------------------------------------------------------------

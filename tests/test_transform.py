@@ -388,13 +388,13 @@ def test_an_error_in_a_split_reaches_the_caller_after_every_share_ends(raiser):
 
 
 def test_verify_all_builds_one_table_per_grid(monkeypatch, capsys):
-    # the transforms suite's grid, the structural checks' one oracle grid of
-    # degree lmax + 2 and the exp(i phi) record's seven grids, one per cap;
-    # the product law's grid integrates factor by factor and builds none
+    # the transforms suite's grid and the structural checks' one oracle grid of
+    # degree lmax + 2; the product law's grid integrates factor by factor and
+    # the exp(i phi) record projects on no grid, so neither builds one
     builds = _counting_table_builds(monkeypatch)
     assert main(["verify", "--suite", "all", "--seed", "42"]) == 0
     capsys.readouterr()
-    assert builds == [16, 18, *range(17, 24)]
+    assert builds == [16, 18]
 
 
 def test_grid_past_the_validated_range_is_refused_before_the_node_solve():
